@@ -90,16 +90,20 @@ def compare(
     lhs: float,
     rhs: float,
     *,
-    tol: float = HOLDS_TOLERANCE,
-    eq_tol: float = EQUALITY_TOLERANCE,
+    holds: bool | None = None,
     equality: bool | None = None,
     detail: tuple[Certificate, ...] = (),
 ) -> Certificate:
     """Certify the claim ``lhs <= rhs``.
 
-    ``equality`` may be supplied explicitly for checks whose equality
-    condition is structural (all support points identical, say) rather
-    than numeric; by default it is read off the slack.
+    This is the one way certificates are built.  By default ``holds`` and
+    ``equality`` are read off the slack (``HOLDS_TOLERANCE`` and
+    ``EQUALITY_TOLERANCE``), or off a direct comparison when a side is
+    infinite.  Either may be supplied explicitly for checks whose
+    condition is structural (all support points identical, a chain of
+    sub-claims, say) rather than a single slack.  Two rules hold whatever
+    the overrides say: equality implies holds, and an infinite side never
+    reports equality.
     """
     lhs = float(lhs)
     rhs = float(rhs)
@@ -107,16 +111,16 @@ def compare(
     slack = rhs - lhs  # inf-aware: inf - inf is nan, finite - inf is -inf
     if infinite:
         eq = False
-        holds = lhs <= rhs
     else:
-        eq = (abs(slack) <= eq_tol) if equality is None else bool(equality)
-        holds = slack >= -tol or eq
+        eq = abs(slack) <= EQUALITY_TOLERANCE if equality is None else bool(equality)
+    if holds is None:
+        holds = lhs <= rhs if infinite else slack >= -HOLDS_TOLERANCE
     return Certificate(
         name=name,
         lhs=lhs,
         rhs=rhs,
         slack=slack,
-        holds=holds,
+        holds=bool(holds) or eq,
         equality=eq,
         infinite=infinite,
         detail=tuple(detail),

@@ -31,6 +31,7 @@ from .distribution import (
     uniform,
 )
 from .dissimilarity import (
+    MAX_ALPHA,
     dissimilarity,
     dissimilarity_properties,
     iterated_negation_dissimilarity,
@@ -54,7 +55,7 @@ from .jensen import (
     concave_mixture_bound,
     self_information_bound,
 )
-from .negation import converge_to_uniform, negate, negate_iterated, negate_twice
+from .negation import converge_to_uniform, negate, negate_twice
 
 __all__ = ["main", "EXIT_OK", "EXIT_VALIDATION", "EXIT_FAILURE", "EXIT_USAGE"]
 
@@ -93,7 +94,7 @@ def _parse_scalar(token: str) -> float:
             num, den = token.split("/", 1)
             return float(Fraction(int(num.strip()), int(den.strip())))
         return float(token)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise _UsageError(f"cannot parse value {token!r}: {exc}") from None
 
 
@@ -111,37 +112,49 @@ def _parse_dist_text(text: str) -> list[float]:
     return [_parse_scalar(tok) for tok in text.split(",")]
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _load_file(path: str) -> list[list[float]]:
     """JSON array of distributions, or CSV with one distribution per row.
 
     A flat JSON array of numbers is taken as a single distribution, and a
     JSON object emitted by this tool is re-ingested through its
-    ``input.distributions`` field, so output documents round-trip.
+    ``input.distributions`` field, so output documents round-trip.  Any
+    other JSON shape is a usage error.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
     stripped = text.lstrip()
-    if stripped.startswith("[") or stripped.startswith("{"):
+    if not (stripped.startswith("[") or stripped.startswith("{")):
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"invalid JSON in {path}: {exc}") from None
-        if isinstance(data, dict):
-            data = data.get("input", {}).get("distributions")
-            if data is None:
-                raise _UsageError(f"{path}: JSON object lacks input.distributions")
-        if data and all(isinstance(v, (int, float)) for v in data):
-            data = [data]
+            rows = [[c.strip() for c in row if c.strip()] for row in csv.reader(io.StringIO(text))]
+        except csv.Error as exc:
+            raise _UsageError(f"invalid CSV in {path}: {exc}") from None
+        return [[_parse_scalar(c) for c in cells] for cells in rows if cells]
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise _UsageError(f"invalid JSON in {path}: {exc}") from None
+    if isinstance(data, dict):
+        inp = data.get("input")
+        data = inp.get("distributions") if isinstance(inp, dict) else None
+        if data is None:
+            raise _UsageError(f"{path}: JSON object lacks input.distributions")
+    if isinstance(data, list) and data and all(map(_is_number, data)):
+        data = [data]
+    if not isinstance(data, list) or not all(
+        isinstance(row, list) and all(map(_is_number, row)) for row in data
+    ):
+        raise _UsageError(f"{path}: expected a list of number lists or one flat number list")
+    try:
         return [[float(v) for v in row] for row in data]
-    rows = []
-    for row in csv.reader(io.StringIO(text)):
-        cells = [c.strip() for c in row if c.strip()]
-        if cells:
-            rows.append([_parse_scalar(c) for c in cells])
-    return rows
+    except OverflowError:
+        raise _UsageError(f"{path}: a number is too large for a float") from None
 
 
 def _gather_inputs(args) -> list[list[float]]:
@@ -187,9 +200,11 @@ def _validate(raw: list[list[float]], tolerance: float):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (records, csv_rows, all_hold)
+# subcommand handlers: each takes (dists, args, inp), checks its own flags,
+# may record them in the document's ``input`` block ``inp``, and returns
+# (records, csv_rows, all_hold)
 
-def _run_negate(dists, args):
+def _run_negate(dists, args, inp):
     records, rows = [], []
     for d_idx, p in enumerate(dists):
         nb, nbb = negate(p), negate_twice(p)
@@ -213,7 +228,7 @@ def _run_negate(dists, args):
     return records, rows, True
 
 
-def _run_entropy(dists, args):
+def _run_entropy(dists, args, inp):
     records, rows = [], []
     for d_idx, p in enumerate(dists):
         rep = entropy_report(p)
@@ -223,7 +238,9 @@ def _run_entropy(dists, args):
     return records, rows, True
 
 
-def _run_converge(dists, args):
+def _run_converge(dists, args, inp):
+    if args.max_steps < 1:
+        raise _UsageError(f"--max-steps must be >= 1, got {args.max_steps}")
     records, rows = [], []
     for d_idx, p in enumerate(dists):
         trace = converge_to_uniform(p, tolerance=args.tolerance, max_steps=args.max_steps)
@@ -248,41 +265,44 @@ def _run_converge(dists, args):
     return records, rows, True
 
 
-def _run_dissim(dists, args):
+def _run_dissim(dists, args, inp):
+    try:
+        alphas = [int(a) for a in args.alpha.split(",") if a.strip()]
+    except ValueError:
+        raise _UsageError(f"--alpha must be comma-separated integers, got {args.alpha!r}") from None
+    if not alphas or alphas != sorted(alphas) or alphas[0] < 0:
+        raise _UsageError("--alpha must be nonempty, nonnegative, sorted ascending")
+    if alphas[-1] > MAX_ALPHA:
+        raise _UsageError(f"--alpha levels must be <= {MAX_ALPHA}, got {alphas[-1]}")
+    if args.depth < 1:
+        raise _UsageError(f"--depth must be >= 1, got {args.depth}")
+    inp["alphas"] = alphas
+    inp["depth"] = args.depth
     records, rows = [], []
     all_hold = True
     for d_idx, p in enumerate(dists):
-        profile = [negation_dissimilarity(p, a) for a in args.alphas]
-        props = dissimilarity_properties(p, args.alphas)
-        iterated = iterated_negation_dissimilarity(p, args.alphas[0], args.depth)
+        q = negate(p)
+        profile = [dissimilarity(p, q, a) for a in alphas]
+        props = dissimilarity_properties(p, alphas, q=q, forward=profile)
+        iterated = iterated_negation_dissimilarity(p, alphas[0], args.depth)
         all_hold &= props.holds
         records.append(
             {
                 "distribution": p.tolist(),
-                "negation": negate(p).tolist(),
+                "negation": q.tolist(),
                 "profile": [r.as_dict() for r in profile],
                 "properties": props.as_dict(),
                 "iterated": iterated.as_dict(),
             }
         )
-        for r in profile:
+        levels = [("alpha", r.alpha, r) for r in profile]
+        levels += [("iterate", k, r) for k, r in enumerate(iterated.results, start=1)]
+        for kind, level, r in levels:
             rows.append(
                 {
                     "dist": d_idx,
-                    "kind": "alpha",
-                    "level": r.alpha,
-                    "value": r.value,
-                    "closed_form_value": r.closed_form_value,
-                    "l1": r.l1,
-                    "properties_hold": props.holds,
-                }
-            )
-        for k, r in enumerate(iterated.results, start=1):
-            rows.append(
-                {
-                    "dist": d_idx,
-                    "kind": "iterate",
-                    "level": k,
+                    "kind": kind,
+                    "level": level,
                     "value": r.value,
                     "closed_form_value": r.closed_form_value,
                     "l1": r.l1,
@@ -312,34 +332,28 @@ def _verify_suite(p: ProbDist, fn_name: str) -> list[Certificate]:
 
 def _cert_rows(d_idx, certs, rows):
     for c in certs:
-        rows.append(
-            {
-                "dist": d_idx,
-                "name": c.name,
-                "lhs": c.lhs,
-                "rhs": c.rhs,
-                "slack": c.slack,
-                "holds": c.holds,
-                "equality": c.equality,
-                "infinite": c.infinite,
-            }
-        )
-        for sub in c.detail:
+        named = [(c.name, c)] + [(f"{c.name}/{sub.name}", sub) for sub in c.detail]
+        for name, cert in named:
             rows.append(
                 {
                     "dist": d_idx,
-                    "name": f"{c.name}/{sub.name}",
-                    "lhs": sub.lhs,
-                    "rhs": sub.rhs,
-                    "slack": sub.slack,
-                    "holds": sub.holds,
-                    "equality": sub.equality,
-                    "infinite": sub.infinite,
+                    "name": name,
+                    "lhs": cert.lhs,
+                    "rhs": cert.rhs,
+                    "slack": cert.slack,
+                    "holds": cert.holds,
+                    "equality": cert.equality,
+                    "infinite": cert.infinite,
                 }
             )
 
 
-def _run_verify(dists, args):
+def _run_verify(dists, args, inp):
+    if args.fn not in BUILTIN_FUNCTIONS:
+        raise _UsageError(
+            f"unknown function {args.fn!r}; built-ins: {', '.join(sorted(BUILTIN_FUNCTIONS))}"
+        )
+    inp["function"] = args.fn
     records, rows = [], []
     all_hold = True
     for d_idx, p in enumerate(dists):
@@ -488,12 +502,9 @@ def _report_fixtures() -> list[dict]:
     return fixtures
 
 
-def _run_report(args):
+def _run_report(dists, args, inp):
     fixtures = _report_fixtures()
-    rows = [
-        {"fixture": f["name"], "passed": f["passed"]}
-        for f in fixtures
-    ]
+    rows = [{"fixture": f["name"], "passed": f["passed"]} for f in fixtures]
     return fixtures, rows, all(f["passed"] for f in fixtures)
 
 
@@ -531,9 +542,58 @@ def _cert_lines(cert: dict, indent: str, out: list[str]) -> None:
         _cert_lines(sub, indent + "  ", out)
 
 
+def _text_negate(rec: dict, out: list[str]) -> None:
+    out.append(f"  negation:        {_vec(rec['negation'])}")
+    out.append(f"  double negation: {_vec(rec['double_negation'])}")
+
+
+def _text_entropy(rec: dict, out: list[str]) -> None:
+    out.append(
+        f"  entropy {_fmt(rec['entropy_bits'])} bits of "
+        f"{_fmt(rec['max_entropy_bits'])} max, gap {_fmt(rec['gap_bits'])}"
+    )
+
+
+def _text_converge(rec: dict, out: list[str]) -> None:
+    state = "converged" if rec["converged"] else (
+        "oscillating (period 2, never converges)" if rec["oscillating"] else "stopped at max_steps"
+    )
+    out.append(f"  {state} after {rec['steps']} steps")
+    out.append(f"  final distance {_fmt(rec['distances'][-1])}, entropy {_fmt(rec['entropies'][-1])} bits")
+
+
+def _text_dissim(rec: dict, out: list[str]) -> None:
+    for r in rec["profile"]:
+        out.append(f"  alpha={r['alpha']}: value={_fmt(r['value'])} (l1={_fmt(r['l1'])})")
+    _cert_lines(rec["properties"], "  ", out)
+    iterated = rec["iterated"]
+    vals = _vec([r["value"] for r in iterated["results"]])
+    out.append(
+        f"  vs iterates 1..{len(iterated['results'])}: {vals} "
+        f"(non-decreasing: {_fmt(iterated['non_decreasing'])})"
+    )
+
+
+def _text_verify(rec: dict, out: list[str]) -> None:
+    for cert in rec["certificates"]:
+        _cert_lines(cert, "  ", out)
+    for note in rec.get("notes", ()):
+        out.append(f"  note: {note}")
+
+
+def _text_report(rec: dict, out: list[str]) -> None:
+    status = "PASS" if rec["passed"] else "FAIL"
+    extras = {
+        k: v
+        for k, v in rec.items()
+        if k not in ("name", "passed") and isinstance(v, (int, float))
+    }
+    shown = ", ".join(f"{k}={_fmt(v)}" for k, v in extras.items())
+    out.append(f"{status} {rec['name']}" + (f"  ({shown})" if shown else ""))
+
+
 def _render_text(doc: dict) -> str:
-    cmd = doc["command"]
-    out = [f"command: {cmd}"]
+    out = [f"command: {doc['command']}"]
     if "error" in doc:
         err = doc["error"]
         rep = err["report"]
@@ -541,63 +601,33 @@ def _render_text(doc: dict) -> str:
             f"validation failed for distribution {err['index']}: {err['why']} "
             f"(sum_error={_fmt(rep['sum_error'])}, bad_indices={rep['bad_indices']})"
         )
+    render = _COMMANDS[doc["command"]][1]
     for idx, rec in enumerate(doc["results"]):
-        if cmd == "report":
-            status = "PASS" if rec["passed"] else "FAIL"
-            extras = {
-                k: v
-                for k, v in rec.items()
-                if k not in ("name", "passed") and isinstance(v, (int, float))
-            }
-            shown = ", ".join(f"{k}={_fmt(v)}" for k, v in extras.items())
-            out.append(f"{status} {rec['name']}" + (f"  ({shown})" if shown else ""))
-            continue
-        out.append(f"distribution {idx}: {_vec(rec['distribution'])}")
-        if cmd == "negate":
-            out.append(f"  negation:        {_vec(rec['negation'])}")
-            out.append(f"  double negation: {_vec(rec['double_negation'])}")
-        elif cmd == "entropy":
-            out.append(
-                f"  entropy {_fmt(rec['entropy_bits'])} bits of "
-                f"{_fmt(rec['max_entropy_bits'])} max, gap {_fmt(rec['gap_bits'])}"
-            )
-        elif cmd == "converge":
-            state = "converged" if rec["converged"] else (
-                "oscillating (period 2, never converges)" if rec["oscillating"] else "stopped at max_steps"
-            )
-            out.append(f"  {state} after {rec['steps']} steps")
-            out.append(f"  final distance {_fmt(rec['distances'][-1])}, entropy {_fmt(rec['entropies'][-1])} bits")
-        elif cmd == "dissim":
-            for r in rec["profile"]:
-                out.append(f"  alpha={r['alpha']}: value={_fmt(r['value'])} (l1={_fmt(r['l1'])})")
-            _cert_lines(rec["properties"], "  ", out)
-            iterated = rec["iterated"]
-            vals = _vec([r["value"] for r in iterated["results"]])
-            out.append(
-                f"  vs iterates 1..{len(iterated['results'])}: {vals} "
-                f"(non-decreasing: {_fmt(iterated['non_decreasing'])})"
-            )
-        elif cmd == "verify":
-            for cert in rec["certificates"]:
-                _cert_lines(cert, "  ", out)
-            for note in rec.get("notes", ()):
-                out.append(f"  note: {note}")
+        if "distribution" in rec:
+            out.append(f"distribution {idx}: {_vec(rec['distribution'])}")
+        render(rec, out)
     out.append(f"all_hold: {_fmt(doc['all_hold'])}")
     return "\n".join(out) + "\n"
 
 
 def _emit(doc: dict, fmt: str, out_path: str | None) -> None:
-    if fmt == "json":
-        text = _render_json(doc)
-    elif fmt == "csv":
-        text = _render_csv(doc)
-    else:
-        text = _render_text(doc)
+    text = {"json": _render_json, "csv": _render_csv, "text": _render_text}[fmt](doc)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+#: subcommand name -> (handler, text renderer of one result record)
+_COMMANDS = {
+    "negate": (_run_negate, _text_negate),
+    "entropy": (_run_entropy, _text_entropy),
+    "converge": (_run_converge, _text_converge),
+    "verify": (_run_verify, _text_verify),
+    "dissim": (_run_dissim, _text_dissim),
+    "report": (_run_report, _text_report),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -652,18 +682,18 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         args.tolerance = _resolve_tolerance(args)
-
-        if args.command == "report":
-            results, rows, all_hold = _run_report(args)
-            doc_input = {"tolerance": args.tolerance}
+        run = _COMMANDS[args.command][0]
+        if args.command == "report":  # the one command without input distributions
+            dists, doc_input = None, {"tolerance": args.tolerance}
         else:
             raw = _gather_inputs(args)
-            validated = _validate(raw, args.tolerance)
-            if isinstance(validated, tuple):
-                idx, report, why = validated
+            doc_input = {"distributions": raw, "tolerance": args.tolerance}
+            dists = _validate(raw, args.tolerance)
+            if isinstance(dists, tuple):
+                idx, report, why = dists
                 doc = {
                     "command": args.command,
-                    "input": {"distributions": raw, "tolerance": args.tolerance},
+                    "input": doc_input,
                     "error": {"kind": "validation", "index": idx, "why": why,
                               "report": report.as_dict()},
                     "results": [],
@@ -680,53 +710,13 @@ def main(argv: list[str] | None = None) -> int:
                     ]
                 _emit(doc, args.format, args.out)
                 return EXIT_VALIDATION
-            dists = validated
-            doc_input = {"distributions": raw, "tolerance": args.tolerance}
 
-            if args.command == "negate":
-                results, rows, all_hold = _run_negate(dists, args)
-            elif args.command == "entropy":
-                results, rows, all_hold = _run_entropy(dists, args)
-            elif args.command == "converge":
-                if args.max_steps < 1:
-                    raise _UsageError(f"--max-steps must be >= 1, got {args.max_steps}")
-                results, rows, all_hold = _run_converge(dists, args)
-            elif args.command == "verify":
-                if args.fn not in BUILTIN_FUNCTIONS:
-                    raise _UsageError(
-                        f"unknown function {args.fn!r}; built-ins: {', '.join(sorted(BUILTIN_FUNCTIONS))}"
-                    )
-                doc_input["function"] = args.fn
-                results, rows, all_hold = _run_verify(dists, args)
-            elif args.command == "dissim":
-                try:
-                    alphas = [int(a) for a in args.alpha.split(",") if a.strip()]
-                except ValueError:
-                    raise _UsageError(f"--alpha must be comma-separated integers, got {args.alpha!r}") from None
-                if not alphas or alphas != sorted(alphas) or alphas[0] < 0:
-                    raise _UsageError("--alpha must be nonempty, nonnegative, sorted ascending")
-                if args.depth < 1:
-                    raise _UsageError(f"--depth must be >= 1, got {args.depth}")
-                args.alphas = alphas
-                doc_input["alphas"] = alphas
-                doc_input["depth"] = args.depth
-                results, rows, all_hold = _run_dissim(dists, args)
-            else:  # pragma: no cover - argparse enforces the choices
-                raise _UsageError(f"unknown command {args.command!r}")
-
-        doc = {
-            "command": args.command,
-            "input": doc_input,
-            "results": results,
-            "all_hold": all_hold,
-            "_csv_rows": rows,
-        }
-        if args.format != "csv":
-            doc.pop("_csv_rows")
+        results, rows, all_hold = run(dists, args, doc_input)
+        doc = {"command": args.command, "input": doc_input, "results": results, "all_hold": all_hold}
+        if args.format == "csv":
+            doc["_csv_rows"] = rows
         _emit(doc, args.format, args.out)
-        if args.command in ("verify", "dissim", "report") and not all_hold:
-            return EXIT_FAILURE
-        return EXIT_OK
+        return EXIT_OK if all_hold else EXIT_FAILURE
     except _UsageError as exc:
         print(f"neglab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,10 +1,10 @@
 """A parametric dissimilarity family built from min-mixture overlaps.
 
-For distributions p, q and an integer level ``alpha >= 0``, each side is
-blended toward the other with weight 2**-alpha before overlaps are taken:
-the measure sums min(p_i, mix_i) + min(mix'_i, q_i) over entries, squashes
-through (1 + s/2)/2 and takes -log2.  Algebraically the whole construction
-collapses onto the L1 distance,
+For distributions p, q and an integer level ``0 <= alpha <= 1021``, each
+side is blended toward the other with weight 2**-alpha before overlaps are
+taken: the measure sums min(p_i, mix_i) + min(mix'_i, q_i) over entries,
+squashes through (1 + s/2)/2 and takes -log2.  Algebraically the whole
+construction collapses onto the L1 distance,
 
     value = -log2(1 - |p - q|_1 / 2**(alpha + 2)),
 
@@ -13,7 +13,8 @@ at 1e-12; disagreement raises :class:`CrossCheckError`, since it would mean
 the arithmetic itself went wrong.  The closed form makes the family's
 behaviour transparent: values live in [0, 1], vanish exactly when p = q,
 are symmetric, and shrink as alpha grows (each level halves the argument
-of the log).
+of the log).  Above alpha = 1021 the scale 2**(alpha + 2) is no longer a
+finite double, so larger levels raise :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .certificates import Certificate, EQUALITY_TOLERANCE, HOLDS_TOLERANCE
+from .certificates import Certificate, HOLDS_TOLERANCE, compare
 from .distribution import DimensionError, DomainError, ProbDist, l1_distance
 from .negation import negate, negate_iterated
 
 __all__ = [
+    "MAX_ALPHA",
     "CrossCheckError",
     "DissimResult",
     "dissimilarity",
@@ -39,6 +41,9 @@ __all__ = [
 ]
 
 _CROSS_CHECK_TOL = 1e-12
+
+#: largest level whose closed-form scale 2**(alpha + 2) is a finite double
+MAX_ALPHA = 1021
 
 
 class CrossCheckError(ArithmeticError):
@@ -73,8 +78,8 @@ class DissimResult:
 def _check_alpha(alpha) -> int:
     if isinstance(alpha, bool) or not isinstance(alpha, (int, np.integer)):
         raise DomainError(f"alpha must be a nonnegative integer, got {alpha!r}")
-    if alpha < 0:
-        raise DomainError(f"alpha must be a nonnegative integer, got {alpha}")
+    if not 0 <= alpha <= MAX_ALPHA:
+        raise DomainError(f"alpha must be an integer in [0, {MAX_ALPHA}], got {alpha}")
     return int(alpha)
 
 
@@ -111,14 +116,13 @@ def negation_dissimilarity(p: ProbDist, alpha: int = 0) -> DissimResult:
     return dissimilarity(p, negate(p), alpha)
 
 
-def _cert(name: str, lhs: float, rhs: float, holds: bool, equality: bool = False) -> Certificate:
-    return Certificate(
-        name=name, lhs=lhs, rhs=rhs, slack=rhs - lhs,
-        holds=holds or equality, equality=equality, infinite=False,
-    )
-
-
-def dissimilarity_properties(p: ProbDist, alphas: Sequence[int]) -> Certificate:
+def dissimilarity_properties(
+    p: ProbDist,
+    alphas: Sequence[int],
+    *,
+    q: ProbDist | None = None,
+    forward: Sequence[DissimResult] | None = None,
+) -> Certificate:
     """Audit the measure's defining properties on ``p`` vs its negation.
 
     Per level: the value lies in [0, 1] and vanishes exactly when the L1
@@ -131,59 +135,64 @@ def dissimilarity_properties(p: ProbDist, alphas: Sequence[int]) -> Certificate:
     ascending.  The top-level certificate holds when boundedness,
     identity, and symmetry all hold; the direction records are attached
     as detail only.
+
+    A caller that already holds ``q = negate(p)`` and the profile
+    ``forward = [dissimilarity(p, q, a) for a in alphas]`` may pass them
+    in to skip recomputing both.
     """
     alphas = [_check_alpha(a) for a in alphas]
     if not alphas:
         raise DomainError("alphas must be nonempty")
     if alphas != sorted(alphas):
         raise DomainError("alphas must be sorted ascending")
-    q = negate(p)
-    forward = [dissimilarity(p, q, a) for a in alphas]
+    if q is None:
+        q = negate(p)
+    if forward is None:
+        forward = [dissimilarity(p, q, a) for a in alphas]
     backward = [dissimilarity(q, p, a) for a in alphas]
 
-    detail: list[Certificate] = []
     asserted: list[Certificate] = []
     for res, rev in zip(forward, backward):
         a = res.alpha
         in_range = -HOLDS_TOLERANCE <= res.value <= 1.0 + HOLDS_TOLERANCE
-        asserted.append(_cert(f"bounded_in_unit_interval[alpha={a}]", res.value, 1.0, in_range))
+        asserted.append(compare(
+            f"bounded_in_unit_interval[alpha={a}]", res.value, 1.0,
+            holds=in_range, equality=False,
+        ))
         # "value is zero iff the distributions coincide": the value cutoff is
         # mapped through the closed form to the equivalent L1 cutoff, so both
         # sides of the biconditional measure the same inequality and inputs
         # straddling the tolerance cannot produce a spurious mismatch
         l1_cutoff = -math.expm1(-HOLDS_TOLERANCE * math.log(2.0)) * 2.0 ** (a + 2)
         zero_iff = (res.value <= HOLDS_TOLERANCE) == (res.l1 <= l1_cutoff)
-        asserted.append(_cert(f"zero_iff_identical[alpha={a}]", res.value, res.l1, zero_iff))
+        asserted.append(compare(
+            f"zero_iff_identical[alpha={a}]", res.value, res.l1,
+            holds=zero_iff, equality=False,
+        ))
         sym_gap = abs(res.value - rev.value)
-        asserted.append(_cert(f"symmetry[alpha={a}]", sym_gap, 1e-14, sym_gap <= 1e-14))
-    detail.extend(asserted)
+        asserted.append(compare(
+            f"symmetry[alpha={a}]", sym_gap, 1e-14, holds=sym_gap <= 1e-14, equality=False,
+        ))
 
     values = [r.value for r in forward]
-    non_increasing = all(
-        values[k + 1] <= values[k] + HOLDS_TOLERANCE for k in range(len(values) - 1)
-    )
-    non_decreasing = all(
-        values[k + 1] >= values[k] - HOLDS_TOLERANCE for k in range(len(values) - 1)
-    )
-    if len(values) > 1:
-        detail.append(
-            _cert("value_non_increasing_in_alpha", values[-1], values[0], non_increasing)
-        )
-        detail.append(
-            _cert("value_non_decreasing_in_alpha", values[0], values[-1], non_decreasing)
-        )
+    steps = list(zip(values, values[1:]))
+    direction = [
+        compare(
+            "value_non_increasing_in_alpha", values[-1], values[0],
+            holds=all(b <= a + HOLDS_TOLERANCE for a, b in steps), equality=False,
+        ),
+        compare(
+            "value_non_decreasing_in_alpha", values[0], values[-1],
+            holds=all(b >= a - HOLDS_TOLERANCE for a, b in steps), equality=False,
+        ),
+    ] if steps else []
 
     holds = all(c.holds for c in asserted)
-    equality = holds and forward[0].l1 <= HOLDS_TOLERANCE
-    return Certificate(
-        name="dissimilarity_properties",
-        lhs=values[0],
-        rhs=values[-1],
-        slack=values[-1] - values[0],
+    return compare(
+        "dissimilarity_properties", values[0], values[-1],
         holds=holds,
-        equality=equality,
-        infinite=False,
-        detail=tuple(detail),
+        equality=holds and forward[0].l1 <= HOLDS_TOLERANCE,
+        detail=(*asserted, *direction),
     )
 
 

@@ -8,7 +8,7 @@ machine precision instead of inheriting entry noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -49,18 +49,17 @@ class ProbDist:
     """
 
     probs: np.ndarray
+    #: set only by :func:`_unchecked`, for arrays that are distributions by construction
+    _screened: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _screened: bool) -> None:
         arr = np.array(self.probs, dtype=float)
-        if arr.ndim != 1:
-            raise DimensionError("probabilities must form a one-dimensional sequence")
-        if arr.size < 2:
-            raise DimensionError(f"a distribution needs at least 2 outcomes, got {arr.size}")
-        if not np.all((arr >= -DEFAULT_TOLERANCE) & (arr <= 1.0 + DEFAULT_TOLERANCE)):
-            raise DomainError("probabilities must lie in [0, 1]")
-        total = float(arr.sum())
-        if abs(total - 1.0) > DEFAULT_TOLERANCE:
-            raise DomainError(f"probabilities must sum to 1, got {total!r}")
+        if not _screened:
+            report = _screen(arr, DEFAULT_TOLERANCE)
+            if report.bad_indices:
+                raise DomainError("probabilities must lie in [0, 1]")
+            if not report.ok:
+                raise DomainError(f"probabilities must sum to 1, got {float(arr.sum())!r}")
         np.clip(arr, 0.0, 1.0, out=arr)
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
@@ -107,6 +106,35 @@ class ValidationReport:
         }
 
 
+def _screen(arr: np.ndarray, tolerance: float) -> ValidationReport:
+    """The range-and-mass check of a raw array.
+
+    A wrong shape is a structural mistake and raises
+    :class:`DimensionError`; everything else is reported.
+    """
+    if arr.ndim != 1:
+        raise DimensionError("probabilities must form a one-dimensional sequence")
+    if arr.size < 2:
+        raise DimensionError(f"a distribution needs at least 2 outcomes, got {arr.size}")
+    in_range = (arr >= -tolerance) & (arr <= 1.0 + tolerance)
+    bad = tuple(int(i) for i in np.flatnonzero(~in_range))
+    total = float(arr.sum())
+    sum_error = abs(total - 1.0) if np.isfinite(total) else float("inf")
+    return ValidationReport(
+        ok=not bad and sum_error <= tolerance, sum_error=sum_error, bad_indices=bad
+    )
+
+
+def _unchecked(arr: np.ndarray) -> ProbDist:
+    """Wrap an array that is a distribution by construction.
+
+    Used for :func:`make_dist`'s own result and for the closed-form
+    outputs of negation, padding and :func:`uniform`.  The clip and the
+    read-only flag still apply; only the screen is skipped.
+    """
+    return ProbDist(arr, _screened=True)
+
+
 def make_dist(
     values: Iterable[float], tolerance: float = DEFAULT_TOLERANCE
 ) -> ProbDist | ValidationReport:
@@ -118,18 +146,13 @@ def make_dist(
     mistake and raises :class:`DimensionError`.
     """
     arr = np.asarray(list(values), dtype=float)
-    if arr.ndim != 1:
-        raise DimensionError("values must form a one-dimensional sequence")
-    if arr.size < 2:
-        raise DimensionError(f"a distribution needs at least 2 outcomes, got {arr.size}")
-    in_range = (arr >= -tolerance) & (arr <= 1.0 + tolerance)
-    bad = tuple(int(i) for i in np.flatnonzero(~in_range))
-    total = float(arr.sum())
-    sum_error = abs(total - 1.0) if np.isfinite(total) else float("inf")
-    if bad or sum_error > tolerance:
-        return ValidationReport(ok=False, sum_error=sum_error, bad_indices=bad)
+    report = _screen(arr, tolerance)
+    if not report.ok:
+        return report
     arr = np.where(arr < 0.0, 0.0, arr)
     total = float(arr.sum())
+    if total == 0.0:  # no mass left after clamping; only a tolerance >= 1 gets here
+        return ValidationReport(ok=False, sum_error=1.0)
     # Skip the division when the sum is already 1 up to accumulated rounding
     # noise: renormalizing is then a no-op mathematically but would disturb
     # final bits, and re-ingesting emitted values must reproduce the array
@@ -137,7 +160,7 @@ def make_dist(
     # makes the operation idempotent.
     if abs(total - 1.0) > 32.0 * arr.size * np.finfo(float).eps:
         arr = arr / total
-    return ProbDist(arr)
+    return _unchecked(arr)
 
 
 def pad_with_zeros(p: ProbDist, k: int) -> ProbDist:
@@ -146,14 +169,14 @@ def pad_with_zeros(p: ProbDist, k: int) -> ProbDist:
         raise DomainError(f"cannot pad with a negative count, got {k}")
     if k == 0:
         return p
-    return ProbDist(np.concatenate([p.probs, np.zeros(k)]))
+    return _unchecked(np.concatenate([p.probs, np.zeros(k)]))
 
 
 def uniform(n: int) -> ProbDist:
     """The uniform distribution on ``n`` outcomes."""
     if n < 2:
         raise DimensionError(f"a distribution needs at least 2 outcomes, got {n}")
-    return ProbDist(np.full(n, 1.0 / n))
+    return _unchecked(np.full(n, 1.0 / n))
 
 
 def is_uniform(p: ProbDist, tolerance: float = DEFAULT_TOLERANCE) -> bool:

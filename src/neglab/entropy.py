@@ -91,7 +91,7 @@ def cross_entropy_check(p: ProbDist, q: ProbDist) -> Certificate:
     else:
         rhs = float(-np.sum(p.probs[support] * np.log2(q.probs[support])))
     same = bool(np.max(np.abs(p.probs - q.probs)) <= 1e-12)
-    return compare("cross_entropy", lhs, rhs, equality=same and not math.isinf(rhs))
+    return compare("cross_entropy", lhs, rhs, equality=same)
 
 
 def entropy_chain_check(p: ProbDist) -> Certificate:
@@ -110,16 +110,10 @@ def entropy_chain_check(p: ProbDist) -> Certificate:
         compare("negation_entropy_le_double_negation_entropy", h1, h2),
         compare("double_negation_entropy_le_log_n", h2, h_max),
     )
-    holds = all(c.holds for c in links)
-    equality = all(c.equality for c in links)
-    return Certificate(
-        name="entropy_chain",
-        lhs=h0,
-        rhs=h_max,
-        slack=h_max - h0,
-        holds=holds or equality,
-        equality=equality,
-        infinite=False,
+    return compare(
+        "entropy_chain", h0, h_max,
+        holds=all(c.holds for c in links),
+        equality=all(c.equality for c in links),
         detail=links,
     )
 
@@ -138,35 +132,20 @@ def zero_padding_entropy_check(p: ProbDist, k: int) -> Certificate:
     padded = pad_with_zeros(p, k)
     h = shannon_entropy(p)
     h_padded = shannon_entropy(padded)
-    preserved = Certificate(
-        name="padding_preserves_entropy",
-        lhs=h,
-        rhs=h_padded,
-        slack=h_padded - h,
-        holds=abs(h_padded - h) <= 1e-12,
-        equality=abs(h_padded - h) <= 1e-12,
-        infinite=False,
-    )
+    same = abs(h_padded - h) <= 1e-12
+    preserved = compare("padding_preserves_entropy", h, h_padded, holds=same, equality=same)
     g = shannon_entropy(negate(p))
     g_padded = shannon_entropy(negate(padded))
     strict = not is_uniform(p)
-    raised = Certificate(
-        name="padding_raises_negation_entropy",
-        lhs=g,
-        rhs=g_padded,
-        slack=g_padded - g,
-        holds=(g_padded > g) if strict else True,
-        equality=abs(g_padded - g) <= 1e-9 if not strict else False,
-        infinite=False,
+    raised = compare(
+        "padding_raises_negation_entropy", g, g_padded,
+        holds=g_padded > g or not strict,
+        equality=False if strict else None,
     )
     holds = preserved.holds and raised.holds
-    return Certificate(
-        name="zero_padding_entropy",
-        lhs=h,
-        rhs=h_padded,
-        slack=h_padded - h,
+    return compare(
+        "zero_padding_entropy", h, h_padded,
         holds=holds,
         equality=preserved.equality and holds,
-        infinite=False,
         detail=(preserved, raised),
     )

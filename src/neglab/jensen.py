@@ -206,8 +206,6 @@ def jensen_check(
         lhs, rhs = f(mean), f_side
     else:
         lhs, rhs = f_side, f(mean)
-    if math.isinf(lhs) or math.isinf(rhs):
-        equality = False
     return compare(f"jensen[{f.name}]", lhs, rhs, equality=equality)
 
 
@@ -341,20 +339,8 @@ def partial_mean_chain(
     bounds = tuple(bounds)
 
     lhs = f(zetas[0])
-    rhs = bounds[-1]
-    infinite = math.isinf(lhs) or any(math.isinf(b) for b in bounds)
     holds = all(lhs <= b + HOLDS_TOLERANCE for b in bounds) and all(
         bounds[t + 1] >= bounds[t] - HOLDS_TOLERANCE for t in range(len(bounds) - 1)
     )
-    slack = rhs - lhs
-    equality = (not infinite) and abs(slack) <= EQUALITY_TOLERANCE
-    cert = Certificate(
-        name=f"partial_mean_chain[i={i}]",
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        holds=holds or equality,
-        equality=equality,
-        infinite=infinite,
-    )
+    cert = compare(f"partial_mean_chain[i={i}]", lhs, bounds[-1], holds=holds)
     return PartialMeanChain(excluded_index=i, zetas=zetas, bounds=bounds), cert

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import DomainError, ProbDist
+from .distribution import DomainError, ProbDist, _unchecked
 
 __all__ = [
     "negate",
@@ -28,13 +28,13 @@ __all__ = [
 
 def negate(p: ProbDist) -> ProbDist:
     """One application: entry i becomes (1 - p_i) / (n - 1)."""
-    return ProbDist((1.0 - p.probs) / (p.n - 1))
+    return _unchecked((1.0 - p.probs) / (p.n - 1))
 
 
 def negate_twice(p: ProbDist) -> ProbDist:
     """Two applications in one step: entry i becomes (p_i + n - 2) / (n - 1)^2."""
     n = p.n
-    return ProbDist((p.probs + (n - 2)) / (n - 1) ** 2)
+    return _unchecked((p.probs + (n - 2)) / (n - 1) ** 2)
 
 
 def negate_iterated(p: ProbDist, k: int) -> ProbDist:
@@ -50,7 +50,7 @@ def negate_iterated(p: ProbDist, k: int) -> ProbDist:
     n = p.n
     center = 1.0 / n
     ratio = -1.0 / (n - 1)
-    return ProbDist(center + (p.probs - center) * ratio**k)
+    return _unchecked(center + (p.probs - center) * ratio**k)
 
 
 @dataclass(frozen=True)

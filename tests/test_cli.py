@@ -258,6 +258,34 @@ def test_file_with_bad_row_exits_2(capsys, tmp_path):
     assert doc["error"]["index"] == 1
 
 
+@pytest.mark.parametrize("content", [
+    '["ab"]',
+    '[[0.5, null]]',
+    '[0.5, [0.5]]',
+    '{"input": {"distributions": 5}}',
+    '{"input": [1, 2]}',
+    '[true, false]',
+])
+def test_malformed_json_file_exits_4(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    code, out, err = run(capsys, "entropy", "--file", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_dissim_alpha_upper_limit(capsys):
+    code, doc = run_json(capsys, "dissim", "--dist", "0.5,0.3,0.2", "--alpha", "0,1021")
+    assert code == EXIT_OK
+    assert doc["input"]["alphas"] == [0, 1021]
+    code, out, err = run(capsys, "dissim", "--dist", "0.5,0.3,0.2", "--alpha", "0,1022")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "1021" in err and "Traceback" not in err
+
+
 def test_missing_file_exits_4(capsys, tmp_path):
     code, _, _ = run(capsys, "entropy", "--file", str(tmp_path / "nope.json"))
     assert code == EXIT_USAGE

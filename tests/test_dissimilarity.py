@@ -22,6 +22,8 @@ from neglab import (
     uniform,
 )
 
+from neglab.dissimilarity import MAX_ALPHA
+
 from conftest import distribution_pairs, distributions
 
 # closed-form values for the four-outcome example vs its negation (l1 = 4/9)
@@ -88,6 +90,22 @@ def test_alpha_validation(p4):
         dissimilarity(p4, p4, 1.5)
     with pytest.raises(DomainError):
         dissimilarity(p4, p4, True)
+
+
+def test_alpha_upper_limit(p4):
+    # 2**(alpha + 2) is the largest power of two a double holds at 1021
+    assert MAX_ALPHA == 1021
+    res = negation_dissimilarity(p4, 1021)
+    assert res.alpha == 1021
+    assert 0.0 <= res.value <= 1.0
+    assert dissimilarity_properties(p4, [0, 1021]).holds
+    assert iterated_negation_dissimilarity(p4, 1021, 2).alpha == 1021
+    with pytest.raises(DomainError):
+        negation_dissimilarity(p4, 1022)
+    with pytest.raises(DomainError):
+        dissimilarity_properties(p4, [0, 1022])
+    with pytest.raises(DomainError):
+        iterated_negation_dissimilarity(p4, 1022)
 
 
 def test_size_mismatch(p4, p3):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from neglab import (
+    DEFAULT_TOLERANCE,
     DimensionError,
     DomainError,
     ProbDist,
@@ -12,6 +14,9 @@ from neglab import (
     is_uniform,
     l1_distance,
     make_dist,
+    negate,
+    negate_iterated,
+    negate_twice,
     pad_with_zeros,
     uniform,
 )
@@ -83,6 +88,23 @@ def test_probdist_is_immutable():
 def test_probdist_rejects_matrix_input():
     with pytest.raises(DimensionError):
         ProbDist(np.ones((2, 2)) / 4)
+
+
+def test_probdist_screen_messages():
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        ProbDist(np.array([1.5, -0.5]))
+    with pytest.raises(DomainError, match="must sum to 1, got 1.1"):
+        ProbDist(np.array([0.5, 0.6]))
+    with pytest.raises(DimensionError, match="at least 2 outcomes"):
+        ProbDist(np.array([1.0]))
+
+
+def test_make_dist_rejects_all_mass_clamped_away():
+    # a tolerance of 1 admits [0, 0]; with no mass to renormalize it must
+    # come back as a failing report, not as a NaN distribution
+    report = make_dist([0.0, 0.0], tolerance=1.0)
+    assert isinstance(report, ValidationReport)
+    assert not report.ok
 
 
 def test_pad_with_zeros():
@@ -160,3 +182,37 @@ def test_l1_axioms(pair):
     assert 0.0 <= d <= 2.0
     assert d == l1_distance(q, p)
     assert l1_distance(p, p) == 0.0
+
+
+@st.composite
+def dusty_distributions(draw, max_n=16):
+    """Simplex points with exact zeros and in-tolerance noise, through make_dist."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    entry = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0))
+    raw = np.asarray(draw(st.lists(entry, min_size=n, max_size=n).filter(any)))
+    dust = DEFAULT_TOLERANCE / (4 * n)
+    noise = draw(st.lists(st.floats(-dust, dust), min_size=n, max_size=n))
+    p = make_dist((raw / raw.sum() + np.asarray(noise)).tolist())
+    assert isinstance(p, ProbDist)
+    return p
+
+
+def _assert_on_simplex(q):
+    assert isinstance(q, ProbDist)
+    assert not q.probs.flags.writeable
+    assert np.all((q.probs >= 0.0) & (q.probs <= 1.0))
+    assert abs(float(q.probs.sum()) - 1.0) <= DEFAULT_TOLERANCE
+
+
+@given(dusty_distributions(), st.integers(min_value=0, max_value=64),
+       st.integers(min_value=0, max_value=8))
+def test_unchecked_outputs_stay_on_the_simplex(p, k, pad):
+    # these outputs skip the screen, so the invariants must hold by construction
+    for q in (p, negate(p), negate_twice(p), negate_iterated(p, k),
+              pad_with_zeros(p, pad), uniform(p.n)):
+        _assert_on_simplex(q)
+
+
+@given(st.integers(min_value=2, max_value=5000))
+def test_uniform_stays_on_the_simplex(n):
+    _assert_on_simplex(uniform(n))
