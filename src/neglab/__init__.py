@@ -54,6 +54,7 @@ from .jensen import (
     jensen_check,
     mixture_bound,
     partial_mean_chain,
+    partial_mean_chains,
     pointwise_bound,
     self_information_bound,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "jensen_check",
     "mixture_bound",
     "partial_mean_chain",
+    "partial_mean_chains",
     "pointwise_bound",
     "self_information_bound",
     "ConvergenceTrace",

@@ -51,13 +51,14 @@ from .jensen import (
     get_function,
     mixture_bound,
     partial_mean_chain,
+    partial_mean_chains,
     pointwise_bound,
     concave_mixture_bound,
     self_information_bound,
 )
 from .negation import converge_to_uniform, negate, negate_twice
 
-__all__ = ["main", "EXIT_OK", "EXIT_VALIDATION", "EXIT_FAILURE", "EXIT_USAGE"]
+__all__ = ["main", "EXIT_OK", "EXIT_VALIDATION", "EXIT_FAILURE", "EXIT_USAGE", "MAX_UNIFORM_N"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -65,6 +66,9 @@ EXIT_FAILURE = 3
 EXIT_USAGE = 4
 
 _DEFAULT_TOLERANCE = 1e-9
+
+#: largest n accepted by ``--dist uniform:n``; checked before the n values are built
+MAX_UNIFORM_N = 1 << 20
 
 
 class _UsageError(Exception):
@@ -106,8 +110,8 @@ def _parse_dist_text(text: str) -> list[float]:
             n = int(tail)
         except ValueError:
             raise _UsageError(f"uniform:n needs an integer, got {tail!r}") from None
-        if n < 2:
-            raise _UsageError(f"uniform:n needs n >= 2, got {n}")
+        if not 2 <= n <= MAX_UNIFORM_N:
+            raise _UsageError(f"uniform:n needs 2 <= n <= {MAX_UNIFORM_N}, got {n}")
         return [1.0 / n] * n
     return [_parse_scalar(tok) for tok in text.split(",")]
 
@@ -322,9 +326,7 @@ def _verify_suite(p: ProbDist, fn_name: str) -> list[Certificate]:
     certs.append(double_negation_mixture_bound(convex, p))
     certs.append(concave_mixture_bound(concave, p))
     if p.n >= 3:
-        for i in range(p.n):
-            _, cert = partial_mean_chain(convex, p, i)
-            certs.append(cert)
+        certs.extend(partial_mean_chains(convex, p))
     certs.append(cross_entropy_check(p, uniform(p.n)))
     certs.append(entropy_chain_check(p))
     return certs

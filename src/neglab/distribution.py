@@ -44,8 +44,9 @@ class ProbDist:
 
     The wrapped array is copied and marked read-only.  Entries must lie in
     [0, 1] and sum to 1, both up to ``DEFAULT_TOLERANCE``; negative round-off
-    dust inside the tolerance band is clamped to exactly 0 so the stored
-    values always satisfy the invariants literally.
+    dust inside the tolerance band is clamped to exactly 0, and the sum is
+    checked after clamping, so the stored values always satisfy the
+    invariants.
     """
 
     probs: np.ndarray
@@ -54,13 +55,12 @@ class ProbDist:
 
     def __post_init__(self, _screened: bool) -> None:
         arr = np.array(self.probs, dtype=float)
-        if not _screened:
-            report = _screen(arr, DEFAULT_TOLERANCE)
-            if report.bad_indices:
-                raise DomainError("probabilities must lie in [0, 1]")
-            if not report.ok:
-                raise DomainError(f"probabilities must sum to 1, got {float(arr.sum())!r}")
+        if not _screened and _screen(arr, DEFAULT_TOLERANCE).bad_indices:
+            raise DomainError("probabilities must lie in [0, 1]")
         np.clip(arr, 0.0, 1.0, out=arr)
+        # clamping in-tolerance dust can move the sum by n times the tolerance
+        if not _screened and not abs(float(arr.sum()) - 1.0) <= DEFAULT_TOLERANCE:
+            raise DomainError(f"probabilities must sum to 1, got {float(arr.sum())!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 

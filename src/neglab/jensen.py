@@ -10,15 +10,16 @@ partial-mean refinement that tightens the same quantity step by step.
 Functions enter as :class:`FunctionSpec` records carrying a declared
 curvature tag.  The tag is not taken on faith: registration runs a seeded
 spot-check of the chord inequality on random triples and refuses specs
-whose numerics contradict their declaration.
+whose numerics contradict their declaration.  Kernels evaluate a spec on
+whole arrays through :meth:`FunctionSpec.values`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,11 +49,15 @@ __all__ = [
     "self_information_bound",
     "PartialMeanChain",
     "partial_mean_chain",
+    "partial_mean_chains",
 ]
 
 _SPOT_CHECK_TRIPLES = 100
 _SPOT_CHECK_TOL = 1e-12
 _SPOT_CHECK_SEED = 20240817
+
+#: doubles per temporary array of the chain kernel; bounds its peak memory
+_CHAIN_BLOCK_ELEMENTS = 1 << 15
 
 
 class CurvatureError(ValueError):
@@ -65,7 +70,7 @@ class ChainUndefinedError(ValueError):
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """A scalar function on [0, 1] tagged with its curvature.
+    """A function on [0, 1] tagged with its curvature.
 
     Parameters
     ----------
@@ -76,7 +81,10 @@ class FunctionSpec:
     fn : callable
         The function itself.  It may return ``inf`` at 0 (limit
         semantics); set ``zero_ok=False`` so the spot-check stays off
-        that endpoint.
+        that endpoint.  A ``fn`` that maps a whole array entry by entry
+        (a numpy expression) is called once per array by :meth:`values`;
+        one that takes only scalars (``math.sqrt``, say) is called once
+        per entry.  Construction tells the two apart by a probe.
     domain_note : str
         Short human-readable caveat about endpoints, if any.
     zero_ok : bool
@@ -92,47 +100,70 @@ class FunctionSpec:
     fn: Callable[[float], float]
     domain_note: str = ""
     zero_ok: bool = True
+    _maps_arrays: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.curvature not in ("convex", "concave"):
             raise ValueError(f"curvature must be 'convex' or 'concave', got {self.curvature!r}")
+        object.__setattr__(self, "_maps_arrays", self._probe_arrays())
         self._spot_check()
 
     def __call__(self, x: float) -> float:
         return float(self.fn(x))
 
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """``fn`` applied entry by entry to an array of points in [0, 1]."""
+        x = np.asarray(x, dtype=float)
+        if self._maps_arrays:
+            return np.asarray(self.fn(x), dtype=float)
+        return np.fromiter(map(self, x.flat), dtype=float, count=x.size).reshape(x.shape)
+
+    def _probe_arrays(self) -> bool:
+        """Whether ``fn`` takes an array and agrees with its scalar calls on it."""
+        probe = np.linspace(0.0 if self.zero_ok else 1e-6, 1.0, 5)
+        try:
+            out = np.asarray(self.fn(probe), dtype=float)
+        except (TypeError, ValueError):  # scalar-only: math.* or an ``if`` on x
+            return False
+        return out.shape == probe.shape and np.array_equal(out, [self(v) for v in probe])
+
     def _spot_check(self) -> None:
         rng = np.random.default_rng(_SPOT_CHECK_SEED)
         lo = 0.0 if self.zero_ok else 1e-6
-        checked = 0
-        while checked < _SPOT_CHECK_TRIPLES:
-            x, y, z = np.sort(rng.uniform(lo, 1.0, size=3))
-            if z - x < 1e-9:
-                continue
-            chord = ((z - y) * self(x) + (y - x) * self(z)) / (z - x)
-            fy = self(y)
-            if self.curvature == "convex" and fy > chord + _SPOT_CHECK_TOL:
-                raise CurvatureError(
-                    f"{self.name!r} declared convex but violates the chord "
-                    f"inequality at ({x}, {y}, {z})"
-                )
-            if self.curvature == "concave" and fy < chord - _SPOT_CHECK_TOL:
-                raise CurvatureError(
-                    f"{self.name!r} declared concave but violates the chord "
-                    f"inequality at ({x}, {y}, {z})"
-                )
-            checked += 1
+        triples = []
+        while len(triples) < _SPOT_CHECK_TRIPLES:
+            triple = np.sort(rng.uniform(lo, 1.0, size=3))
+            if triple[2] - triple[0] >= 1e-9:
+                triples.append(triple)
+        x, y, z = np.array(triples).T
+        chord = ((z - y) * self.values(x) + (y - x) * self.values(z)) / (z - x)
+        fy = self.values(y)
+        if self.curvature == "convex":
+            bad = fy > chord + _SPOT_CHECK_TOL
+        else:
+            bad = fy < chord - _SPOT_CHECK_TOL
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise CurvatureError(
+                f"{self.name!r} declared {self.curvature} but violates the chord "
+                f"inequality at ({x[k]}, {y[k]}, {z[k]})"
+            )
 
 
-def _neg_log(x: float) -> float:
-    return math.inf if x == 0.0 else -math.log2(x) + 0.0
+# Each built-in is one numpy expression, evaluated alike on a float and on
+# an array; the limits at 0 are taken with the warnings they raise silenced.
+
+def _neg_log(x):
+    with np.errstate(divide="ignore"):
+        return -np.log2(x) + 0.0
 
 
-def _x_log_x(x: float) -> float:
-    return 0.0 if x == 0.0 else -x * math.log2(x) + 0.0
+def _x_log_x(x):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0.0, 0.0, -x * np.log2(x)) + 0.0
 
 
-def _square(x: float) -> float:
+def _square(x):
     return x * x
 
 
@@ -212,9 +243,8 @@ def jensen_check(
 def _mixture_value(f: FunctionSpec, p: ProbDist) -> float:
     """(1/n^2) sum f(p_i) + ((n - 1)/n^2) sum f(negate(p)_i)."""
     n = p.n
-    q = negate(p)
-    fp = math.fsum(f(v) for v in p.probs)
-    fq = math.fsum(f(v) for v in q.probs)
+    fp = math.fsum(f.values(p.probs).tolist())
+    fq = math.fsum(f.values(negate(p).probs).tolist())
     return (fp + (n - 1) * fq) / n**2
 
 
@@ -307,6 +337,49 @@ class PartialMeanChain:
         }
 
 
+def _chains(
+    f: FunctionSpec, p: ProbDist, excluded: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, Certificate]]:
+    """The one chain kernel: ``(zetas, bounds, certificate)`` per excluded index.
+
+    Rows are computed a block of excluded indices at a time; a block holds
+    at most ``_CHAIN_BLOCK_ELEMENTS`` kept entries (or one row, if n - 1 is
+    more), so peak memory does not grow with n^2.  The row of index i keeps
+    ``p[j + (j >= i)]`` for j < n - 1.  Both running sums are ``np.cumsum``
+    along the row, which adds in the same order as a scalar loop;
+    differences of prefix sums would turn an infinite f(0) into inf - inf.
+    """
+    probs = p.probs
+    n = probs.size
+    f_probs = f.values(probs)
+    j = np.arange(n - 1)
+    m_zeta = np.arange(n - 1, 0, -1)  # entries averaged by zetas[t]
+    m_bound = m_zeta[1:]  # entries still averaged in bounds[t - 1]
+    step = max(1, _CHAIN_BLOCK_ELEMENTS // (n - 1))
+    for start in range(0, excluded.size, step):
+        rows = excluded[start:start + step]
+        src = j + (j >= rows[:, None])
+        zetas = np.cumsum(probs[src], axis=1)[:, ::-1] / m_zeta
+        f_zetas = f.values(zetas)
+        peeled = np.cumsum(f_probs[src][:, :0:-1], axis=1)
+        bounds = (peeled + m_bound * f_zetas[:, 1:]) / (n - 1)
+        lhs = f_zetas[:, :1]
+        holds = np.all(lhs <= bounds + HOLDS_TOLERANCE, axis=1) & np.all(
+            bounds[:, 1:] >= bounds[:, :-1] - HOLDS_TOLERANCE, axis=1
+        )
+        for r, (i, lhs_r, rhs_r, holds_r) in enumerate(
+            zip(rows.tolist(), lhs[:, 0].tolist(), bounds[:, -1].tolist(), holds.tolist())
+        ):
+            cert = compare(f"partial_mean_chain[i={i}]", lhs_r, rhs_r, holds=holds_r)
+            yield zetas[r], bounds[r], cert
+
+
+def _require_chain(f: FunctionSpec, p: ProbDist) -> None:
+    _require(f, "convex")
+    if p.n < 3:
+        raise ChainUndefinedError(f"chain needs n >= 3, got n = {p.n}")
+
+
 def partial_mean_chain(
     f: FunctionSpec, p: ProbDist, i: int
 ) -> tuple[PartialMeanChain, Certificate]:
@@ -317,30 +390,20 @@ def partial_mean_chain(
     non-decreasing.  Needs n >= 3: with only one entry kept there is
     nothing to peel, so n = 2 raises :class:`ChainUndefinedError`.
     """
-    _require(f, "convex")
-    n = p.n
-    if n < 3:
-        raise ChainUndefinedError(f"chain needs n >= 3, got n = {n}")
-    if not 0 <= i < n:
-        raise IndexError(f"index {i} out of range for {n} outcomes")
-
-    kept = np.delete(p.probs, i)
-    prefix = np.cumsum(kept)
-    m_full = n - 1
-    zetas = tuple(float(prefix[m - 1]) / m for m in range(m_full, 0, -1))
-    f_kept = [f(v) for v in kept]
-
-    bounds = []
-    peeled = 0.0
-    for t in range(1, n - 1):
-        peeled += f_kept[m_full - t]
-        m = m_full - t
-        bounds.append((peeled + m * f(float(prefix[m - 1]) / m)) / m_full)
-    bounds = tuple(bounds)
-
-    lhs = f(zetas[0])
-    holds = all(lhs <= b + HOLDS_TOLERANCE for b in bounds) and all(
-        bounds[t + 1] >= bounds[t] - HOLDS_TOLERANCE for t in range(len(bounds) - 1)
+    _require_chain(f, p)
+    if not 0 <= i < p.n:
+        raise IndexError(f"index {i} out of range for {p.n} outcomes")
+    ((zetas, bounds, cert),) = _chains(f, p, np.array([i]))
+    chain = PartialMeanChain(
+        excluded_index=i, zetas=tuple(zetas.tolist()), bounds=tuple(bounds.tolist())
     )
-    cert = compare(f"partial_mean_chain[i={i}]", lhs, bounds[-1], holds=holds)
-    return PartialMeanChain(excluded_index=i, zetas=zetas, bounds=bounds), cert
+    return chain, cert
+
+
+def partial_mean_chains(f: FunctionSpec, p: ProbDist) -> list[Certificate]:
+    """The certificates of :func:`partial_mean_chain` at every index, in order.
+
+    Same values as n separate calls, without building the chain data.
+    """
+    _require_chain(f, p)
+    return [cert for _, _, cert in _chains(f, p, np.arange(p.n))]

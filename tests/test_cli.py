@@ -11,6 +11,7 @@ from neglab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    MAX_UNIFORM_N,
     main,
 )
 
@@ -284,6 +285,15 @@ def test_dissim_alpha_upper_limit(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert "1021" in err and "Traceback" not in err
+
+
+def test_uniform_size_limit(capsys):
+    # the bound is checked before the n values are built, so 10**18 costs nothing
+    for n in (10**18, MAX_UNIFORM_N + 1, 1):
+        code, out, err = run(capsys, "negate", "--dist", f"uniform:{n}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert str(MAX_UNIFORM_N) in err and "Traceback" not in err
 
 
 def test_missing_file_exits_4(capsys, tmp_path):

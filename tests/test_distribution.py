@@ -99,6 +99,19 @@ def test_probdist_screen_messages():
         ProbDist(np.array([1.0]))
 
 
+def test_probdist_checks_mass_after_clamping_dust():
+    # the raw sum is 1, but clamping the five -1e-9 entries adds 5e-9,
+    # more than the tolerance: the stored values would break the invariant
+    raw = np.array([-1e-9] * 5 + [0.2 + 1e-9] * 5)
+    assert abs(float(raw.sum()) - 1.0) <= DEFAULT_TOLERANCE
+    with pytest.raises(DomainError, match="must sum to 1"):
+        ProbDist(raw)
+    # dust whose clamping stays inside the tolerance is still accepted
+    p = ProbDist(np.array([-1e-12, 0.5, 0.5 + 1e-12]))
+    assert p[0] == 0.0
+    assert abs(float(p.probs.sum()) - 1.0) <= DEFAULT_TOLERANCE
+
+
 def test_make_dist_rejects_all_mass_clamped_away():
     # a tolerance of 1 admits [0, 0]; with no mass to renormalize it must
     # come back as a failing report, not as a NaN distribution

@@ -26,11 +26,14 @@ from neglab import (
     mixture_bound,
     negate,
     partial_mean_chain,
+    partial_mean_chains,
     pointwise_bound,
     self_information_bound,
     shannon_entropy,
     uniform,
 )
+from neglab.certificates import HOLDS_TOLERANCE, compare
+from neglab.jensen import _CHAIN_BLOCK_ELEMENTS
 
 from conftest import distributions
 
@@ -78,6 +81,15 @@ def test_spot_check_accepts_valid_custom():
     assert cube(0.5) == 0.125
     root = FunctionSpec("root", "concave", lambda x: math.sqrt(x))
     assert root(0.25) == 0.5
+
+
+def test_values_matches_scalar_calls():
+    x = np.array([[0.0, 0.25], [0.5, 1.0]])
+    assert NEG_LOG.values(x).tolist() == [[math.inf, 2.0], [1.0, 0.0]]
+    assert X_LOG_X.values(x).tolist() == [[0.0, 0.5], [0.5, 0.0]]
+    assert SQUARE.values(x).tolist() == [[0.0, 0.0625], [0.25, 1.0]]
+    root = FunctionSpec("root", "concave", lambda x: math.sqrt(x))
+    assert root.values(x).tolist() == [[0.0, 0.5], [math.sqrt(0.5), 1.0]]
 
 
 def test_functionspec_rejects_unknown_tag():
@@ -356,3 +368,101 @@ def test_equality_only_at_uniform(p):
         assert dev <= 1e-3  # the 1e-9 slack tolerance maps back to a small deviation
     if is_uniform(p, tolerance=1e-12):
         assert cert.equality
+
+
+# --- chain kernel against a scalar loop ------------------------------------
+
+def _oracle_chain(f, p, i):
+    """Reference: the chain at one index as a scalar loop over the kept entries."""
+    n = p.n
+    kept = np.delete(p.probs, i)
+    prefix = np.cumsum(kept)
+    m_full = n - 1
+    zetas = tuple(float(prefix[m - 1]) / m for m in range(m_full, 0, -1))
+    f_kept = [f(v) for v in kept]
+    bounds = []
+    peeled = 0.0
+    for t in range(1, n - 1):
+        peeled += f_kept[m_full - t]
+        m = m_full - t
+        bounds.append((peeled + m * f(float(prefix[m - 1]) / m)) / m_full)
+    bounds = tuple(bounds)
+    lhs = f(zetas[0])
+    holds = all(lhs <= b + HOLDS_TOLERANCE for b in bounds) and all(
+        bounds[t + 1] >= bounds[t] - HOLDS_TOLERANCE for t in range(len(bounds) - 1)
+    )
+    cert = compare(f"partial_mean_chain[i={i}]", lhs, bounds[-1], holds=holds)
+    return zetas, bounds, cert
+
+
+def _assert_matches_oracle(f, p, certs):
+    assert [c.name for c in certs] == [f"partial_mean_chain[i={i}]" for i in range(p.n)]
+    for i, cert in enumerate(certs):
+        zetas, bounds, expected = _oracle_chain(f, p, i)
+        chain, single = partial_mean_chain(f, p, i)
+        for got in (cert, single):
+            assert (got.holds, got.equality, got.infinite) == (
+                expected.holds, expected.equality, expected.infinite
+            )
+            np.testing.assert_allclose([got.lhs, got.rhs], [expected.lhs, expected.rhs],
+                                       rtol=1e-12, atol=0)
+        np.testing.assert_allclose(chain.zetas, zetas, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(chain.bounds, bounds, rtol=1e-12, atol=0)
+
+
+@st.composite
+def chain_inputs(draw):
+    """n in [3, 40]; about 30% of the draws carry exact zeros."""
+    n = draw(st.integers(min_value=3, max_value=40))
+    raw = np.asarray(draw(st.lists(st.floats(min_value=1e-6, max_value=1.0),
+                                   min_size=n, max_size=n)))
+    if draw(st.integers(min_value=0, max_value=9)) < 3:
+        zeros = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                              min_size=1, max_size=n - 1))
+        raw[zeros] = 0.0
+    return make_dist(raw / raw.sum())
+
+
+@given(chain_inputs(), st.sampled_from([NEG_LOG, SQUARE]))
+def test_chain_kernel_matches_scalar_loop(p, f):
+    _assert_matches_oracle(f, p, partial_mean_chains(f, p))
+
+
+def test_chain_kernel_across_block_seam():
+    # n rows of n - 1 kept entries: a full block of n - 1 rows plus one more
+    n = next(n for n in range(3, 4096) if _CHAIN_BLOCK_ELEMENTS // (n - 1) == n - 1)
+    raw = np.random.default_rng(2024).dirichlet(np.ones(n))
+    raw[::17] = 0.0
+    p = make_dist(raw / raw.sum())
+    for f in (NEG_LOG, SQUARE):
+        _assert_matches_oracle(f, p, partial_mean_chains(f, p))
+
+
+def test_partial_mean_chains_needs_convex_and_three_outcomes(p4):
+    with pytest.raises(ChainUndefinedError):
+        partial_mean_chains(NEG_LOG, make_dist([0.5, 0.5]))
+    with pytest.raises(CurvatureError):
+        partial_mean_chains(X_LOG_X, p4)
+
+
+def test_scalar_only_specs_match_the_loop():
+    # math-only functions reject arrays; values() then calls them per entry,
+    # with the same floats and sums as the scalar code
+    exp = FunctionSpec("exp", "convex", lambda x: math.exp(x))
+    cube = FunctionSpec("cube", "convex", lambda x: math.pow(x, 3))
+    root = FunctionSpec("root", "concave", lambda x: math.sqrt(x))
+    p = make_dist([0.5, 0.0, 0.2, 0.3, 0.0])
+    n = p.n
+
+    def mixture(f):
+        return (math.fsum(f(v) for v in p) + (n - 1) * math.fsum(f(v) for v in negate(p))) / n**2
+
+    for f in (exp, cube):
+        certs = partial_mean_chains(f, p)
+        for i in range(n):
+            zetas, bounds, expected = _oracle_chain(f, p, i)
+            chain, cert = partial_mean_chain(f, p, i)
+            assert (chain.zetas, chain.bounds) == (zetas, bounds)
+            assert cert == expected and certs[i] == expected
+        assert mixture_bound(f, p).rhs == mixture(f)
+    assert concave_mixture_bound(root, p).lhs == mixture(root)
