@@ -48,6 +48,7 @@ from .jensen import (
     PartialMeanChain,
     SQUARE,
     X_LOG_X,
+    certificate_suite,
     concave_mixture_bound,
     double_negation_mixture_bound,
     get_function,
@@ -56,6 +57,7 @@ from .jensen import (
     partial_mean_chain,
     partial_mean_chains,
     pointwise_bound,
+    pointwise_bounds,
     self_information_bound,
 )
 from .negation import (
@@ -105,6 +107,7 @@ __all__ = [
     "PartialMeanChain",
     "SQUARE",
     "X_LOG_X",
+    "certificate_suite",
     "concave_mixture_bound",
     "double_negation_mixture_bound",
     "get_function",
@@ -113,6 +116,7 @@ __all__ = [
     "partial_mean_chain",
     "partial_mean_chains",
     "pointwise_bound",
+    "pointwise_bounds",
     "self_information_bound",
     "ConvergenceTrace",
     "converge_to_uniform",

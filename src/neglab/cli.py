@@ -2,9 +2,9 @@
 
 Subcommands cover batch negation, entropy reports, convergence traces,
 the full certificate suite, dissimilarity profiles, and a golden-fixture
-report.  Output goes to stdout or ``--out`` as JSON (full precision,
-round-trip safe), CSV, or readable text; numeric text is printed with 15
-significant digits.
+report.  Output goes to stdout or ``--out`` as JSON (one compact line,
+full precision, round-trip safe), CSV, or readable text; numeric text is
+printed with 15 significant digits.
 
 Exit codes are a stable contract: 0 success, 2 input validation failure,
 3 certificate or fixture failure, 4 usage error.
@@ -20,16 +20,9 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .certificates import Certificate
-from .distribution import (
-    DimensionError,
-    DomainError,
-    ProbDist,
-    ValidationReport,
-    make_dist,
-    uniform,
-)
+from .distribution import DimensionError, DomainError, ValidationReport, make_dist
 from .dissimilarity import (
     MAX_ALPHA,
     dissimilarity,
@@ -37,24 +30,13 @@ from .dissimilarity import (
     iterated_negation_dissimilarity,
     negation_dissimilarity,
 )
-from .entropy import (
-    cross_entropy_check,
-    entropy_chain_check,
-    entropy_report,
-    shannon_entropy,
-)
+from .entropy import entropy_report, shannon_entropy
 from .jensen import (
     NEG_LOG,
-    X_LOG_X,
     BUILTIN_FUNCTIONS,
-    double_negation_mixture_bound,
+    certificate_suite,
     get_function,
-    mixture_bound,
     partial_mean_chain,
-    partial_mean_chains,
-    pointwise_bound,
-    concave_mixture_bound,
-    self_information_bound,
 )
 from .negation import converge_to_uniform, negate, negate_twice
 
@@ -206,47 +188,43 @@ def _validate(raw: list[list[float]], tolerance: float):
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes (dists, args, inp), checks its own flags,
 # may record them in the document's ``input`` block ``inp``, and returns
-# (records, csv_rows, all_hold)
+# (records, all_hold); the CSV rows of a record come from its ``_csv_*``
+# function, called only for ``--format csv``
 
 def _run_negate(dists, args, inp):
-    records, rows = [], []
-    for d_idx, p in enumerate(dists):
-        nb, nbb = negate(p), negate_twice(p)
-        records.append(
-            {
-                "distribution": p.tolist(),
-                "negation": nb.tolist(),
-                "double_negation": nbb.tolist(),
-            }
+    records = [
+        {
+            "distribution": p.tolist(),
+            "negation": negate(p).tolist(),
+            "double_negation": negate_twice(p).tolist(),
+        }
+        for p in dists
+    ]
+    return records, True
+
+
+def _csv_negate(d_idx, rec):
+    return [
+        {"dist": d_idx, "index": i, "p": v, "negation": nb, "double_negation": nbb}
+        for i, (v, nb, nbb) in enumerate(
+            zip(rec["distribution"], rec["negation"], rec["double_negation"])
         )
-        for i in range(p.n):
-            rows.append(
-                {
-                    "dist": d_idx,
-                    "index": i,
-                    "p": p[i],
-                    "negation": nb[i],
-                    "double_negation": nbb[i],
-                }
-            )
-    return records, rows, True
+    ]
 
 
 def _run_entropy(dists, args, inp):
-    records, rows = [], []
-    for d_idx, p in enumerate(dists):
-        rep = entropy_report(p)
-        rec = {"distribution": p.tolist(), **rep.as_dict()}
-        records.append(rec)
-        rows.append({"dist": d_idx, **rep.as_dict()})
-    return records, rows, True
+    return [{"distribution": p.tolist(), **entropy_report(p).as_dict()} for p in dists], True
+
+
+def _csv_entropy(d_idx, rec):
+    return [{"dist": d_idx, **{k: v for k, v in rec.items() if k != "distribution"}}]
 
 
 def _run_converge(dists, args, inp):
     if args.max_steps < 1:
         raise _UsageError(f"--max-steps must be >= 1, got {args.max_steps}")
-    records, rows = [], []
-    for d_idx, p in enumerate(dists):
+    records = []
+    for p in dists:
         trace = converge_to_uniform(p, tolerance=args.tolerance, max_steps=args.max_steps)
         records.append(
             {
@@ -255,18 +233,21 @@ def _run_converge(dists, args, inp):
                 **trace.as_dict(),
             }
         )
-        for k in range(len(trace.distances)):
-            rows.append(
-                {
-                    "dist": d_idx,
-                    "step": k,
-                    "distance": trace.distances[k],
-                    "entropy_bits": trace.entropies[k],
-                    "converged": trace.converged,
-                    "oscillating": trace.oscillating,
-                }
-            )
-    return records, rows, True
+    return records, True
+
+
+def _csv_converge(d_idx, rec):
+    return [
+        {
+            "dist": d_idx,
+            "step": k,
+            "distance": distance,
+            "entropy_bits": entropy,
+            "converged": rec["converged"],
+            "oscillating": rec["oscillating"],
+        }
+        for k, (distance, entropy) in enumerate(zip(rec["distances"], rec["entropies"]))
+    ]
 
 
 def _run_dissim(dists, args, inp):
@@ -282,9 +263,9 @@ def _run_dissim(dists, args, inp):
         raise _UsageError(f"--depth must be >= 1, got {args.depth}")
     inp["alphas"] = alphas
     inp["depth"] = args.depth
-    records, rows = [], []
+    records = []
     all_hold = True
-    for d_idx, p in enumerate(dists):
+    for p in dists:
         q = negate(p)
         profile = [dissimilarity(p, q, a) for a in alphas]
         props = dissimilarity_properties(p, alphas, q=q, forward=profile)
@@ -299,55 +280,24 @@ def _run_dissim(dists, args, inp):
                 "iterated": iterated.as_dict(),
             }
         )
-        levels = [("alpha", r.alpha, r) for r in profile]
-        levels += [("iterate", k, r) for k, r in enumerate(iterated.results, start=1)]
-        for kind, level, r in levels:
-            rows.append(
-                {
-                    "dist": d_idx,
-                    "kind": kind,
-                    "level": level,
-                    "value": r.value,
-                    "closed_form_value": r.closed_form_value,
-                    "l1": r.l1,
-                    "properties_hold": props.holds,
-                }
-            )
-    return records, rows, all_hold
+    return records, all_hold
 
 
-def _verify_suite(p: ProbDist, fn_name: str) -> list[Certificate]:
-    f = get_function(fn_name)
-    convex = f if f.curvature == "convex" else NEG_LOG
-    concave = f if f.curvature == "concave" else X_LOG_X
-    certs = [mixture_bound(convex, p)]
-    certs.extend(pointwise_bound(convex, p, i) for i in range(p.n))
-    certs.append(self_information_bound(p))
-    certs.append(double_negation_mixture_bound(convex, p))
-    certs.append(concave_mixture_bound(concave, p))
-    if p.n >= 3:
-        certs.extend(partial_mean_chains(convex, p))
-    certs.append(cross_entropy_check(p, uniform(p.n)))
-    certs.append(entropy_chain_check(p))
-    return certs
-
-
-def _cert_rows(d_idx, certs, rows):
-    for c in certs:
-        named = [(c.name, c)] + [(f"{c.name}/{sub.name}", sub) for sub in c.detail]
-        for name, cert in named:
-            rows.append(
-                {
-                    "dist": d_idx,
-                    "name": name,
-                    "lhs": cert.lhs,
-                    "rhs": cert.rhs,
-                    "slack": cert.slack,
-                    "holds": cert.holds,
-                    "equality": cert.equality,
-                    "infinite": cert.infinite,
-                }
-            )
+def _csv_dissim(d_idx, rec):
+    levels = [("alpha", r["alpha"], r) for r in rec["profile"]]
+    levels += [("iterate", k, r) for k, r in enumerate(rec["iterated"]["results"], start=1)]
+    return [
+        {
+            "dist": d_idx,
+            "kind": kind,
+            "level": level,
+            "value": r["value"],
+            "closed_form_value": r["closed_form_value"],
+            "l1": r["l1"],
+            "properties_hold": rec["properties"]["holds"],
+        }
+        for kind, level, r in levels
+    ]
 
 
 def _run_verify(dists, args, inp):
@@ -356,10 +306,11 @@ def _run_verify(dists, args, inp):
             f"unknown function {args.fn!r}; built-ins: {', '.join(sorted(BUILTIN_FUNCTIONS))}"
         )
     inp["function"] = args.fn
-    records, rows = [], []
+    f = get_function(args.fn)
+    records = []
     all_hold = True
-    for d_idx, p in enumerate(dists):
-        certs = _verify_suite(p, args.fn)
+    for p in dists:
+        certs = certificate_suite(f, p)
         failing = [name for c in certs for name in c.failures()]
         ok = not failing
         all_hold &= ok
@@ -373,8 +324,27 @@ def _run_verify(dists, args, inp):
         if p.n < 3:
             record["notes"] = ["partial_mean_chain skipped: needs n >= 3"]
         records.append(record)
-        _cert_rows(d_idx, certs, rows)
-    return records, rows, all_hold
+    return records, all_hold
+
+
+def _csv_verify(d_idx, rec):
+    rows = []
+    for c in rec["certificates"]:
+        named = [(c["name"], c)] + [(f"{c['name']}/{sub['name']}", sub) for sub in c["detail"]]
+        for name, cert in named:
+            rows.append(
+                {
+                    "dist": d_idx,
+                    "name": name,
+                    "lhs": cert["lhs"],
+                    "rhs": cert["rhs"],
+                    "slack": cert["slack"],
+                    "holds": cert["holds"],
+                    "equality": cert["equality"],
+                    "infinite": cert["infinite"],
+                }
+            )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -506,19 +476,35 @@ def _report_fixtures() -> list[dict]:
 
 def _run_report(dists, args, inp):
     fixtures = _report_fixtures()
-    rows = [{"fixture": f["name"], "passed": f["passed"]} for f in fixtures]
-    return fixtures, rows, all(f["passed"] for f in fixtures)
+    return fixtures, all(f["passed"] for f in fixtures)
+
+
+def _csv_report(d_idx, rec):
+    return [{"fixture": rec["name"], "passed": rec["passed"]}]
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 def _render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    # one-shot dumps without indent runs CPython's C encoder
+    return json.dumps(doc) + "\n"
 
 
 def _render_csv(doc: dict) -> str:
-    rows = doc.pop("_csv_rows", [])
+    if "error" in doc:
+        err = doc["error"]
+        rows = [
+            {
+                "dist": err["index"],
+                "error": err["why"],
+                "sum_error": err["report"]["sum_error"],
+                "bad_indices": " ".join(map(str, err["report"]["bad_indices"])),
+            }
+        ]
+    else:
+        to_rows = _COMMANDS[doc["command"]].csv
+        rows = [row for idx, rec in enumerate(doc["results"]) for row in to_rows(idx, rec)]
     buf = io.StringIO()
     if rows:
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -603,7 +589,7 @@ def _render_text(doc: dict) -> str:
             f"validation failed for distribution {err['index']}: {err['why']} "
             f"(sum_error={_fmt(rep['sum_error'])}, bad_indices={rep['bad_indices']})"
         )
-    render = _COMMANDS[doc["command"]][1]
+    render = _COMMANDS[doc["command"]].text
     for idx, rec in enumerate(doc["results"]):
         if "distribution" in rec:
             out.append(f"distribution {idx}: {_vec(rec['distribution'])}")
@@ -621,14 +607,51 @@ def _emit(doc: dict, fmt: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-#: subcommand name -> (handler, text renderer of one result record)
+class _Command(NamedTuple):
+    """One subcommand: how it runs, renders, and what it adds to the parser."""
+
+    run: Callable  # (dists, args, inp) -> (records, all_hold)
+    text: Callable  # (record, lines) -> None, appends the record's text lines
+    csv: Callable  # (index, record) -> the record's CSV rows
+    help: str
+    flags: tuple = ()  # (flag, add_argument keywords) beyond the common ones
+    dist_input: bool = True  # takes --dist/--file
+
+
 _COMMANDS = {
-    "negate": (_run_negate, _text_negate),
-    "entropy": (_run_entropy, _text_entropy),
-    "converge": (_run_converge, _text_converge),
-    "verify": (_run_verify, _text_verify),
-    "dissim": (_run_dissim, _text_dissim),
-    "report": (_run_report, _text_report),
+    "negate": _Command(
+        _run_negate, _text_negate, _csv_negate,
+        "emit a distribution, its negation, and its double negation",
+    ),
+    "entropy": _Command(
+        _run_entropy, _text_entropy, _csv_entropy,
+        "entropy in bits against the log2(n) ceiling",
+    ),
+    "converge": _Command(
+        _run_converge, _text_converge, _csv_converge,
+        "iterate negation toward uniform and trace the path",
+        flags=(("--max-steps", {"type": int, "default": 1000}),),
+    ),
+    "verify": _Command(
+        _run_verify, _text_verify, _csv_verify,
+        "run the full certificate suite",
+        flags=(("--fn", {"default": "neg_log",
+                         "help": f"built-in function ({', '.join(BUILTIN_FUNCTIONS)})"}),),
+    ),
+    "dissim": _Command(
+        _run_dissim, _text_dissim, _csv_dissim,
+        "dissimilarity profile against the negation",
+        flags=(
+            ("--alpha", {"default": "0,1,2,3", "help": "comma-separated nonnegative integer levels"}),
+            ("--depth", {"type": int, "default": 3,
+                         "help": "negation iterates to compare against (>= 1)"}),
+        ),
+    ),
+    "report": _Command(
+        _run_report, _text_report, _csv_report,
+        "reproduce the golden fixtures and report pass/fail",
+        dist_input=False,
+    ),
 }
 
 
@@ -641,34 +664,17 @@ def _build_parser() -> _Parser:
         "entropy orderings, convexity certificates, dissimilarity profiles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, dist_input=True):
-        if dist_input:
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if cmd.dist_input:
             p.add_argument("--dist", help="comma-separated values (decimals or a/b rationals), or uniform:n")
             p.add_argument("--file", help="JSON array of distributions, or CSV one distribution per row")
         p.add_argument("--tol", type=float, default=None,
                        help="validation/convergence tolerance (default 1e-9, env NEGLAB_TOL)")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", help="write output to this path instead of stdout")
-
-    add_common(sub.add_parser("negate", help="emit a distribution, its negation, and its double negation"))
-    add_common(sub.add_parser("entropy", help="entropy in bits against the log2(n) ceiling"))
-
-    p_conv = sub.add_parser("converge", help="iterate negation toward uniform and trace the path")
-    add_common(p_conv)
-    p_conv.add_argument("--max-steps", type=int, default=1000)
-
-    p_verify = sub.add_parser("verify", help="run the full certificate suite")
-    add_common(p_verify)
-    p_verify.add_argument("--fn", default="neg_log", help=f"built-in function ({', '.join(BUILTIN_FUNCTIONS)})")
-
-    p_dissim = sub.add_parser("dissim", help="dissimilarity profile against the negation")
-    add_common(p_dissim)
-    p_dissim.add_argument("--alpha", default="0,1,2,3", help="comma-separated nonnegative integer levels")
-    p_dissim.add_argument("--depth", type=int, default=3, help="negation iterates to compare against (>= 1)")
-
-    p_report = sub.add_parser("report", help="reproduce the golden fixtures and report pass/fail")
-    add_common(p_report, dist_input=False)
+        for flag, kwargs in cmd.flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -684,8 +690,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         args.tolerance = _resolve_tolerance(args)
-        run = _COMMANDS[args.command][0]
-        if args.command == "report":  # the one command without input distributions
+        cmd = _COMMANDS[args.command]
+        if not cmd.dist_input:
             dists, doc_input = None, {"tolerance": args.tolerance}
         else:
             raw = _gather_inputs(args)
@@ -701,22 +707,11 @@ def main(argv: list[str] | None = None) -> int:
                     "results": [],
                     "all_hold": False,
                 }
-                if args.format == "csv":
-                    doc["_csv_rows"] = [
-                        {
-                            "dist": idx,
-                            "error": why,
-                            "sum_error": report.sum_error,
-                            "bad_indices": " ".join(map(str, report.bad_indices)),
-                        }
-                    ]
                 _emit(doc, args.format, args.out)
                 return EXIT_VALIDATION
 
-        results, rows, all_hold = run(dists, args, doc_input)
+        results, all_hold = cmd.run(dists, args, doc_input)
         doc = {"command": args.command, "input": doc_input, "results": results, "all_hold": all_hold}
-        if args.format == "csv":
-            doc["_csv_rows"] = rows
         _emit(doc, args.format, args.out)
         return EXIT_OK if all_hold else EXIT_FAILURE
     except _UsageError as exc:

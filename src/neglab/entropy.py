@@ -84,14 +84,18 @@ def cross_entropy_check(p: ProbDist, q: ProbDist) -> Certificate:
     """
     if p.n != q.n:
         raise DimensionError(f"size mismatch: {p.n} vs {q.n}")
-    support = p.probs > 0
-    lhs = shannon_entropy(p)
-    if np.any(q.probs[support] == 0.0):
+    return _cross_entropy(p.probs, q.probs, shannon_entropy(p))
+
+
+def _cross_entropy(p: np.ndarray, q: np.ndarray, h_p: float) -> Certificate:
+    """:func:`cross_entropy_check` on two arrays, given H(p)."""
+    support = p > 0
+    if np.any(q[support] == 0.0):
         rhs = math.inf
     else:
-        rhs = float(-np.sum(p.probs[support] * np.log2(q.probs[support])))
-    same = bool(np.max(np.abs(p.probs - q.probs)) <= 1e-12)
-    return compare("cross_entropy", lhs, rhs, equality=same)
+        rhs = float(-np.sum(p[support] * np.log2(q[support])))
+    same = bool(np.max(np.abs(p - q)) <= 1e-12)
+    return compare("cross_entropy", h_p, rhs, equality=same)
 
 
 def entropy_chain_check(p: ProbDist) -> Certificate:
@@ -101,10 +105,14 @@ def entropy_chain_check(p: ProbDist) -> Certificate:
     are the ends of the chain.  Every link collapses to equality exactly
     when p is uniform.
     """
-    h0 = shannon_entropy(p)
-    h1 = shannon_entropy(negate(p))
-    h2 = shannon_entropy(negate_twice(p))
-    h_max = math.log2(p.n)
+    return _entropy_chain(
+        p.n, shannon_entropy(p), shannon_entropy(negate(p)), shannon_entropy(negate_twice(p))
+    )
+
+
+def _entropy_chain(n: int, h0: float, h1: float, h2: float) -> Certificate:
+    """:func:`entropy_chain_check` from H(p), H(negate(p)) and H(negate_twice(p))."""
+    h_max = math.log2(n)
     links = (
         compare("entropy_le_negation_entropy", h0, h1),
         compare("negation_entropy_le_double_negation_entropy", h1, h2),

@@ -30,7 +30,8 @@ from .certificates import (
     compare,
 )
 from .distribution import DimensionError, DomainError, ProbDist
-from .negation import negate
+from .entropy import _cross_entropy, _entropy_chain, shannon_entropy
+from .negation import negate, negate_twice
 
 __all__ = [
     "CurvatureError",
@@ -50,6 +51,8 @@ __all__ = [
     "PartialMeanChain",
     "partial_mean_chain",
     "partial_mean_chains",
+    "pointwise_bounds",
+    "certificate_suite",
 ]
 
 _SPOT_CHECK_TRIPLES = 100
@@ -240,12 +243,14 @@ def jensen_check(
     return compare(f"jensen[{f.name}]", lhs, rhs, equality=equality)
 
 
-def _mixture_value(f: FunctionSpec, p: ProbDist) -> float:
-    """(1/n^2) sum f(p_i) + ((n - 1)/n^2) sum f(negate(p)_i)."""
-    n = p.n
-    fp = math.fsum(f.values(p.probs).tolist())
-    fq = math.fsum(f.values(negate(p).probs).tolist())
-    return (fp + (n - 1) * fq) / n**2
+def _f_pair(f: FunctionSpec, p: ProbDist) -> np.ndarray:
+    """f at p (row 0) and at its negation (row 1)."""
+    return f.values(np.stack([p.probs, negate(p).probs]))
+
+
+def _mixture_value(f_pair: np.ndarray, n: int) -> float:
+    """(1/n^2) sum f(p_i) + ((n - 1)/n^2) sum f(negate(p)_i), from :func:`_f_pair`."""
+    return (math.fsum(f_pair[0].tolist()) + (n - 1) * math.fsum(f_pair[1].tolist())) / n**2
 
 
 def mixture_bound(f: FunctionSpec, p: ProbDist, *, name: str = "mixture_bound") -> Certificate:
@@ -257,13 +262,22 @@ def mixture_bound(f: FunctionSpec, p: ProbDist, *, name: str = "mixture_bound") 
     the uniform distribution.
     """
     _require(f, "convex")
-    return compare(name, f(1.0 / p.n), _mixture_value(f, p))
+    return compare(name, f(1.0 / p.n), _mixture_value(_f_pair(f, p), p.n))
 
 
 def double_negation_mixture_bound(f: FunctionSpec, p: ProbDist) -> Certificate:
     """The same bound one negation deeper: mixture of negate(p) and its negation."""
     _require(f, "convex")
     return mixture_bound(f, negate(p), name="double_negation_mixture_bound")
+
+
+def _pointwise(f_centre: float, f_pair: np.ndarray, n: int, first: int = 0) -> list[Certificate]:
+    """Pointwise certificates for the columns of ``f_pair``, numbered from ``first``."""
+    rhs = (f_pair[0] + (n - 1) * f_pair[1]) / n
+    return [
+        compare(f"pointwise_bound[i={i}]", f_centre, r)
+        for i, r in enumerate(rhs.tolist(), start=first)
+    ]
 
 
 def pointwise_bound(f: FunctionSpec, p: ProbDist, i: int) -> Certificate:
@@ -276,10 +290,26 @@ def pointwise_bound(f: FunctionSpec, p: ProbDist, i: int) -> Certificate:
     n = p.n
     if not 0 <= i < n:
         raise IndexError(f"index {i} out of range for {n} outcomes")
-    p_i = float(p.probs[i])
-    neg_i = (1.0 - p_i) / (n - 1)
-    rhs = (f(p_i) + (n - 1) * f(neg_i)) / n
-    return compare(f"pointwise_bound[i={i}]", f(1.0 / n), rhs)
+    (cert,) = _pointwise(f(1.0 / n), _f_pair(f, p)[:, i:i + 1], n, first=i)
+    return cert
+
+
+def pointwise_bounds(f: FunctionSpec, p: ProbDist) -> list[Certificate]:
+    """:func:`pointwise_bound` at every index, in order, as one array expression."""
+    _require(f, "convex")
+    return _pointwise(f(1.0 / p.n), _f_pair(f, p), p.n)
+
+
+def _concave_mixture(f: FunctionSpec, f_pair: np.ndarray, entropies) -> Certificate:
+    """:func:`concave_mixture_bound` from :func:`_f_pair` and, for ``x_log_x``,
+    the entropies of p and its negation."""
+    n = f_pair.shape[1]
+    detail: tuple[Certificate, ...] = ()
+    if f.name == "x_log_x":
+        h_p, h_q = entropies
+        h_mix = (h_p + (n - 1) * h_q) / n
+        detail = (compare("entropy_mixture_bound", h_mix, math.log2(n)),)
+    return compare("concave_mixture_bound", _mixture_value(f_pair, n), f(1.0 / n), detail=detail)
 
 
 def concave_mixture_bound(f: FunctionSpec, p: ProbDist) -> Certificate:
@@ -290,16 +320,8 @@ def concave_mixture_bound(f: FunctionSpec, p: ProbDist) -> Certificate:
     sub-certificate.
     """
     _require(f, "concave")
-    detail: tuple[Certificate, ...] = ()
-    if f.name == "x_log_x":
-        from .entropy import shannon_entropy  # function-level to keep imports acyclic
-
-        n = p.n
-        h_mix = (shannon_entropy(p) + (n - 1) * shannon_entropy(negate(p))) / n
-        detail = (compare("entropy_mixture_bound", h_mix, math.log2(n)),)
-    return compare(
-        "concave_mixture_bound", _mixture_value(f, p), f(1.0 / p.n), detail=detail
-    )
+    entropies = (shannon_entropy(p), shannon_entropy(negate(p))) if f.name == "x_log_x" else ()
+    return _concave_mixture(f, _f_pair(f, p), entropies)
 
 
 def self_information_bound(p: ProbDist) -> Certificate:
@@ -338,9 +360,11 @@ class PartialMeanChain:
 
 
 def _chains(
-    f: FunctionSpec, p: ProbDist, excluded: np.ndarray
+    f: FunctionSpec, probs: np.ndarray, f_probs: np.ndarray, excluded: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, Certificate]]:
     """The one chain kernel: ``(zetas, bounds, certificate)`` per excluded index.
+
+    ``f_probs`` is ``f.values(probs)``.
 
     Rows are computed a block of excluded indices at a time; a block holds
     at most ``_CHAIN_BLOCK_ELEMENTS`` kept entries (or one row, if n - 1 is
@@ -349,9 +373,7 @@ def _chains(
     along the row, which adds in the same order as a scalar loop;
     differences of prefix sums would turn an infinite f(0) into inf - inf.
     """
-    probs = p.probs
     n = probs.size
-    f_probs = f.values(probs)
     j = np.arange(n - 1)
     m_zeta = np.arange(n - 1, 0, -1)  # entries averaged by zetas[t]
     m_bound = m_zeta[1:]  # entries still averaged in bounds[t - 1]
@@ -393,7 +415,7 @@ def partial_mean_chain(
     _require_chain(f, p)
     if not 0 <= i < p.n:
         raise IndexError(f"index {i} out of range for {p.n} outcomes")
-    ((zetas, bounds, cert),) = _chains(f, p, np.array([i]))
+    ((zetas, bounds, cert),) = _chains(f, p.probs, f.values(p.probs), np.array([i]))
     chain = PartialMeanChain(
         excluded_index=i, zetas=tuple(zetas.tolist()), bounds=tuple(bounds.tolist())
     )
@@ -406,4 +428,45 @@ def partial_mean_chains(f: FunctionSpec, p: ProbDist) -> list[Certificate]:
     Same values as n separate calls, without building the chain data.
     """
     _require_chain(f, p)
-    return [cert for _, _, cert in _chains(f, p, np.arange(p.n))]
+    return [cert for _, _, cert in _chains(f, p.probs, f.values(p.probs), np.arange(p.n))]
+
+
+def certificate_suite(f: FunctionSpec, p: ProbDist) -> list[Certificate]:
+    """Every certificate of the CLI's ``verify`` for ``f`` at ``p``, in one pass.
+
+    A convex ``f`` drives the convex bounds and ``x_log_x`` the concave
+    one; a concave ``f`` drives the concave bound and ``neg_log`` the
+    convex ones.  In order: the mixture bound, the n pointwise bounds, the
+    self-information bound, the double-negation mixture bound, the
+    concave mixture bound, the n partial-mean chains (n >= 3 only), the
+    cross entropy against uniform and the entropy chain.  The same
+    certificates as the separate functions, from one evaluation of each
+    function on the rows p, negate(p), negate(negate(p)) and one entropy
+    each of p, negate(p) and negate_twice(p) (the closed form that
+    :func:`~neglab.entropy.entropy_chain_check` uses).
+    """
+    convex = f if f.curvature == "convex" else NEG_LOG
+    concave = f if f.curvature == "concave" else X_LOG_X
+    n = p.n
+    q = negate(p)
+    qq = negate(q)
+    rows = np.stack([p.probs, q.probs, qq.probs])
+    f_rows = convex.values(rows)
+    f_centre = convex(1.0 / n)
+    entropies = [shannon_entropy(d) for d in (p, q, negate_twice(p))]
+    if convex is NEG_LOG:
+        log_centre, log_pair = f_centre, f_rows[:2]
+    else:
+        log_centre, log_pair = NEG_LOG(1.0 / n), NEG_LOG.values(rows[:2])
+    certs = [
+        compare("mixture_bound", f_centre, _mixture_value(f_rows[:2], n)),
+        *_pointwise(f_centre, f_rows[:2], n),
+        compare("self_information_bound", log_centre, _mixture_value(log_pair, n)),
+    ]
+    certs.append(compare("double_negation_mixture_bound", f_centre, _mixture_value(f_rows[1:], n)))
+    certs.append(_concave_mixture(concave, concave.values(rows[:2]), entropies[:2]))
+    if n >= 3:
+        certs.extend(cert for _, _, cert in _chains(convex, p.probs, f_rows[0], np.arange(n)))
+    certs.append(_cross_entropy(p.probs, np.full(n, 1.0 / n), entropies[0]))
+    certs.append(_entropy_chain(n, *entropies))
+    return certs

@@ -1,10 +1,14 @@
 """CLI plumbing: grammar, formats, exit codes, round-trips."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neglab.cli import (
     EXIT_FAILURE,
@@ -152,6 +156,16 @@ def test_verify_two_outcomes_skips_chain(capsys):
     rec = doc["results"][0]
     assert not any(c["name"].startswith("partial_mean_chain") for c in rec["certificates"])
     assert any("skipped" in note for note in rec["notes"])
+
+
+@pytest.mark.parametrize("fn", ["neg_log", "square", "x_log_x"])
+def test_verify_skip_note_only_at_two_outcomes(capsys, fn):
+    code, doc = run_json(capsys, "verify", "--dist", "0.7,0.3", "--fn", fn)
+    assert code == EXIT_OK
+    assert doc["results"][0]["notes"] == ["partial_mean_chain skipped: needs n >= 3"]
+    code, doc = run_json(capsys, "verify", "--dist", "0.5,0.3,0.2", "--fn", fn)
+    assert code == EXIT_OK
+    assert "notes" not in doc["results"][0]
 
 
 def test_verify_concave_function_flips_roles(capsys):
@@ -343,3 +357,54 @@ def test_help_exits_0(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == EXIT_OK
     assert "negate" in out
+
+
+def test_json_output_is_one_compact_line(capsys):
+    code, out, _ = run(capsys, "verify", "--dist", "0.5,0.3,0.2", "--format", "json")
+    assert code == EXIT_OK
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert out == json.dumps(json.loads(out)) + "\n"
+
+
+# --- exit-code contract under arbitrary --file contents and flags -----------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=16,
+)
+# documents the loader accepts, so the handlers run too
+_DISTRIBUTION_DOCUMENTS = st.sampled_from([
+    [0.5, 0.5],
+    [[1, 0]],
+    [[0.2, 0.3, 0.5], [0.25, 0.25, 0.25, 0.25]],
+    [[0.6, 0.6]],
+    {"input": {"distributions": [[0.1, 0.0, 0.9]]}},
+    [[1e308, 1e308]],
+    [[-5, 3]],
+])
+_COMMAND_NAMES = st.sampled_from(["negate", "entropy", "converge", "verify", "dissim", "report", "bogus"])
+_FLAGS = st.lists(st.sampled_from([
+    ("--format", "json"), ("--format", "csv"), ("--format", "text"), ("--format", "xml"),
+    ("--fn", "neg_log"), ("--fn", "square"), ("--fn", "x_log_x"), ("--fn", "cube"),
+    ("--tol", "1e-9"), ("--tol", "0.5"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
+    ("--max-steps", "3"), ("--max-steps", "0"), ("--max-steps", "x"),
+    ("--alpha", "0,2"), ("--alpha", "2,1"), ("--alpha", "5000"), ("--alpha", "a"),
+    ("--depth", "2"), ("--depth", "0"),
+    ("--dist", "0.5,0.5"), ("--dist", "uniform:3"), ("--dist", "1/0"), ("--dist", "uniform:1"),
+]), max_size=4)
+
+
+@settings(max_examples=150)
+@given(document=_JSON_VALUES | _DISTRIBUTION_DOCUMENTS, command=_COMMAND_NAMES, flags=_FLAGS)
+def test_any_file_and_flags_keep_the_exit_code_contract(
+    tmp_path_factory, document, command, flags
+):
+    path = tmp_path_factory.getbasetemp() / "fuzz_input.json"
+    path.write_text(json.dumps(document))
+    argv = [command, "--file", str(path)] + [tok for flag in flags for tok in flag]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_FAILURE, EXIT_USAGE), argv
+    assert "Traceback" not in err.getvalue()

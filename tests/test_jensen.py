@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neglab import (
@@ -17,6 +17,7 @@ from neglab import (
     NEG_LOG,
     SQUARE,
     X_LOG_X,
+    certificate_suite,
     concave_mixture_bound,
     double_negation_mixture_bound,
     get_function,
@@ -25,9 +26,11 @@ from neglab import (
     make_dist,
     mixture_bound,
     negate,
+    negate_twice,
     partial_mean_chain,
     partial_mean_chains,
     pointwise_bound,
+    pointwise_bounds,
     self_information_bound,
     shannon_entropy,
     uniform,
@@ -411,9 +414,9 @@ def _assert_matches_oracle(f, p, certs):
 
 
 @st.composite
-def chain_inputs(draw):
-    """n in [3, 40]; about 30% of the draws carry exact zeros."""
-    n = draw(st.integers(min_value=3, max_value=40))
+def chain_inputs(draw, min_n=3, max_n=40):
+    """n in [min_n, max_n]; about 30% of the draws carry exact zeros."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     raw = np.asarray(draw(st.lists(st.floats(min_value=1e-6, max_value=1.0),
                                    min_size=n, max_size=n)))
     if draw(st.integers(min_value=0, max_value=9)) < 3:
@@ -466,3 +469,94 @@ def test_scalar_only_specs_match_the_loop():
             assert cert == expected and certs[i] == expected
         assert mixture_bound(f, p).rhs == mixture(f)
     assert concave_mixture_bound(root, p).lhs == mixture(root)
+
+
+# --- one-pass suite against the certificates composed one at a time --------
+
+def _oracle_suite(f, p):
+    """Reference: the ``verify`` suite built certificate by certificate from
+    scalar calls of f, in the order and with the names the CLI emits."""
+    convex = f if f.curvature == "convex" else NEG_LOG
+    concave = f if f.curvature == "concave" else X_LOG_X
+    n = p.n
+
+    def mixture(g, d):
+        fp = math.fsum(g(v) for v in d)
+        fq = math.fsum(g(v) for v in negate(d))
+        return (fp + (n - 1) * fq) / n**2
+
+    certs = [compare("mixture_bound", convex(1.0 / n), mixture(convex, p))]
+    for i in range(n):
+        p_i = float(p.probs[i])
+        neg_i = (1.0 - p_i) / (n - 1)
+        rhs = (convex(p_i) + (n - 1) * convex(neg_i)) / n
+        certs.append(compare(f"pointwise_bound[i={i}]", convex(1.0 / n), rhs))
+    certs.append(compare("self_information_bound", NEG_LOG(1.0 / n), mixture(NEG_LOG, p)))
+    certs.append(
+        compare("double_negation_mixture_bound", convex(1.0 / n), mixture(convex, negate(p)))
+    )
+    detail = ()
+    if concave.name == "x_log_x":
+        h_mix = (shannon_entropy(p) + (n - 1) * shannon_entropy(negate(p))) / n
+        detail = (compare("entropy_mixture_bound", h_mix, math.log2(n)),)
+    certs.append(
+        compare("concave_mixture_bound", mixture(concave, p), concave(1.0 / n), detail=detail)
+    )
+    if n >= 3:
+        certs.extend(_oracle_chain(convex, p, i)[2] for i in range(n))
+    h = [shannon_entropy(p), shannon_entropy(negate(p)), shannon_entropy(negate_twice(p))]
+    cross = -math.fsum(v * math.log2(1.0 / n) for v in p if v > 0)
+    same = max(abs(v - 1.0 / n) for v in p) <= 1e-12
+    certs.append(compare("cross_entropy", h[0], cross, equality=same))
+    links = (
+        compare("entropy_le_negation_entropy", h[0], h[1]),
+        compare("negation_entropy_le_double_negation_entropy", h[1], h[2]),
+        compare("double_negation_entropy_le_log_n", h[2], math.log2(n)),
+    )
+    certs.append(compare(
+        "entropy_chain", h[0], math.log2(n),
+        holds=all(c.holds for c in links),
+        equality=all(c.equality for c in links),
+        detail=links,
+    ))
+    return certs
+
+
+def _assert_same_certificates(got, expected):
+    assert [c.name for c in got] == [c.name for c in expected]
+    for g, e in zip(got, expected):
+        assert (g.holds, g.equality, g.infinite) == (e.holds, e.equality, e.infinite), g.name
+        np.testing.assert_allclose([g.lhs, g.rhs], [e.lhs, e.rhs], rtol=1e-12, atol=0,
+                                   err_msg=g.name)
+        _assert_same_certificates(g.detail, e.detail)
+
+
+@settings(max_examples=60)
+@given(chain_inputs(min_n=2, max_n=64), st.sampled_from([NEG_LOG, X_LOG_X, SQUARE]))
+def test_certificate_suite_matches_one_at_a_time(p, f):
+    _assert_same_certificates(certificate_suite(f, p), _oracle_suite(f, p))
+    convex = f if f.curvature == "convex" else NEG_LOG
+    bounds = pointwise_bounds(convex, p)
+    assert bounds == [pointwise_bound(convex, p, i) for i in range(p.n)]
+
+
+def test_certificate_suite_skips_chains_at_two_outcomes():
+    p = make_dist([0.9, 0.1])
+    names = [c.name for c in certificate_suite(NEG_LOG, p)]
+    assert not any(name.startswith("partial_mean_chain") for name in names)
+    # mixture, n pointwise, self-information, double negation, concave, two entropy
+    assert len(names) == 1 + p.n + 3 + 2
+
+
+def test_certificate_suite_with_scalar_only_specs():
+    # scalar-only user functions go through the same one-pass suite
+    cube = FunctionSpec("cube", "convex", lambda x: math.pow(x, 3))
+    root = FunctionSpec("root", "concave", lambda x: math.sqrt(x))
+    p = make_dist([0.5, 0.0, 0.2, 0.3, 0.0])
+    for f in (cube, root):
+        _assert_same_certificates(certificate_suite(f, p), _oracle_suite(f, p))
+
+
+def test_pointwise_bounds_rejects_concave(p4):
+    with pytest.raises(CurvatureError):
+        pointwise_bounds(X_LOG_X, p4)
