@@ -22,6 +22,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from .certificates import Certificate, compare
 from .distribution import DimensionError, DomainError, ValidationReport, make_dist
 from .dissimilarity import (
     MAX_ALPHA,
@@ -166,8 +167,8 @@ def _resolve_tolerance(args) -> float:
                 raise _UsageError(f"NEGLAB_TOL is not a number: {env!r}") from None
         else:
             tol = _DEFAULT_TOLERANCE
-    if not tol > 0:
-        raise _UsageError(f"tolerance must be > 0, got {tol}")
+    if not 0 < tol < math.inf:
+        raise _UsageError(f"tolerance must be finite and > 0, got {tol}")
     return tol
 
 
@@ -301,12 +302,11 @@ def _csv_dissim(d_idx, rec):
 
 
 def _run_verify(dists, args, inp):
-    if args.fn not in BUILTIN_FUNCTIONS:
-        raise _UsageError(
-            f"unknown function {args.fn!r}; built-ins: {', '.join(sorted(BUILTIN_FUNCTIONS))}"
-        )
+    try:
+        f = get_function(args.fn)
+    except LookupError as exc:  # its message lists the built-ins
+        raise _UsageError(str(exc)) from None
     inp["function"] = args.fn
-    f = get_function(args.fn)
     records = []
     all_hold = True
     for p in dists:
@@ -327,160 +327,121 @@ def _run_verify(dists, args, inp):
     return records, all_hold
 
 
-def _csv_verify(d_idx, rec):
-    rows = []
-    for c in rec["certificates"]:
-        named = [(c["name"], c)] + [(f"{c['name']}/{sub['name']}", sub) for sub in c["detail"]]
-        for name, cert in named:
-            rows.append(
-                {
-                    "dist": d_idx,
-                    "name": name,
-                    "lhs": cert["lhs"],
-                    "rhs": cert["rhs"],
-                    "slack": cert["slack"],
-                    "holds": cert["holds"],
-                    "equality": cert["equality"],
-                    "infinite": cert["infinite"],
-                }
-            )
+def _cert_rows(d_idx, cert, prefix=""):
+    """CSV rows of a certificate dict and, at any depth, its detail, named by path."""
+    name = prefix + cert["name"]
+    rows = [
+        {
+            "dist": d_idx,
+            "name": name,
+            "lhs": cert["lhs"],
+            "rhs": cert["rhs"],
+            "slack": cert["slack"],
+            "holds": cert["holds"],
+            "equality": cert["equality"],
+            "infinite": cert["infinite"],
+        }
+    ]
+    for sub in cert["detail"]:
+        rows += _cert_rows(d_idx, sub, name + "/")
     return rows
 
 
+def _csv_verify(d_idx, rec):
+    return [row for cert in rec["certificates"] for row in _cert_rows(d_idx, cert)]
+
+
 # ---------------------------------------------------------------------------
-# the golden fixture report
+# the golden fixture report: one certificate per worked example.  A fixture
+# decides ``holds`` by its own thresholds and never claims equality, because
+# compare()'s 1e-9 equality band would pass any two sides that close.
 
-def _close(a, b, tol) -> tuple[bool, float]:
-    err = max(abs(x - y) for x, y in zip(a, b)) if hasattr(a, "__len__") else abs(a - b)
-    return err <= tol, err
-
-
-def _frac(*pairs) -> list[float]:
-    return [float(Fraction(num, den)) for num, den in pairs]
+def _frac(text: str) -> tuple[float, ...]:
+    """Space-separated exact fractions, each rounded once to a float."""
+    return tuple(float(Fraction(t)) for t in text.split())
 
 
-def _report_fixtures() -> list[dict]:
-    fixtures = []
+_P4 = _frac("1/3 1/6 1/6 1/3")
+_P3 = _frac("2/3 1/6 1/6")
+_Q5 = _P3 + (0.0, 0.0)
 
-    p4 = make_dist(_frac((1, 3), (1, 6), (1, 6), (1, 3)))
-    neg_ok, neg_err = _close(
-        negate(p4).tolist(), _frac((2, 9), (5, 18), (5, 18), (2, 9)), 1e-14
-    )
-    dbl_ok, dbl_err = _close(
-        negate_twice(p4).tolist(), _frac((7, 27), (13, 54), (13, 54), (7, 27)), 1e-14
-    )
-    fixtures.append(
-        {
-            "name": "negation_golden_four_outcomes",
-            "passed": neg_ok and dbl_ok,
-            "max_error": max(neg_err, dbl_err),
-            "negation": negate(p4).tolist(),
-            "double_negation": negate_twice(p4).tolist(),
-        }
-    )
+#: (fixture, operator, input, exact expected output) of each golden negation
+_GOLDEN = (
+    ("negation_golden_four_outcomes", negate, _P4, _frac("2/9 5/18 5/18 2/9")),
+    ("negation_golden_four_outcomes", negate_twice, _P4, _frac("7/27 13/54 13/54 7/27")),
+    ("negation_golden_padded", negate, _P3, _frac("1/6 5/12 5/12")),
+    ("negation_golden_padded", negate, _Q5, _frac("1/12 5/24 5/24 1/4 1/4")),
+)
 
-    p3 = make_dist(_frac((2, 3), (1, 6), (1, 6)))
-    q5 = make_dist(_frac((2, 3), (1, 6), (1, 6), (0, 1), (0, 1)))
-    n3_ok, n3_err = _close(negate(p3).tolist(), _frac((1, 6), (5, 12), (5, 12)), 1e-14)
-    n5_ok, n5_err = _close(
-        negate(q5).tolist(), _frac((1, 12), (5, 24), (5, 24), (1, 4), (1, 4)), 1e-14
-    )
-    fixtures.append(
-        {
-            "name": "negation_golden_padded",
-            "passed": n3_ok and n5_ok,
-            "max_error": max(n3_err, n5_err),
-            "negation_three": negate(p3).tolist(),
-            "negation_five": negate(q5).tolist(),
-        }
-    )
 
-    h3, h5 = shannon_entropy(p3), shannon_entropy(q5)
-    g3, g5 = shannon_entropy(negate(p3)), shannon_entropy(negate(q5))
-    pad_ok = abs(h3 - h5) <= 1e-12 and (g5 - g3) > 1e-6
-    fixtures.append(
-        {
-            "name": "entropy_padding_ordering",
-            "passed": pad_ok,
-            "entropy_three": h3,
-            "entropy_five": h5,
-            "negation_entropy_three": g3,
-            "negation_entropy_five": g5,
-            "negation_entropy_gap": g5 - g3,
-        }
-    )
-
-    h0, h1, h2 = (
-        shannon_entropy(p4),
-        shannon_entropy(negate(p4)),
-        shannon_entropy(negate_twice(p4)),
-    )
-    chain_ok = (h1 - h0) > 1e-6 and (h2 - h1) > 1e-6 and h2 <= 2.0 and (2.0 - h2) > 1e-6
-    fixtures.append(
-        {
-            "name": "entropy_chain_four_outcomes",
-            "passed": chain_ok,
-            "entropies": [h0, h1, h2],
-            "ceiling_bits": 2.0,
-        }
-    )
-
-    p5 = make_dist(_frac((1, 8), (1, 8), (1, 2), (1, 8), (1, 8)))
-    _, cert = partial_mean_chain(NEG_LOG, p5, 2)
-    sym_ok = cert.lhs == 3.0 and abs(cert.rhs - cert.lhs) <= 1e-12 and cert.equality
-    perturbed_raw = [float(Fraction(1, 8)) + 0.01] + _frac((1, 8), (1, 2), (1, 8), (1, 8))
-    perturbed = make_dist([v / sum(perturbed_raw) for v in perturbed_raw])
-    _, pert_cert = partial_mean_chain(NEG_LOG, perturbed, 2)
-    pert_gap = abs(pert_cert.rhs - pert_cert.lhs)
-    fixtures.append(
-        {
-            "name": "symmetric_peak_equality",
-            "passed": sym_ok and pert_gap > 1e-4,
-            "lhs_bits": cert.lhs,
-            "chain_end_bits": cert.rhs,
-            "equality_gap": abs(cert.rhs - cert.lhs),
-            "perturbed_gap": pert_gap,
-        }
-    )
-
-    expected0 = -math.log2(8.0 / 9.0)
-    res = [negation_dissimilarity(p4, a) for a in (0, 1, 2, 3)]
-    props = dissimilarity_properties(p4, [0, 1, 2, 3])
-    sub = {c.name: c for c in props.detail}
-    decreasing = sub["value_non_increasing_in_alpha"].holds
-    claimed = sub["value_non_decreasing_in_alpha"].holds
-    dis_ok = (
-        abs(res[0].value - expected0) <= 1e-12
-        and all(abs(r.value - r.closed_form_value) <= 1e-12 for r in res)
-        and props.holds
-        and decreasing
-        and not claimed
-    )
-    fixtures.append(
-        {
-            "name": "dissimilarity_golden",
-            "passed": dis_ok,
-            "values": [r.value for r in res],
-            "expected_alpha0": expected0,
-            "properties_hold": props.holds,
-            "alpha_direction_observed": "non-increasing",
-            "claimed_non_decreasing_direction_holds": claimed,
-            "direction_note": (
-                "the closed form shrinks as alpha grows; the once-claimed "
-                "non-decreasing direction fails and is recorded, not asserted"
-            ),
-        }
-    )
-    return fixtures
+def _claim(name: str, lhs: float, rhs: float, ok: bool, *detail: Certificate) -> Certificate:
+    """``lhs`` against ``rhs``, passed or failed by ``ok`` alone."""
+    return compare(name, lhs, rhs, holds=ok, equality=False, detail=detail)
 
 
 def _run_report(dists, args, inp):
-    fixtures = _report_fixtures()
-    return fixtures, all(f["passed"] for f in fixtures)
+    golden: dict[str, list[Certificate]] = {}
+    for fixture, op, given, expected in _GOLDEN:
+        err = max(abs(g - e) for g, e in zip(op(make_dist(given)).tolist(), expected))
+        golden.setdefault(fixture, []).append(
+            _claim(f"{op.__name__}[n={len(given)}]", err, 1e-14, err <= 1e-14)
+        )
+    fixtures = [
+        _claim(name, max(c.lhs for c in subs), 1e-14, all(c.holds for c in subs), *subs)
+        for name, subs in golden.items()
+    ]
 
+    p4, p3, q5 = make_dist(_P4), make_dist(_P3), make_dist(_Q5)
+    h3, h5 = shannon_entropy(p3), shannon_entropy(q5)
+    g3, g5 = shannon_entropy(negate(p3)), shannon_entropy(negate(q5))
+    padding = _claim("entropy_unchanged_by_padding", h3, h5, abs(h3 - h5) <= 1e-12)
+    fixtures.append(_claim(
+        "entropy_padding_ordering", g3, g5, padding.holds and g5 - g3 > 1e-6, padding
+    ))
 
-def _csv_report(d_idx, rec):
-    return [{"fixture": rec["name"], "passed": rec["passed"]}]
+    h0, h1, h2 = (shannon_entropy(d) for d in (p4, negate(p4), negate_twice(p4)))
+    steps = (
+        _claim("negation_raises_entropy", h0, h1, h1 - h0 > 1e-6),
+        _claim("double_negation_raises_entropy", h1, h2, h2 - h1 > 1e-6),
+        _claim("below_ceiling", h2, 2.0, h2 <= 2.0 and 2.0 - h2 > 1e-6),
+    )
+    fixtures.append(_claim(
+        "entropy_chain_four_outcomes", h0, 2.0, all(c.holds for c in steps), *steps
+    ))
+
+    peak_raw = _frac("1/8 1/8 1/2 1/8 1/8")
+    _, peak = partial_mean_chain(NEG_LOG, make_dist(peak_raw), 2)
+    perturbed_raw = [peak_raw[0] + 0.01, *peak_raw[1:]]
+    perturbed = make_dist([v / sum(perturbed_raw) for v in perturbed_raw])
+    _, pert = partial_mean_chain(NEG_LOG, perturbed, 2)
+    gap = abs(pert.rhs - pert.lhs)
+    sym_ok = peak.lhs == 3.0 and abs(peak.rhs - peak.lhs) <= 1e-12 and peak.equality
+    fixtures.append(_claim(
+        "symmetric_peak_equality", peak.lhs, peak.rhs, sym_ok and gap > 1e-4,
+        peak, _claim("perturbed_gap", 1e-4, gap, gap > 1e-4),
+    ))
+
+    # the closed form shrinks as alpha grows; the once-claimed non-decreasing
+    # direction fails and is recorded in the properties' detail, not asserted
+    expected0 = -math.log2(8.0 / 9.0)
+    res = [negation_dissimilarity(p4, a) for a in (0, 1, 2, 3)]
+    closed_form = [
+        _claim(f"closed_form[alpha={r.alpha}]", r.value, r.closed_form_value,
+               abs(r.value - r.closed_form_value) <= 1e-12)
+        for r in res
+    ]
+    props = dissimilarity_properties(p4, [0, 1, 2, 3])
+    direction = {c.name: c.holds for c in props.detail}
+    fixtures.append(_claim(
+        "dissimilarity_golden", res[0].value, expected0,
+        abs(res[0].value - expected0) <= 1e-12
+        and all(c.holds for c in closed_form)
+        and props.holds
+        and direction["value_non_increasing_in_alpha"]
+        and not direction["value_non_decreasing_in_alpha"],
+        *closed_form, props,
+    ))
+    return [c.as_dict() for c in fixtures], all(c.holds for c in fixtures)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +479,7 @@ def _vec(values) -> str:
     return ", ".join(_fmt(v) for v in values)
 
 
-def _cert_lines(cert: dict, indent: str, out: list[str]) -> None:
+def _cert_lines(cert: dict, out: list[str], indent: str = "") -> None:
     mark = "ok" if cert["holds"] else "FAIL"
     eq = " (equality)" if cert["equality"] else ""
     inf = " (infinite)" if cert["infinite"] else ""
@@ -527,7 +488,7 @@ def _cert_lines(cert: dict, indent: str, out: list[str]) -> None:
         f"rhs={_fmt(cert['rhs'])} slack={_fmt(cert['slack'])}{eq}{inf}"
     )
     for sub in cert["detail"]:
-        _cert_lines(sub, indent + "  ", out)
+        _cert_lines(sub, out, indent + "  ")
 
 
 def _text_negate(rec: dict, out: list[str]) -> None:
@@ -553,7 +514,7 @@ def _text_converge(rec: dict, out: list[str]) -> None:
 def _text_dissim(rec: dict, out: list[str]) -> None:
     for r in rec["profile"]:
         out.append(f"  alpha={r['alpha']}: value={_fmt(r['value'])} (l1={_fmt(r['l1'])})")
-    _cert_lines(rec["properties"], "  ", out)
+    _cert_lines(rec["properties"], out, "  ")
     iterated = rec["iterated"]
     vals = _vec([r["value"] for r in iterated["results"]])
     out.append(
@@ -564,20 +525,9 @@ def _text_dissim(rec: dict, out: list[str]) -> None:
 
 def _text_verify(rec: dict, out: list[str]) -> None:
     for cert in rec["certificates"]:
-        _cert_lines(cert, "  ", out)
+        _cert_lines(cert, out, "  ")
     for note in rec.get("notes", ()):
         out.append(f"  note: {note}")
-
-
-def _text_report(rec: dict, out: list[str]) -> None:
-    status = "PASS" if rec["passed"] else "FAIL"
-    extras = {
-        k: v
-        for k, v in rec.items()
-        if k not in ("name", "passed") and isinstance(v, (int, float))
-    }
-    shown = ", ".join(f"{k}={_fmt(v)}" for k, v in extras.items())
-    out.append(f"{status} {rec['name']}" + (f"  ({shown})" if shown else ""))
 
 
 def _render_text(doc: dict) -> str:
@@ -648,7 +598,7 @@ _COMMANDS = {
         ),
     ),
     "report": _Command(
-        _run_report, _text_report, _csv_report,
+        _run_report, _cert_lines, _cert_rows,
         "reproduce the golden fixtures and report pass/fail",
         dist_input=False,
     ),

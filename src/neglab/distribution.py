@@ -8,6 +8,7 @@ machine precision instead of inheriting entry noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Iterator
 
@@ -118,10 +119,12 @@ def _screen(arr: np.ndarray, tolerance: float) -> ValidationReport:
         raise DimensionError(f"a distribution needs at least 2 outcomes, got {arr.size}")
     in_range = (arr >= -tolerance) & (arr <= 1.0 + tolerance)
     bad = tuple(int(i) for i in np.flatnonzero(~in_range))
-    total = float(arr.sum())
-    sum_error = abs(total - 1.0) if np.isfinite(total) else float("inf")
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
+    finite = math.isfinite(total)  # an overflowed total is never valid, whatever the tolerance
+    sum_error = abs(total - 1.0) if finite else math.inf
     return ValidationReport(
-        ok=not bad and sum_error <= tolerance, sum_error=sum_error, bad_indices=bad
+        ok=not bad and finite and sum_error <= tolerance, sum_error=sum_error, bad_indices=bad
     )
 
 
@@ -150,9 +153,10 @@ def make_dist(
     if not report.ok:
         return report
     arr = np.where(arr < 0.0, 0.0, arr)
-    total = float(arr.sum())
-    if total == 0.0:  # no mass left after clamping; only a tolerance >= 1 gets here
-        return ValidationReport(ok=False, sum_error=1.0)
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
+    if total == 0.0 or total == math.inf:  # no mass, or overflow; only a tolerance >= 1 gets here
+        return ValidationReport(ok=False, sum_error=abs(total - 1.0))
     # Skip the division when the sum is already 1 up to accumulated rounding
     # noise: renormalizing is then a no-op mathematically but would disturb
     # final bits, and re-ingesting emitted values must reproduce the array

@@ -232,8 +232,9 @@ def jensen_check(
     x = np.clip(x, 0.0, 1.0)
 
     mean = float(np.dot(w, x))
-    active = x[w > 0]
-    f_side = math.fsum(wi * f(xi) for wi, xi in zip(w, x) if wi > 0)
+    m = w > 0
+    active = x[m]
+    f_side = math.fsum((w[m] * f.values(active)).tolist())
     equality = bool(active.size == 0 or np.max(active) - np.min(active) <= EQUALITY_TOLERANCE)
 
     if f.curvature == "convex":

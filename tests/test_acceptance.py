@@ -293,22 +293,29 @@ def test_criterion_10_report_subcommand(tmp_path=None):
 
     assert doc["command"] == "report" and doc["all_hold"] is True
     fixtures = {f["name"]: f for f in doc["results"]}
-    expected = {
+    expected = [
         "negation_golden_four_outcomes",
         "negation_golden_padded",
         "entropy_padding_ordering",
         "entropy_chain_four_outcomes",
         "symmetric_peak_equality",
         "dissimilarity_golden",
-    }
-    assert expected <= set(fixtures), f"missing fixtures: {expected - set(fixtures)}"
-    assert all(f["passed"] for f in fixtures.values())
+    ]
+    assert list(fixtures) == expected, f"fixtures: {list(fixtures)}"
+    assert all(f["holds"] for f in fixtures.values())
 
-    assert fixtures["negation_golden_four_outcomes"]["max_error"] <= 1e-14
-    assert fixtures["negation_golden_padded"]["max_error"] <= 1e-14
-    assert fixtures["entropy_padding_ordering"]["negation_entropy_gap"] > 1e-6
-    assert fixtures["symmetric_peak_equality"]["lhs_bits"] == 3.0
-    assert fixtures["symmetric_peak_equality"]["perturbed_gap"] > 1e-4
+    def detail(cert, name):
+        return next(sub for sub in cert["detail"] if sub["name"] == name)
+
+    # every fixture is a certificate: lhs/rhs carry its numbers, detail its parts
+    assert fixtures["negation_golden_four_outcomes"]["lhs"] <= 1e-14
+    assert fixtures["negation_golden_padded"]["lhs"] <= 1e-14
+    padding = fixtures["entropy_padding_ordering"]
+    assert padding["rhs"] - padding["lhs"] > 1e-6
+    peak = fixtures["symmetric_peak_equality"]
+    assert peak["lhs"] == 3.0
+    assert detail(peak, "perturbed_gap")["rhs"] > 1e-4
     golden = fixtures["dissimilarity_golden"]
-    assert abs(golden["values"][0] - golden["expected_alpha0"]) <= 1e-12
-    assert golden["claimed_non_decreasing_direction_holds"] is False
+    assert abs(golden["lhs"] - -math.log2(8.0 / 9.0)) <= 1e-12
+    props = detail(golden, "dissimilarity_properties")
+    assert detail(props, "value_non_decreasing_in_alpha")["holds"] is False

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neglab import cli
 from neglab.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -195,17 +196,75 @@ def test_dissim_flag_validation(capsys):
     assert code == EXIT_USAGE
 
 
+REPORT_FIXTURES = [
+    "negation_golden_four_outcomes",
+    "negation_golden_padded",
+    "entropy_padding_ordering",
+    "entropy_chain_four_outcomes",
+    "symmetric_peak_equality",
+    "dissimilarity_golden",
+]
+
+
+def _detail(cert, name):
+    return next(sub for sub in cert["detail"] if sub["name"] == name)
+
+
 def test_report_passes(capsys):
     code, doc = run_json(capsys, "report")
     assert code == EXIT_OK
     assert doc["all_hold"] is True
-    names = [f["name"] for f in doc["results"]]
-    assert "negation_golden_four_outcomes" in names
-    assert "symmetric_peak_equality" in names
-    assert "dissimilarity_golden" in names
-    assert all(f["passed"] for f in doc["results"])
-    dis = next(f for f in doc["results"] if f["name"] == "dissimilarity_golden")
-    assert dis["claimed_non_decreasing_direction_holds"] is False
+    assert [f["name"] for f in doc["results"]] == REPORT_FIXTURES
+    assert all(f["holds"] for f in doc["results"])
+    fixtures = {f["name"]: f for f in doc["results"]}
+    # each fixture is a certificate; its numbers are its sides or its detail's
+    assert fixtures["negation_golden_four_outcomes"]["lhs"] <= 1e-14
+    assert fixtures["negation_golden_padded"]["lhs"] <= 1e-14
+    padding = fixtures["entropy_padding_ordering"]
+    assert padding["rhs"] - padding["lhs"] > 1e-6
+    peak = fixtures["symmetric_peak_equality"]
+    assert peak["lhs"] == 3.0
+    assert _detail(peak, "perturbed_gap")["rhs"] > 1e-4
+    dis = fixtures["dissimilarity_golden"]
+    assert abs(dis["lhs"] - -math.log2(8 / 9)) <= 1e-12
+    props = _detail(dis, "dissimilarity_properties")
+    assert _detail(props, "value_non_decreasing_in_alpha")["holds"] is False
+
+
+def test_report_fails_closed(capsys, monkeypatch):
+    # 1e-12 off one golden value: outside the fixture's 1e-14, inside the
+    # 1e-9 band where compare() would call the two sides equal
+    fixture, op, given, expected = cli._GOLDEN[0]
+    bumped = (expected[0] + 1e-12, *expected[1:])
+    monkeypatch.setattr(cli, "_GOLDEN", ((fixture, op, given, bumped), *cli._GOLDEN[1:]))
+    code, doc = run_json(capsys, "report")
+    assert code == EXIT_FAILURE
+    assert doc["all_hold"] is False
+    holds = {f["name"]: f["holds"] for f in doc["results"]}
+    assert holds.pop(fixture) is False
+    assert all(holds.values())
+
+
+def test_report_text_one_line_per_fixture(capsys):
+    code, out, _ = run(capsys, "report", "--format", "text")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "command: report" and lines[-1] == "all_hold: true"
+    top = [line for line in lines if line.startswith("[")]
+    assert [line.split()[1].rstrip(":") for line in top] == REPORT_FIXTURES
+    assert all(line.startswith("[ok] ") for line in top)
+    # the failing direction is recorded in the detail, not asserted
+    assert "    [FAIL] value_non_decreasing_in_alpha: " in out
+
+
+def test_report_csv_names_nested_details_by_path(capsys):
+    code, out, _ = run(capsys, "report", "--format", "csv")
+    assert code == EXIT_OK
+    rows = {r["name"]: r for r in csv.DictReader(out.splitlines())}
+    assert [name for name in rows if "/" not in name] == REPORT_FIXTURES
+    nested = "dissimilarity_golden/dissimilarity_properties/value_non_decreasing_in_alpha"
+    assert rows[nested]["holds"] == "false"
+    assert rows["dissimilarity_golden"]["holds"] == "true"
 
 
 def test_env_tolerance_override(capsys, monkeypatch):
@@ -222,6 +281,14 @@ def test_env_tolerance_override(capsys, monkeypatch):
 
 def test_env_tolerance_invalid_exits_4(capsys, monkeypatch):
     monkeypatch.setenv("NEGLAB_TOL", "not-a-number")
+    code, _, _ = run(capsys, "negate", "--dist", "0.5,0.5")
+    assert code == EXIT_USAGE
+
+
+def test_non_finite_tolerance_exits_4(capsys, monkeypatch):
+    code, _, err = run(capsys, "negate", "--dist", "0.5,0.5", "--tol", "inf")
+    assert code == EXIT_USAGE and "finite" in err
+    monkeypatch.setenv("NEGLAB_TOL", "inf")
     code, _, _ = run(capsys, "negate", "--dist", "0.5,0.5")
     assert code == EXIT_USAGE
 

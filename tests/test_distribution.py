@@ -1,5 +1,8 @@
 """Simplex validation, padding, and distance utilities."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -118,6 +121,19 @@ def test_make_dist_rejects_all_mass_clamped_away():
     report = make_dist([0.0, 0.0], tolerance=1.0)
     assert isinstance(report, ValidationReport)
     assert not report.ok
+
+
+@pytest.mark.parametrize("values, tolerance", [
+    ([1e308, 1e308], math.inf),  # the raw sum overflows
+    ([1e308, -1e308, 1e308], 1e308),  # the sum overflows once -1e308 is clamped to 0
+])
+def test_make_dist_rejects_an_overflowed_sum(values, tolerance):
+    # an infinite total used to pass inf <= inf and be divided into all zeros
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = make_dist(values, tolerance=tolerance)
+    assert isinstance(report, ValidationReport)
+    assert not report.ok and report.sum_error == math.inf
 
 
 def test_pad_with_zeros():

@@ -133,6 +133,21 @@ def test_jensen_infinite_with_weighted_zero():
     assert cert.rhs == math.inf
 
 
+def test_jensen_scalar_only_specs():
+    # a user fn that takes only scalars goes through FunctionSpec.values entry by entry
+    cube = FunctionSpec("cube", "convex", lambda x: math.pow(x, 3))
+    x, w = [0.2, 0.4, 0.9], [0.5, 0.5, 0.0]
+    cert = jensen_check(cube, x, w)
+    assert cert.lhs == math.pow(float(np.dot(w, x)), 3)
+    assert cert.rhs == math.fsum([0.5 * math.pow(0.2, 3), 0.5 * math.pow(0.4, 3)])
+    assert cert.holds and not cert.equality
+
+    root = FunctionSpec("root", "concave", lambda x: math.sqrt(x))
+    cert = jensen_check(root, [0.0, 0.64], [0.5, 0.5])
+    assert cert.lhs == 0.4 and cert.rhs == math.sqrt(0.32)
+    assert cert.holds
+
+
 def test_jensen_validation():
     with pytest.raises(DimensionError):
         jensen_check(SQUARE, [0.5], [0.5, 0.5])
