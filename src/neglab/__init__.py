@@ -25,10 +25,12 @@ from .dissimilarity import (
     CrossCheckError,
     DissimResult,
     IteratedDissimReport,
+    NegationProfile,
     dissimilarity,
     dissimilarity_properties,
     iterated_negation_dissimilarity,
     negation_dissimilarity,
+    negation_profile,
 )
 from .entropy import (
     EntropyReport,
@@ -88,10 +90,12 @@ __all__ = [
     "CrossCheckError",
     "DissimResult",
     "IteratedDissimReport",
+    "NegationProfile",
     "dissimilarity",
     "dissimilarity_properties",
     "iterated_negation_dissimilarity",
     "negation_dissimilarity",
+    "negation_profile",
     "EntropyReport",
     "cross_entropy_check",
     "entropy_chain_check",

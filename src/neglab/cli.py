@@ -24,13 +24,7 @@ from typing import Callable, NamedTuple
 
 from .certificates import Certificate, compare
 from .distribution import DimensionError, DomainError, ValidationReport, make_dist
-from .dissimilarity import (
-    MAX_ALPHA,
-    dissimilarity,
-    dissimilarity_properties,
-    iterated_negation_dissimilarity,
-    negation_dissimilarity,
-)
+from .dissimilarity import MAX_ALPHA, negation_profile
 from .entropy import entropy_report, shannon_entropy
 from .jensen import (
     NEG_LOG,
@@ -264,24 +258,11 @@ def _run_dissim(dists, args, inp):
         raise _UsageError(f"--depth must be >= 1, got {args.depth}")
     inp["alphas"] = alphas
     inp["depth"] = args.depth
-    records = []
-    all_hold = True
-    for p in dists:
-        q = negate(p)
-        profile = [dissimilarity(p, q, a) for a in alphas]
-        props = dissimilarity_properties(p, alphas, q=q, forward=profile)
-        iterated = iterated_negation_dissimilarity(p, alphas[0], args.depth)
-        all_hold &= props.holds
-        records.append(
-            {
-                "distribution": p.tolist(),
-                "negation": q.tolist(),
-                "profile": [r.as_dict() for r in profile],
-                "properties": props.as_dict(),
-                "iterated": iterated.as_dict(),
-            }
-        )
-    return records, all_hold
+    records = [
+        {"distribution": p.tolist(), **negation_profile(p, alphas, args.depth).as_dict()}
+        for p in dists
+    ]
+    return records, all(rec["properties"]["holds"] for rec in records)
 
 
 def _csv_dissim(d_idx, rec):
@@ -422,15 +403,16 @@ def _run_report(dists, args, inp):
     ))
 
     # the closed form shrinks as alpha grows; the once-claimed non-decreasing
-    # direction fails and is recorded in the properties' detail, not asserted
+    # direction fails and is recorded in the properties' detail, not asserted.
+    # Each level's literal value, from its min-pair sum, is set against it.
     expected0 = -math.log2(8.0 / 9.0)
-    res = [negation_dissimilarity(p4, a) for a in (0, 1, 2, 3)]
+    profile = negation_profile(p4, [0, 1, 2, 3], 1)
+    res, props = profile.profile, profile.properties
+    literal = [-math.log2((1.0 + 0.5 * r.sum_of_min_pairs) / 2.0) + 0.0 for r in res]
     closed_form = [
-        _claim(f"closed_form[alpha={r.alpha}]", r.value, r.closed_form_value,
-               abs(r.value - r.closed_form_value) <= 1e-12)
-        for r in res
+        _claim(f"closed_form[alpha={r.alpha}]", v, r.value, abs(v - r.value) <= 1e-12)
+        for r, v in zip(res, literal)
     ]
-    props = dissimilarity_properties(p4, [0, 1, 2, 3])
     direction = {c.name: c.holds for c in props.detail}
     fixtures.append(_claim(
         "dissimilarity_golden", res[0].value, expected0,
@@ -565,7 +547,7 @@ class _Command(NamedTuple):
     csv: Callable  # (index, record) -> the record's CSV rows
     help: str
     flags: tuple = ()  # (flag, add_argument keywords) beyond the common ones
-    dist_input: bool = True  # takes --dist/--file
+    dist_input: bool = True  # takes --dist, --file and --tol
 
 
 _COMMANDS = {
@@ -619,8 +601,8 @@ def _build_parser() -> _Parser:
         if cmd.dist_input:
             p.add_argument("--dist", help="comma-separated values (decimals or a/b rationals), or uniform:n")
             p.add_argument("--file", help="JSON array of distributions, or CSV one distribution per row")
-        p.add_argument("--tol", type=float, default=None,
-                       help="validation/convergence tolerance (default 1e-9, env NEGLAB_TOL)")
+            p.add_argument("--tol", type=float, default=None,
+                           help="validation/convergence tolerance (default 1e-9, env NEGLAB_TOL)")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", help="write output to this path instead of stdout")
         for flag, kwargs in cmd.flags:
@@ -639,11 +621,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
     try:
-        args.tolerance = _resolve_tolerance(args)
         cmd = _COMMANDS[args.command]
         if not cmd.dist_input:
-            dists, doc_input = None, {"tolerance": args.tolerance}
+            dists, doc_input = None, {}
         else:
+            args.tolerance = _resolve_tolerance(args)
             raw = _gather_inputs(args)
             doc_input = {"distributions": raw, "tolerance": args.tolerance}
             dists = _validate(raw, args.tolerance)

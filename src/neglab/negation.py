@@ -41,16 +41,26 @@ def negate_iterated(p: ProbDist, k: int) -> ProbDist:
     """``k`` applications via the affine closed form.
 
     Entry i maps to 1/n + (p_i - 1/n) * r**k with r = -1/(n - 1).
-    ``k = 0`` returns ``p`` itself.
+    ``k = 0`` returns ``p`` itself; for n = 2 an even ``k`` returns p's
+    entries exactly.
     """
     if k < 0:
         raise DomainError(f"iteration count must be >= 0, got {k}")
     if k == 0:
         return p
-    n = p.n
-    center = 1.0 / n
-    ratio = -1.0 / (n - 1)
-    return _unchecked(center + (p.probs - center) * ratio**k)
+    return _unchecked(_iterates(p.probs, [k])[0])
+
+
+def _iterates(probs: np.ndarray, ks) -> np.ndarray:
+    """One row 1/n + (p_i - 1/n) * r**k per k in ``ks``, as :func:`negate_iterated`."""
+    n = probs.size
+    center, ratio = 1.0 / n, -1.0 / (n - 1)
+    powers = np.array([ratio**k for k in ks])  # Python's pow, not numpy's: same bits
+    rows = center + (probs - center) * powers[:, None]
+    # r**k is 1 only at n = 2, even k: the swaps restore p exactly, which
+    # rounding p - 1/n and adding it back need not do
+    rows[powers == 1.0] = probs
+    return rows
 
 
 @dataclass(frozen=True)

@@ -293,6 +293,16 @@ def test_non_finite_tolerance_exits_4(capsys, monkeypatch):
     assert code == EXIT_USAGE
 
 
+def test_report_takes_no_tolerance(capsys, monkeypatch):
+    # report reads no distributions, so a tolerance would change nothing
+    code, out, err = run(capsys, "report", "--tol", "5")
+    assert code == EXIT_USAGE and out == "" and "--tol" in err
+    monkeypatch.setenv("NEGLAB_TOL", "not-a-number")
+    code, doc = run_json(capsys, "report")
+    assert code == EXIT_OK
+    assert doc["input"] == {}
+
+
 def test_text_format_uses_15_digits(capsys):
     code, out, _ = run(capsys, "entropy", "--dist", "1/3,1/6,1/6,1/3")
     assert code == EXIT_OK

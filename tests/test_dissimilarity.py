@@ -19,9 +19,12 @@ from neglab import (
     negate,
     negate_iterated,
     negation_dissimilarity,
+    negation_profile,
     uniform,
 )
 
+from neglab.certificates import HOLDS_TOLERANCE, compare
+from neglab.cli import EXIT_VALIDATION, main
 from neglab.dissimilarity import MAX_ALPHA
 
 from conftest import distribution_pairs, distributions
@@ -130,12 +133,16 @@ def test_range_and_symmetry(pair, alpha):
     assert abs(forward - backward) <= 1e-14
 
 
-@given(distribution_pairs(), st.integers(min_value=0, max_value=15))
+@given(distribution_pairs(), st.integers(min_value=0, max_value=1020))
 def test_strictly_decreasing_in_alpha(pair, alpha):
     p, q = pair
-    if l1_distance(p, q) <= 1e-12:
+    if l1_distance(p, q) == 0.0:  # p == q entry for entry
         return
-    assert dissimilarity(p, q, alpha + 1).value < dissimilarity(p, q, alpha).value
+    try:
+        lower, upper = dissimilarity(p, q, alpha), dissimilarity(p, q, alpha + 1)
+    except DomainError:  # the value underflows at this level: a double cannot carry it
+        return
+    assert upper.value < lower.value
 
 
 @given(distributions())
@@ -221,3 +228,162 @@ def test_iterated_oscillates_around_limit(p4):
 def test_iterated_depth_validation(p4):
     with pytest.raises(DomainError):
         iterated_negation_dissimilarity(p4, 0, 0)
+
+
+# --- the array kernel against the scalar formulas it replaced ----------------
+
+def _oracle_dissim(p, q, alpha):
+    """Reference: (literal value, old closed form, sum of min pairs, l1), scalar."""
+    a = p.probs
+    b = q.probs
+    scale = 2.0**alpha
+    toward_b = ((scale - 1.0) * a + b) / scale
+    toward_a = (a + (scale - 1.0) * b) / scale
+    s = float(np.sum(np.minimum(a, toward_b) + np.minimum(toward_a, b)))
+    value = -math.log2((1.0 + 0.5 * s) / 2.0) + 0.0
+    l1 = l1_distance(p, q)
+    closed = -math.log2(1.0 - l1 / 2.0 ** (alpha + 2)) + 0.0
+    return value, closed, s, l1
+
+
+def _oracle_properties(p, alphas):
+    """Reference: the properties certificate as the scalar code built it."""
+    q = negate(p)
+    forward = [_oracle_dissim(p, q, a) for a in alphas]
+    backward = [_oracle_dissim(q, p, a) for a in alphas]
+    asserted = []
+    for a, (value, _, _, l1), (rev, _, _, _) in zip(alphas, forward, backward):
+        in_range = -HOLDS_TOLERANCE <= value <= 1.0 + HOLDS_TOLERANCE
+        asserted.append(compare(
+            f"bounded_in_unit_interval[alpha={a}]", value, 1.0, holds=in_range, equality=False,
+        ))
+        l1_cutoff = -math.expm1(-HOLDS_TOLERANCE * math.log(2.0)) * 2.0 ** (a + 2)
+        zero_iff = (value <= HOLDS_TOLERANCE) == (l1 <= l1_cutoff)
+        asserted.append(compare(
+            f"zero_iff_identical[alpha={a}]", value, l1, holds=zero_iff, equality=False,
+        ))
+        gap = abs(value - rev)
+        asserted.append(compare(
+            f"symmetry[alpha={a}]", gap, 1e-14, holds=gap <= 1e-14, equality=False,
+        ))
+    values = [r[0] for r in forward]
+    steps = list(zip(values, values[1:]))
+    direction = [
+        compare("value_non_increasing_in_alpha", values[-1], values[0],
+                holds=all(b <= a + HOLDS_TOLERANCE for a, b in steps), equality=False),
+        compare("value_non_decreasing_in_alpha", values[0], values[-1],
+                holds=all(b >= a - HOLDS_TOLERANCE for a, b in steps), equality=False),
+    ] if steps else []
+    holds = all(c.holds for c in asserted)
+    return compare(
+        "dissimilarity_properties", values[0], values[-1], holds=holds,
+        equality=holds and forward[0][3] <= HOLDS_TOLERANCE, detail=(*asserted, *direction),
+    )
+
+
+def _flags(cert):
+    return [(cert.name, cert.holds, cert.equality, cert.infinite)] + [
+        flag for sub in cert.detail for flag in _flags(sub)
+    ]
+
+
+_LEVEL_LISTS = st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=6,
+                        unique=True).map(sorted)
+
+
+@given(distribution_pairs(), _LEVEL_LISTS)
+def test_kernel_matches_scalar_oracle(pair, alphas):
+    p, q = pair
+    for alpha in alphas:
+        res = dissimilarity(p, q, alpha)
+        _, closed, s, l1 = _oracle_dissim(p, q, alpha)
+        assert abs(res.l1 - l1) <= 1e-12
+        assert abs(res.sum_of_min_pairs - s) <= 1e-12
+        assert abs(res.value - closed) <= 1e-12
+        assert res.closed_form_value == res.value
+    assert _flags(dissimilarity_properties(p, alphas)) == _flags(_oracle_properties(p, alphas))
+
+
+@given(distribution_pairs(), st.integers(min_value=60, max_value=MAX_ALPHA))
+def test_value_keeps_relative_precision_at_high_levels(pair, alpha):
+    # value = l1 / (2**(alpha + 2) ln 2) to first order once l1 / 2**(alpha + 2) < 2**-60
+    p, q = pair
+    try:
+        res = dissimilarity(p, q, alpha)
+    except DomainError:
+        return
+    if res.l1 == 0.0:
+        assert res.value == 0.0
+    elif res.value >= np.finfo(float).tiny:
+        assert abs(math.ldexp(res.value, alpha + 2) * math.log(2.0) / res.l1 - 1.0) <= 1e-15
+    else:  # a subnormal result carries fewer bits: within two of its steps
+        assert abs(res.value - math.ldexp(res.l1, -(alpha + 2)) / math.log(2.0)) <= 2.0**-1073
+
+
+def test_negation_value_stays_positive_at_every_level():
+    p = make_dist([0.5, 0.3, 0.2])
+    values = [negation_dissimilarity(p, a).value for a in (40, 52, 60, 1021)]
+    assert all(v > 0.0 for v in values)
+    assert values[0] > values[1] > values[2] > values[3]
+    assert abs(values[1] - 4.0e-17) <= 1e-19 and abs(values[3] - 8.0e-309) <= 1e-310
+    profile = [r.value for r in negation_profile(p, range(MAX_ALPHA + 1), 1).profile]
+    assert all(b < a for a, b in zip(profile, profile[1:])) and profile[-1] > 0.0
+    assert dissimilarity_properties(p, [0, 40, 52, 60, 1021]).holds
+
+
+def test_underflowing_value_is_rejected_with_the_largest_level():
+    p = ProbDist(np.array([0.5, 0.5]))
+    q = ProbDist(np.array([0.5 + 2.0**-53, 0.5 - 2.0**-53]))  # l1 = 2**-52
+    with pytest.raises(DomainError, match="largest usable level is 1020"):
+        dissimilarity(p, q, 1021)
+    assert dissimilarity(p, q, 1020).value > 0.0
+    assert dissimilarity(p, q, 1019).value > dissimilarity(p, q, 1020).value
+    with pytest.raises(DomainError, match="largest usable level is 1020"):
+        dissimilarity(q, p, 1021)
+    # an l1 of one subnormal step underflows at every level
+    with pytest.raises(DomainError, match="no level is usable"):
+        dissimilarity(ProbDist(np.array([1.0, 0.0])), ProbDist(np.array([1.0, 5e-324])), 0)
+
+
+def test_underflowing_negation_exits_2(capsys):
+    dist = "0.25000000000000006,0.24999999999999997,0.25,0.25"
+    code = main(["dissim", "--dist", dist, "--alpha", "0,1021"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "largest usable level is 1019" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert main(["dissim", "--dist", dist, "--alpha", "0,1019"]) == 0
+    assert main(["dissim", "--dist", dist, "--alpha", "1020"]) == EXIT_VALIDATION
+
+
+def test_zero_law_is_exact():
+    p = make_dist([0.5, 0.3, 0.2])
+    assert dissimilarity(p, p, 1021).value == 0.0
+    props = dissimilarity_properties(uniform(4), [0, 1021])
+    assert props.holds and props.equality
+
+
+@given(distributions(), _LEVEL_LISTS, st.integers(min_value=1, max_value=6))
+def test_negation_profile_equals_the_separate_calls(p, alphas, depth):
+    got = negation_profile(p, alphas, depth)
+    q = negate(p)
+    assert got.negation.tolist() == q.tolist()
+    assert got.profile == tuple(dissimilarity(p, q, a) for a in alphas)
+    assert got.properties == dissimilarity_properties(p, alphas)
+    assert got.iterated == iterated_negation_dissimilarity(p, alphas[0], depth)
+    for k, res in enumerate(got.iterated.results, start=1):
+        assert res.l1 == l1_distance(p, negate_iterated(p, k))
+
+
+def test_negation_profile_validation(p4):
+    with pytest.raises(DomainError):
+        negation_profile(p4, [], 1)
+    with pytest.raises(DomainError):
+        negation_profile(p4, [1, 0], 1)
+    with pytest.raises(DomainError):
+        negation_profile(p4, [0, 1022], 1)
+    with pytest.raises(DomainError):
+        negation_profile(p4, [0], 0)
+    with pytest.raises(TypeError):  # the profile is no longer passed in
+        dissimilarity_properties(p4, [0], q=negate(p4))

@@ -65,6 +65,14 @@ def test_two_outcome_negation_is_swap():
     assert np.max(np.abs(r.probs - p.probs)) < 1e-15
 
 
+def test_two_outcome_even_iterates_restore_p_exactly():
+    # 0.1 - 0.5 + 0.5 is not 0.1 in floating point; an even number of swaps is
+    p = make_dist([0.9, 0.1])
+    for k in (2, 4, 10):
+        assert negate_iterated(p, k).tolist() == p.tolist()
+    assert negate_iterated(p, 3).tolist() == negate_iterated(p, 1).tolist()
+
+
 @given(distributions())
 def test_negate_lands_on_simplex(p):
     q = negate(p)
