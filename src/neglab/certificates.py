@@ -4,13 +4,18 @@ Every check in this package reports its result as a :class:`Certificate`
 rather than a bare boolean, so callers can see both sides of the inequality,
 the numeric slack, and whether the bound was met with equality.  Nested
 claims (chains, grouped property checks) attach their parts as ``detail``
-sub-certificates.
+sub-certificates.  A batch kernel certifies one claim for m inputs at
+once as a column: a certificate whose sides, slack and flags are length-m
+arrays, decided by :func:`_compare_columns` under :func:`compare`'s rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
+
+import numpy as np
 
 __all__ = [
     "HOLDS_TOLERANCE",
@@ -49,6 +54,11 @@ class Certificate:
         direct comparison instead of slack arithmetic.
     detail : tuple of Certificate
         Sub-certificates for composite checks, empty otherwise.
+
+    A column certificate holds the same claim for m inputs: ``lhs`` to
+    ``infinite`` are length-m arrays, entry r belonging to input r, and
+    its ``detail`` are columns of the same m inputs.  :meth:`row` gives
+    the certificate of one input.
     """
 
     name: str
@@ -61,21 +71,16 @@ class Certificate:
     detail: tuple["Certificate", ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.equality and not self.holds:
+        # columns get the same rule on whole arrays from _compare_columns
+        if not isinstance(self.holds, np.ndarray) and self.equality and not self.holds:
             raise ValueError(f"certificate {self.name!r}: equality without holds")
 
     def as_dict(self) -> dict:
         """Plain-data form, suitable for JSON output."""
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "holds": self.holds,
-            "equality": self.equality,
-            "infinite": self.infinite,
-            "detail": [d.as_dict() for d in self.detail],
-        }
+        return _as_dict(
+            self.name, self.lhs, self.rhs, self.slack, self.holds, self.equality,
+            self.infinite, [d.as_dict() for d in self.detail],
+        )
 
     def failures(self) -> list[str]:
         """Names of this certificate and any sub-certificates that fail."""
@@ -83,6 +88,27 @@ class Certificate:
         for d in self.detail:
             out.extend(f"{self.name}/{sub}" for sub in d.failures())
         return out
+
+    def row(self, r: int) -> "Certificate":
+        """Of a column certificate: the certificate of input ``r``, through :func:`compare`."""
+        return compare(
+            self.name, self.lhs[r], self.rhs[r], holds=self.holds[r],
+            equality=self.equality[r], detail=tuple(d.row(r) for d in self.detail),
+        )
+
+
+def _as_dict(name, lhs, rhs, slack, holds, equality, infinite, detail) -> dict:
+    """The plain-data form of one certificate, given its fields."""
+    return {
+        "name": name,
+        "lhs": lhs,
+        "rhs": rhs,
+        "slack": slack,
+        "holds": holds,
+        "equality": equality,
+        "infinite": infinite,
+        "detail": detail,
+    }
 
 
 def compare(
@@ -96,9 +122,10 @@ def compare(
 ) -> Certificate:
     """Certify the claim ``lhs <= rhs``.
 
-    This is the one way certificates are built.  By default ``holds`` and
-    ``equality`` are read off the slack (``HOLDS_TOLERANCE`` and
-    ``EQUALITY_TOLERANCE``), or off a direct comparison when a side is
+    This is the one way a single certificate is built;
+    :func:`_compare_columns` builds columns by the same rule.  By default
+    ``holds`` and ``equality`` are read off the slack (``HOLDS_TOLERANCE``
+    and ``EQUALITY_TOLERANCE``), or off a direct comparison when a side is
     infinite.  Either may be supplied explicitly for checks whose
     condition is structural (all support points identical, a chain of
     sub-claims, say) rather than a single slack.  Two rules hold whatever
@@ -125,3 +152,82 @@ def compare(
         infinite=infinite,
         detail=tuple(detail),
     )
+
+
+def _compare_columns(
+    names,
+    lhs,
+    rhs,
+    *,
+    holds=None,
+    equality=None,
+    detail: tuple[Certificate, ...] = (),
+) -> list[Certificate]:
+    """:func:`compare` on whole columns, by the same rule.
+
+    ``lhs`` and ``rhs`` broadcast to m×K, column k holding the sides of
+    claim ``names[k]`` for the m inputs; ``holds`` and ``equality``, when
+    given, are m×K overrides as in :func:`compare`.  Returns one column
+    certificate per name, each with the sub-columns ``detail``.
+    """
+    names = tuple(names)
+    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
+    if lhs.ndim != 2 or lhs.shape[1] != len(names):
+        raise ValueError(f"{len(names)} names for sides of shape {lhs.shape}")
+    infinite = np.isinf(lhs) | np.isinf(rhs)
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, as in compare
+        slack = rhs - lhs
+    if equality is None:
+        equality = np.abs(slack) <= EQUALITY_TOLERANCE
+    eq = np.asarray(equality, dtype=bool) & ~infinite
+    if holds is None:
+        holds = np.where(infinite, lhs <= rhs, slack >= -HOLDS_TOLERANCE)
+    holds = np.asarray(holds, dtype=bool) | eq
+    detail = tuple(detail)
+    return [
+        Certificate(name, *fields, detail)
+        for name, *fields in zip(names, lhs.T, rhs.T, slack.T, holds.T, eq.T, infinite.T)
+    ]
+
+
+def _gathered(columns: list[Certificate], field: str) -> np.ndarray:
+    """Field ``field`` of K columns of the same m inputs, as an m×K array."""
+    return np.concatenate([getattr(c, field) for c in columns]).reshape(len(columns), -1).T
+
+
+def _input_dicts(columns: list[Certificate]) -> list[list[dict]]:
+    """Per input r, ``[c.row(r).as_dict() for c in columns]``.
+
+    ``columns`` are column certificates of the same m inputs; each field
+    is gathered across them once, so no per-input certificate is built.
+    """
+    fields = [
+        _gathered(columns, name).tolist()
+        for name in ("lhs", "rhs", "slack", "holds", "equality", "infinite")
+    ]
+    names = [c.name for c in columns]
+    details = {k: _input_dicts(c.detail) for k, c in enumerate(columns) if c.detail}
+    out = []
+    for r, values in enumerate(zip(*fields)):
+        subs = [[] for _ in names]
+        for k, rows in details.items():
+            subs[k] = rows[r]
+        out.append(list(map(_as_dict, names, *values, subs)))
+    return out
+
+
+def _input_failures(columns: list[Certificate]) -> list[list[str]]:
+    """Per input r, ``[name for c in columns for name in c.row(r).failures()]``."""
+    holds = _gathered(columns, "holds")
+    found = [(r, k, columns[k].name) for r, k in np.argwhere(~holds).tolist()]
+    for k, c in enumerate(columns):
+        if c.detail:
+            found += [
+                (r, k, f"{c.name}/{sub}")
+                for r, subs in enumerate(_input_failures(c.detail)) for sub in subs
+            ]
+    out = [[] for _ in range(holds.shape[0])]
+    # a stable sort keeps each failing column ahead of its failing detail
+    for r, _, name in sorted(found, key=itemgetter(0, 1)):
+        out[r].append(name)
+    return out

@@ -22,14 +22,14 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .certificates import Certificate, compare
-from .distribution import DimensionError, DomainError, ValidationReport, make_dist
+from .certificates import Certificate, _input_dicts, _input_failures, compare
+from .distribution import DimensionError, DomainError, ValidationReport, make_dist, make_dists
 from .dissimilarity import MAX_ALPHA, negation_profile
 from .entropy import entropy_report, shannon_entropy
 from .jensen import (
     NEG_LOG,
     BUILTIN_FUNCTIONS,
-    certificate_suite,
+    certificate_suites,
     get_function,
     partial_mean_chain,
 )
@@ -166,18 +166,36 @@ def _resolve_tolerance(args) -> float:
     return tol
 
 
+def _by_length(rows) -> dict[int, list[int]]:
+    """Positions of the rows of each length, in input order."""
+    groups: dict[int, list[int]] = {}
+    for idx, row in enumerate(rows):
+        groups.setdefault(len(row), []).append(idx)
+    return groups
+
+
 def _validate(raw: list[list[float]], tolerance: float):
-    """All rows into ProbDists, or (index, report) for the first bad row."""
-    dists = []
-    for idx, row in enumerate(raw):
+    """All rows into ProbDists, or (index, report, why) for the first bad row.
+
+    Rows of one length are screened as one block; the failure reported is
+    the first in input order, whichever block it sits in.
+    """
+    dists = [None] * len(raw)
+    failures = []
+    for idxs in _by_length(raw).values():
         try:
-            result = make_dist(row, tolerance)
+            result = make_dists([raw[i] for i in idxs], tolerance)
         except DimensionError as exc:
-            return idx, ValidationReport(ok=False, sum_error=math.inf, bad_indices=()), str(exc)
-        if isinstance(result, ValidationReport):
-            return idx, result, "values outside [0, 1] or bad total mass"
-        dists.append(result)
-    return dists
+            report = ValidationReport(ok=False, sum_error=math.inf, bad_indices=())
+            failures.append((idxs[0], report, str(exc)))
+            continue
+        if isinstance(result, tuple):
+            r, report = result
+            failures.append((idxs[r], report, "values outside [0, 1] or bad total mass"))
+        else:
+            for i, p in zip(idxs, result):
+                dists[i] = p
+    return min(failures, key=lambda failure: failure[0]) if failures else dists
 
 
 # ---------------------------------------------------------------------------
@@ -288,24 +306,21 @@ def _run_verify(dists, args, inp):
     except LookupError as exc:  # its message lists the built-ins
         raise _UsageError(str(exc)) from None
     inp["function"] = args.fn
-    records = []
-    all_hold = True
-    for p in dists:
-        certs = certificate_suite(f, p)
-        failing = [name for c in certs for name in c.failures()]
-        ok = not failing
-        all_hold &= ok
-        record = {
-            "distribution": p.tolist(),
-            "function": args.fn,
-            "certificates": [c.as_dict() for c in certs],
-            "all_hold": ok,
-            "failing": failing,
-        }
-        if p.n < 3:
-            record["notes"] = ["partial_mean_chain skipped: needs n >= 3"]
-        records.append(record)
-    return records, all_hold
+    records = [None] * len(dists)
+    for n, idxs in _by_length(dists).items():
+        # the rows were validated under --tol and are not checked again
+        suite = certificate_suites(f, [dists[i] for i in idxs])
+        for i, certs, failing in zip(idxs, _input_dicts(suite), _input_failures(suite)):
+            records[i] = {
+                "distribution": dists[i].tolist(),
+                "function": args.fn,
+                "certificates": certs,
+                "all_hold": not failing,
+                "failing": failing,
+            }
+            if n < 3:
+                records[i]["notes"] = ["partial_mean_chain skipped: needs n >= 3"]
+    return records, all(rec["all_hold"] for rec in records)
 
 
 def _cert_rows(d_idx, cert, prefix=""):

@@ -21,6 +21,7 @@ __all__ = [
     "ProbDist",
     "ValidationReport",
     "make_dist",
+    "make_dists",
     "pad_with_zeros",
     "uniform",
     "is_uniform",
@@ -56,12 +57,13 @@ class ProbDist:
 
     def __post_init__(self, _screened: bool) -> None:
         arr = np.array(self.probs, dtype=float)
-        if not _screened and _screen(arr, DEFAULT_TOLERANCE).bad_indices:
-            raise DomainError("probabilities must lie in [0, 1]")
-        np.clip(arr, 0.0, 1.0, out=arr)
-        # clamping in-tolerance dust can move the sum by n times the tolerance
-        if not _screened and not abs(float(arr.sum()) - 1.0) <= DEFAULT_TOLERANCE:
-            raise DomainError(f"probabilities must sum to 1, got {float(arr.sum())!r}")
+        if not _screened:
+            if _screen(_block(arr[None]), DEFAULT_TOLERANCE)[2].any():
+                raise DomainError("probabilities must lie in [0, 1]")
+            np.clip(arr, 0.0, 1.0, out=arr)
+            # clamping in-tolerance dust can move the sum by n times the tolerance
+            if not abs(float(arr.sum()) - 1.0) <= DEFAULT_TOLERANCE:
+                raise DomainError(f"probabilities must sum to 1, got {float(arr.sum())!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
@@ -107,35 +109,83 @@ class ValidationReport:
         }
 
 
-def _screen(arr: np.ndarray, tolerance: float) -> ValidationReport:
-    """The range-and-mass check of a raw array.
+def _block(rows) -> np.ndarray:
+    """``rows`` as an m×n float array of candidate distributions.
 
     A wrong shape is a structural mistake and raises
-    :class:`DimensionError`; everything else is reported.
+    :class:`DimensionError`: each row must be one-dimensional, n >= 2.
     """
-    if arr.ndim != 1:
+    block = np.asarray(rows, dtype=float)
+    if block.ndim != 2:
         raise DimensionError("probabilities must form a one-dimensional sequence")
-    if arr.size < 2:
-        raise DimensionError(f"a distribution needs at least 2 outcomes, got {arr.size}")
-    in_range = (arr >= -tolerance) & (arr <= 1.0 + tolerance)
-    bad = tuple(int(i) for i in np.flatnonzero(~in_range))
+    if block.shape[1] < 2:
+        raise DimensionError(f"a distribution needs at least 2 outcomes, got {block.shape[1]}")
+    return block
+
+
+def _screen(rows: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The range-and-mass check of raw rows of one length, an m×n block.
+
+    Returns per row whether it passes and its sum error (``inf`` for an
+    overflowed total, which is never valid, whatever the tolerance), and
+    the mask of entries outside [0, 1] beyond the tolerance (NaN and
+    infinite entries included).
+    """
+    outside = ~((rows >= -tolerance) & (rows <= 1.0 + tolerance))
     with np.errstate(over="ignore"):
-        total = float(arr.sum())
-    finite = math.isfinite(total)  # an overflowed total is never valid, whatever the tolerance
-    sum_error = abs(total - 1.0) if finite else math.inf
-    return ValidationReport(
-        ok=not bad and finite and sum_error <= tolerance, sum_error=sum_error, bad_indices=bad
-    )
+        total = rows.sum(axis=1)
+    finite = np.isfinite(total)
+    sum_error = np.where(finite, np.abs(total - 1.0), math.inf)
+    ok = ~outside.any(axis=1) & finite & (sum_error <= tolerance)
+    return ok, sum_error, outside
 
 
 def _unchecked(arr: np.ndarray) -> ProbDist:
     """Wrap an array that is a distribution by construction.
 
     Used for :func:`make_dist`'s own result and for the closed-form
-    outputs of negation, padding and :func:`uniform`.  The clip and the
-    read-only flag still apply; only the screen is skipped.
+    outputs of negation, padding and :func:`uniform`, which lie in [0, 1]
+    as computed (or are clipped by their producer).  Only the read-only
+    copy is made; the screen and the clip are skipped.
     """
     return ProbDist(arr, _screened=True)
+
+
+def make_dists(
+    rows, tolerance: float = DEFAULT_TOLERANCE
+) -> list[ProbDist] | tuple[int, ValidationReport]:
+    """:func:`make_dist` on each row of an m×n block, under one screen.
+
+    Returns every row's distribution, or the position of the first row
+    that fails and its :class:`ValidationReport`.  Each row is
+    renormalized on its own, exactly as :func:`make_dist` would.  Rows
+    that do not form an m×n block with n >= 2 raise
+    :class:`DimensionError`.
+    """
+    rows = _block(rows)
+    ok, sum_error, outside = _screen(rows, tolerance)
+    arr = np.where(rows < 0.0, 0.0, rows)
+    with np.errstate(over="ignore"):
+        totals = arr.sum(axis=1)
+    # no mass, or overflow; only a tolerance >= 1 lets a row that passed the screen get here
+    empty = (totals == 0.0) | (totals == math.inf)
+    failed = ~ok | empty
+    if failed.any():
+        r = int(np.argmax(failed))
+        if ok[r]:
+            return r, ValidationReport(ok=False, sum_error=abs(float(totals[r]) - 1.0))
+        bad = tuple(np.flatnonzero(outside[r]).tolist())
+        return r, ValidationReport(ok=False, sum_error=float(sum_error[r]), bad_indices=bad)
+    # Skip the division when the sum is already 1 up to accumulated rounding
+    # noise: renormalizing is then a no-op mathematically but would disturb
+    # final bits, and re-ingesting emitted values must reproduce the array
+    # exactly.  A fresh renormalization always lands inside this band, which
+    # makes the operation idempotent.  A skipped row may keep an entry a few
+    # ulps above 1, hence the clip.
+    scale = np.abs(totals - 1.0) > 32.0 * rows.shape[1] * np.finfo(float).eps
+    arr[scale] /= totals[scale, None]
+    np.clip(arr, 0.0, 1.0, out=arr)
+    return [_unchecked(row) for row in arr]
 
 
 def make_dist(
@@ -148,23 +198,8 @@ def make_dist(
     surface per-input diagnostics.  Too few entries is a structural
     mistake and raises :class:`DimensionError`.
     """
-    arr = np.asarray(list(values), dtype=float)
-    report = _screen(arr, tolerance)
-    if not report.ok:
-        return report
-    arr = np.where(arr < 0.0, 0.0, arr)
-    with np.errstate(over="ignore"):
-        total = float(arr.sum())
-    if total == 0.0 or total == math.inf:  # no mass, or overflow; only a tolerance >= 1 gets here
-        return ValidationReport(ok=False, sum_error=abs(total - 1.0))
-    # Skip the division when the sum is already 1 up to accumulated rounding
-    # noise: renormalizing is then a no-op mathematically but would disturb
-    # final bits, and re-ingesting emitted values must reproduce the array
-    # exactly.  A fresh renormalization always lands inside this band, which
-    # makes the operation idempotent.
-    if abs(total - 1.0) > 32.0 * arr.size * np.finfo(float).eps:
-        arr = arr / total
-    return _unchecked(arr)
+    result = make_dists(np.asarray(list(values), dtype=float)[None], tolerance)
+    return result[1] if isinstance(result, tuple) else result[0]
 
 
 def pad_with_zeros(p: ProbDist, k: int) -> ProbDist:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import Certificate, compare
+from .certificates import Certificate, _compare_columns, compare
 from .distribution import DimensionError, DomainError, ProbDist, pad_with_zeros, is_uniform
-from .negation import negate, negate_twice
+from .negation import _double_negation, _negation, negate
 
 __all__ = [
     "shannon_entropy",
@@ -31,8 +31,27 @@ __all__ = [
 
 def shannon_entropy(p: ProbDist) -> float:
     """Entropy in bits, zero-probability outcomes contributing nothing."""
-    pos = p.probs[p.probs > 0]
+    return _entropy(p.probs)
+
+
+def _entropy(x: np.ndarray) -> float:
+    pos = x[x > 0]
     return float(-np.sum(pos * np.log2(pos))) + 0.0
+
+
+def _entropies(rows: np.ndarray) -> np.ndarray:
+    """:func:`shannon_entropy` of each row of an m×n block, to the bit.
+
+    Rows without zeros are summed along the row, which adds as ``np.sum``
+    on the row does; a row with zeros is compacted first, because a zero
+    left in place would change the order of numpy's pairwise sum.
+    """
+    full = (rows > 0).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(rows * np.log2(rows)).sum(axis=1) + 0.0
+    for r in np.flatnonzero(~full).tolist():
+        h[r] = _entropy(rows[r])
+    return h
 
 
 def self_information(prob: float) -> float:
@@ -84,18 +103,26 @@ def cross_entropy_check(p: ProbDist, q: ProbDist) -> Certificate:
     """
     if p.n != q.n:
         raise DimensionError(f"size mismatch: {p.n} vs {q.n}")
-    return _cross_entropy(p.probs, q.probs, shannon_entropy(p))
+    return _cross_entropies(p.probs[None], q.probs[None], _entropies(p.probs[None])).row(0)
 
 
-def _cross_entropy(p: np.ndarray, q: np.ndarray, h_p: float) -> Certificate:
-    """:func:`cross_entropy_check` on two arrays, given H(p)."""
+def _cross_entropies(p: np.ndarray, q: np.ndarray, h_p: np.ndarray) -> Certificate:
+    """:func:`cross_entropy_check` on each row pair of two m×n blocks, given H of p's rows.
+
+    The sum runs over p's support, compacted as in :func:`_entropies`.
+    """
     support = p > 0
-    if np.any(q[support] == 0.0):
-        rhs = math.inf
-    else:
-        rhs = float(-np.sum(p[support] * np.log2(q[support])))
-    same = bool(np.max(np.abs(p - q)) <= 1e-12)
-    return compare("cross_entropy", h_p, rhs, equality=same)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * np.log2(q)
+        rhs = -terms.sum(axis=1)
+    for r in np.flatnonzero(~support.all(axis=1)).tolist():
+        rhs[r] = -np.sum(terms[r][support[r]])
+    rhs[(support & (q == 0.0)).any(axis=1)] = math.inf
+    same = np.max(np.abs(p - q), axis=1) <= 1e-12
+    (column,) = _compare_columns(
+        ["cross_entropy"], h_p[:, None], rhs[:, None], equality=same[:, None]
+    )
+    return column
 
 
 def entropy_chain_check(p: ProbDist) -> Certificate:
@@ -105,25 +132,28 @@ def entropy_chain_check(p: ProbDist) -> Certificate:
     are the ends of the chain.  Every link collapses to equality exactly
     when p is uniform.
     """
-    return _entropy_chain(
-        p.n, shannon_entropy(p), shannon_entropy(negate(p)), shannon_entropy(negate_twice(p))
-    )
+    rows = np.stack([p.probs, _negation(p.probs), _double_negation(p.probs)])
+    return _entropy_chains(p.n, *_entropies(rows)[:, None]).row(0)
 
 
-def _entropy_chain(n: int, h0: float, h1: float, h2: float) -> Certificate:
-    """:func:`entropy_chain_check` from H(p), H(negate(p)) and H(negate_twice(p))."""
-    h_max = math.log2(n)
-    links = (
-        compare("entropy_le_negation_entropy", h0, h1),
-        compare("negation_entropy_le_double_negation_entropy", h1, h2),
-        compare("double_negation_entropy_le_log_n", h2, h_max),
+def _entropy_chains(n: int, h0: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> Certificate:
+    """:func:`entropy_chain_check` of m inputs from the entropies of their rows
+    p, negate(p) and negate_twice(p)."""
+    h_max = np.full_like(h2, math.log2(n))
+    links = _compare_columns(
+        ["entropy_le_negation_entropy",
+         "negation_entropy_le_double_negation_entropy",
+         "double_negation_entropy_le_log_n"],
+        np.stack([h0, h1, h2], axis=1),
+        np.stack([h1, h2, h_max], axis=1),
     )
-    return compare(
-        "entropy_chain", h0, h_max,
-        holds=all(c.holds for c in links),
-        equality=all(c.equality for c in links),
+    (chain,) = _compare_columns(
+        ["entropy_chain"], h0[:, None], h_max[:, None],
+        holds=np.all([c.holds for c in links], axis=0)[:, None],
+        equality=np.all([c.equality for c in links], axis=0)[:, None],
         detail=links,
     )
+    return chain
 
 
 def zero_padding_entropy_check(p: ProbDist, k: int) -> Certificate:

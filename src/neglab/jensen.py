@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,11 +27,12 @@ from .certificates import (
     Certificate,
     EQUALITY_TOLERANCE,
     HOLDS_TOLERANCE,
+    _compare_columns,
     compare,
 )
 from .distribution import DimensionError, DomainError, ProbDist
-from .entropy import _cross_entropy, _entropy_chain, shannon_entropy
-from .negation import negate, negate_twice
+from .entropy import _cross_entropies, _entropies, _entropy_chains
+from .negation import _double_negation, _negation, negate
 
 __all__ = [
     "CurvatureError",
@@ -53,6 +54,7 @@ __all__ = [
     "partial_mean_chains",
     "pointwise_bounds",
     "certificate_suite",
+    "certificate_suites",
 ]
 
 _SPOT_CHECK_TRIPLES = 100
@@ -244,14 +246,20 @@ def jensen_check(
     return compare(f"jensen[{f.name}]", lhs, rhs, equality=equality)
 
 
-def _f_pair(f: FunctionSpec, p: ProbDist) -> np.ndarray:
-    """f at p (row 0) and at its negation (row 1)."""
-    return f.values(np.stack([p.probs, negate(p).probs]))
+def _pair(p: ProbDist) -> np.ndarray:
+    """p (row 0) and its negation (row 1)."""
+    return np.stack([p.probs, _negation(p.probs)])
 
 
-def _mixture_value(f_pair: np.ndarray, n: int) -> float:
-    """(1/n^2) sum f(p_i) + ((n - 1)/n^2) sum f(negate(p)_i), from :func:`_f_pair`."""
-    return (math.fsum(f_pair[0].tolist()) + (n - 1) * math.fsum(f_pair[1].tolist())) / n**2
+def _fsums(values: np.ndarray) -> np.ndarray:
+    """``math.fsum`` along the last axis."""
+    flat = values.reshape(-1, values.shape[-1]).tolist()
+    return np.array([math.fsum(row) for row in flat]).reshape(values.shape[:-1])
+
+
+def _mixture_value(sum_p, sum_q, n: int):
+    """(1/n^2) sum f(p_i) + ((n - 1)/n^2) sum f(negate(p)_i), from the two sums."""
+    return (sum_p + (n - 1) * sum_q) / n**2
 
 
 def mixture_bound(f: FunctionSpec, p: ProbDist, *, name: str = "mixture_bound") -> Certificate:
@@ -263,7 +271,7 @@ def mixture_bound(f: FunctionSpec, p: ProbDist, *, name: str = "mixture_bound") 
     the uniform distribution.
     """
     _require(f, "convex")
-    return compare(name, f(1.0 / p.n), _mixture_value(_f_pair(f, p), p.n))
+    return compare(name, f(1.0 / p.n), _mixture_value(*_fsums(f.values(_pair(p))), p.n))
 
 
 def double_negation_mixture_bound(f: FunctionSpec, p: ProbDist) -> Certificate:
@@ -272,13 +280,11 @@ def double_negation_mixture_bound(f: FunctionSpec, p: ProbDist) -> Certificate:
     return mixture_bound(f, negate(p), name="double_negation_mixture_bound")
 
 
-def _pointwise(f_centre: float, f_pair: np.ndarray, n: int, first: int = 0) -> list[Certificate]:
-    """Pointwise certificates for the columns of ``f_pair``, numbered from ``first``."""
-    rhs = (f_pair[0] + (n - 1) * f_pair[1]) / n
-    return [
-        compare(f"pointwise_bound[i={i}]", f_centre, r)
-        for i, r in enumerate(rhs.tolist(), start=first)
-    ]
+def _pointwise(f_centre: float, f_p: np.ndarray, f_q: np.ndarray, n: int, first: int = 0):
+    """Pointwise certificates for the columns of f at p and at its negation
+    (m×k each), numbered from ``first``."""
+    names = [f"pointwise_bound[i={i}]" for i in range(first, first + f_p.shape[1])]
+    return _compare_columns(names, f_centre, (f_p + (n - 1) * f_q) / n)
 
 
 def pointwise_bound(f: FunctionSpec, p: ProbDist, i: int) -> Certificate:
@@ -291,26 +297,31 @@ def pointwise_bound(f: FunctionSpec, p: ProbDist, i: int) -> Certificate:
     n = p.n
     if not 0 <= i < n:
         raise IndexError(f"index {i} out of range for {n} outcomes")
-    (cert,) = _pointwise(f(1.0 / n), _f_pair(f, p)[:, i:i + 1], n, first=i)
-    return cert
+    f_p, f_q = f.values(_pair(p))[:, None, i:i + 1]
+    return _pointwise(f(1.0 / n), f_p, f_q, n, first=i)[0].row(0)
 
 
 def pointwise_bounds(f: FunctionSpec, p: ProbDist) -> list[Certificate]:
     """:func:`pointwise_bound` at every index, in order, as one array expression."""
     _require(f, "convex")
-    return _pointwise(f(1.0 / p.n), _f_pair(f, p), p.n)
+    f_p, f_q = f.values(_pair(p))[:, None]
+    return [c.row(0) for c in _pointwise(f(1.0 / p.n), f_p, f_q, p.n)]
 
 
-def _concave_mixture(f: FunctionSpec, f_pair: np.ndarray, entropies) -> Certificate:
-    """:func:`concave_mixture_bound` from :func:`_f_pair` and, for ``x_log_x``,
-    the entropies of p and its negation."""
-    n = f_pair.shape[1]
-    detail: tuple[Certificate, ...] = ()
+def _concave_mixtures(
+    f: FunctionSpec, sum_p: np.ndarray, sum_q: np.ndarray, n: int, entropies
+) -> Certificate:
+    """:func:`concave_mixture_bound` of m inputs, as a column, from the sums
+    of f over their rows p and negate(p) and, for ``x_log_x``, the entropies
+    of those rows."""
+    detail = []
     if f.name == "x_log_x":
         h_p, h_q = entropies
         h_mix = (h_p + (n - 1) * h_q) / n
-        detail = (compare("entropy_mixture_bound", h_mix, math.log2(n)),)
-    return compare("concave_mixture_bound", _mixture_value(f_pair, n), f(1.0 / n), detail=detail)
+        detail = _compare_columns(["entropy_mixture_bound"], h_mix[:, None], math.log2(n))
+    lhs = _mixture_value(sum_p, sum_q, n)[:, None]
+    (column,) = _compare_columns(["concave_mixture_bound"], lhs, f(1.0 / n), detail=detail)
+    return column
 
 
 def concave_mixture_bound(f: FunctionSpec, p: ProbDist) -> Certificate:
@@ -321,8 +332,9 @@ def concave_mixture_bound(f: FunctionSpec, p: ProbDist) -> Certificate:
     sub-certificate.
     """
     _require(f, "concave")
-    entropies = (shannon_entropy(p), shannon_entropy(negate(p))) if f.name == "x_log_x" else ()
-    return _concave_mixture(f, _f_pair(f, p), entropies)
+    rows = _pair(p)
+    sum_p, sum_q = _fsums(f.values(rows))[:, None]
+    return _concave_mixtures(f, sum_p, sum_q, p.n, _entropies(rows)[:, None]).row(0)
 
 
 def self_information_bound(p: ProbDist) -> Certificate:
@@ -361,40 +373,54 @@ class PartialMeanChain:
 
 
 def _chains(
-    f: FunctionSpec, probs: np.ndarray, f_probs: np.ndarray, excluded: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, Certificate]]:
-    """The one chain kernel: ``(zetas, bounds, certificate)`` per excluded index.
+    f: FunctionSpec, probs: np.ndarray, f_probs: np.ndarray, pairs: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The one chain kernel: blocks of ``(zetas, bounds, lhs, holds)``.
 
-    ``f_probs`` is ``f.values(probs)``.
+    ``probs`` is an m×n block of distributions and ``f_probs`` is
+    ``f.values(probs)``; ``pairs`` lists (row, excluded index) pairs as
+    flat indices ``row * n + i``.  Block rows follow ``pairs``; ``lhs`` is
+    f(zetas[:, 0]) and ``holds`` whether it lies below every bound and the
+    bounds never decrease.
 
-    Rows are computed a block of excluded indices at a time; a block holds
-    at most ``_CHAIN_BLOCK_ELEMENTS`` kept entries (or one row, if n - 1 is
-    more), so peak memory does not grow with n^2.  The row of index i keeps
-    ``p[j + (j >= i)]`` for j < n - 1.  Both running sums are ``np.cumsum``
-    along the row, which adds in the same order as a scalar loop;
-    differences of prefix sums would turn an infinite f(0) into inf - inf.
+    A block holds at most ``_CHAIN_BLOCK_ELEMENTS`` kept entries (or one
+    pair, if n - 1 is more), so peak memory does not grow with m n^2.  The
+    pair (r, i) keeps ``p_r[j + (j >= i)]`` for j < n - 1.  Both running
+    sums are ``np.cumsum`` along the row, which adds in the same order as
+    a scalar loop; differences of prefix sums would turn an infinite f(0)
+    into inf - inf.
     """
-    n = probs.size
+    n = probs.shape[1]
     j = np.arange(n - 1)
     m_zeta = np.arange(n - 1, 0, -1)  # entries averaged by zetas[t]
     m_bound = m_zeta[1:]  # entries still averaged in bounds[t - 1]
     step = max(1, _CHAIN_BLOCK_ELEMENTS // (n - 1))
-    for start in range(0, excluded.size, step):
-        rows = excluded[start:start + step]
-        src = j + (j >= rows[:, None])
-        zetas = np.cumsum(probs[src], axis=1)[:, ::-1] / m_zeta
+    for start in range(0, pairs.size, step):
+        rows, excluded = np.divmod(pairs[start:start + step, None], n)
+        src = j + (j >= excluded)
+        zetas = np.cumsum(probs[rows, src], axis=1)[:, ::-1] / m_zeta
         f_zetas = f.values(zetas)
-        peeled = np.cumsum(f_probs[src][:, :0:-1], axis=1)
+        peeled = np.cumsum(f_probs[rows, src][:, :0:-1], axis=1)
         bounds = (peeled + m_bound * f_zetas[:, 1:]) / (n - 1)
-        lhs = f_zetas[:, :1]
-        holds = np.all(lhs <= bounds + HOLDS_TOLERANCE, axis=1) & np.all(
+        lhs = f_zetas[:, 0]
+        holds = np.all(lhs[:, None] <= bounds + HOLDS_TOLERANCE, axis=1) & np.all(
             bounds[:, 1:] >= bounds[:, :-1] - HOLDS_TOLERANCE, axis=1
         )
-        for r, (i, lhs_r, rhs_r, holds_r) in enumerate(
-            zip(rows.tolist(), lhs[:, 0].tolist(), bounds[:, -1].tolist(), holds.tolist())
-        ):
-            cert = compare(f"partial_mean_chain[i={i}]", lhs_r, rhs_r, holds=holds_r)
-            yield zetas[r], bounds[r], cert
+        yield zetas, bounds, lhs, holds
+
+
+def _chain_columns(f: FunctionSpec, probs: np.ndarray, f_probs: np.ndarray) -> list[Certificate]:
+    """The partial-mean chain certificates of every row of ``probs``, one column per index."""
+    m, n = probs.shape
+    lhs, rhs, holds = np.empty(m * n), np.empty(m * n), np.empty(m * n, dtype=bool)
+    at = 0
+    for _, bounds, lhs_b, holds_b in _chains(f, probs, f_probs, np.arange(m * n)):
+        to = at + holds_b.size
+        # copies: a view would keep the whole block alive
+        lhs[at:to], rhs[at:to], holds[at:to] = lhs_b, bounds[:, -1], holds_b
+        at = to
+    names = [f"partial_mean_chain[i={i}]" for i in range(n)]
+    return _compare_columns(names, lhs.reshape(m, n), rhs.reshape(m, n), holds=holds.reshape(m, n))
 
 
 def _require_chain(f: FunctionSpec, p: ProbDist) -> None:
@@ -416,11 +442,12 @@ def partial_mean_chain(
     _require_chain(f, p)
     if not 0 <= i < p.n:
         raise IndexError(f"index {i} out of range for {p.n} outcomes")
-    ((zetas, bounds, cert),) = _chains(f, p.probs, f.values(p.probs), np.array([i]))
+    probs = p.probs[None]
+    ((zetas, bounds, lhs, holds),) = _chains(f, probs, f.values(probs), np.array([i]))
     chain = PartialMeanChain(
-        excluded_index=i, zetas=tuple(zetas.tolist()), bounds=tuple(bounds.tolist())
+        excluded_index=i, zetas=tuple(zetas[0].tolist()), bounds=tuple(bounds[0].tolist())
     )
-    return chain, cert
+    return chain, compare(f"partial_mean_chain[i={i}]", lhs[0], bounds[0, -1], holds=holds[0])
 
 
 def partial_mean_chains(f: FunctionSpec, p: ProbDist) -> list[Certificate]:
@@ -429,7 +456,8 @@ def partial_mean_chains(f: FunctionSpec, p: ProbDist) -> list[Certificate]:
     Same values as n separate calls, without building the chain data.
     """
     _require_chain(f, p)
-    return [cert for _, _, cert in _chains(f, p.probs, f.values(p.probs), np.arange(p.n))]
+    probs = p.probs[None]
+    return [c.row(0) for c in _chain_columns(f, probs, f.values(probs))]
 
 
 def certificate_suite(f: FunctionSpec, p: ProbDist) -> list[Certificate]:
@@ -444,30 +472,61 @@ def certificate_suite(f: FunctionSpec, p: ProbDist) -> list[Certificate]:
     certificates as the separate functions, from one evaluation of each
     function on the rows p, negate(p), negate(negate(p)) and one entropy
     each of p, negate(p) and negate_twice(p) (the closed form that
-    :func:`~neglab.entropy.entropy_chain_check` uses).
+    :func:`~neglab.entropy.entropy_chain_check` uses).  This is the
+    one-row call of :func:`certificate_suites`' kernel.
     """
+    return [c.row(0) for c in _suite(f, p.probs[None])]
+
+
+def certificate_suites(f: FunctionSpec, dists: Sequence[ProbDist]) -> list[Certificate]:
+    """:func:`certificate_suite` of m distributions of one length n, as columns.
+
+    Returns the same certificates in the same order, each a column
+    certificate whose entry r belongs to ``dists[r]``: ``c.row(r)`` is
+    the certificate of that input, ``c.as_dicts()[r]`` its ``as_dict()``
+    and ``c.row_failures()[r]`` its ``failures()``.  The distributions
+    are used as they are, without a second check.  The whole block is
+    evaluated at once; only the sums of f (``math.fsum``) and the
+    entropies of rows with zeros are taken row by row.
+    """
+    if not dists:
+        raise DimensionError("need at least one distribution")
+    n = dists[0].n
+    if any(p.n != n for p in dists):
+        raise DimensionError(f"every distribution must have n = {n} outcomes")
+    return _suite(f, np.stack([p.probs for p in dists]))
+
+
+def _suite(f: FunctionSpec, probs: np.ndarray) -> list[Certificate]:
+    """The kernel of :func:`certificate_suites`, on an m×n block of distributions."""
     convex = f if f.curvature == "convex" else NEG_LOG
     concave = f if f.curvature == "concave" else X_LOG_X
-    n = p.n
-    q = negate(p)
-    qq = negate(q)
-    rows = np.stack([p.probs, q.probs, qq.probs])
-    f_rows = convex.values(rows)
+    m, n = probs.shape
+    q = _negation(probs)
+    qq = _negation(q)
+    f_p, f_q, f_qq = f_rows = convex.values(np.stack([probs, q, qq]))
+    sum_p, sum_q, sum_qq = _fsums(f_rows)
     f_centre = convex(1.0 / n)
-    entropies = [shannon_entropy(d) for d in (p, q, negate_twice(p))]
     if convex is NEG_LOG:
-        log_centre, log_pair = f_centre, f_rows[:2]
+        log_centre, log_sums = f_centre, (sum_p, sum_q)
     else:
-        log_centre, log_pair = NEG_LOG(1.0 / n), NEG_LOG.values(rows[:2])
-    certs = [
-        compare("mixture_bound", f_centre, _mixture_value(f_rows[:2], n)),
-        *_pointwise(f_centre, f_rows[:2], n),
-        compare("self_information_bound", log_centre, _mixture_value(log_pair, n)),
+        log_centre, log_sums = NEG_LOG(1.0 / n), _fsums(NEG_LOG.values(np.stack([probs, q])))
+    entropies = [_entropies(rows) for rows in (probs, q, _double_negation(probs))]
+    suite = [
+        *_compare_columns(["mixture_bound"], f_centre, _mixture_value(sum_p, sum_q, n)[:, None]),
+        *_pointwise(f_centre, f_p, f_q, n),
+        *_compare_columns(
+            ["self_information_bound"], log_centre, _mixture_value(*log_sums, n)[:, None]
+        ),
+        *_compare_columns(
+            ["double_negation_mixture_bound"], f_centre, _mixture_value(sum_q, sum_qq, n)[:, None]
+        ),
+        _concave_mixtures(
+            concave, *_fsums(concave.values(np.stack([probs, q]))), n, entropies[:2]
+        ),
     ]
-    certs.append(compare("double_negation_mixture_bound", f_centre, _mixture_value(f_rows[1:], n)))
-    certs.append(_concave_mixture(concave, concave.values(rows[:2]), entropies[:2]))
     if n >= 3:
-        certs.extend(cert for _, _, cert in _chains(convex, p.probs, f_rows[0], np.arange(n)))
-    certs.append(_cross_entropy(p.probs, np.full(n, 1.0 / n), entropies[0]))
-    certs.append(_entropy_chain(n, *entropies))
-    return certs
+        suite += _chain_columns(convex, probs, f_p)
+    suite.append(_cross_entropies(probs, np.full((m, n), 1.0 / n), entropies[0]))
+    suite.append(_entropy_chains(n, *entropies))
+    return suite

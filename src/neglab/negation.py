@@ -28,13 +28,23 @@ __all__ = [
 
 def negate(p: ProbDist) -> ProbDist:
     """One application: entry i becomes (1 - p_i) / (n - 1)."""
-    return _unchecked((1.0 - p.probs) / (p.n - 1))
+    return _unchecked(_negation(p.probs))
 
 
 def negate_twice(p: ProbDist) -> ProbDist:
     """Two applications in one step: entry i becomes (p_i + n - 2) / (n - 1)^2."""
-    n = p.n
-    return _unchecked((p.probs + (n - 2)) / (n - 1) ** 2)
+    return _unchecked(_double_negation(p.probs))
+
+
+def _negation(probs: np.ndarray) -> np.ndarray:
+    """:func:`negate` of each distribution along the last axis."""
+    return (1.0 - probs) / (probs.shape[-1] - 1)
+
+
+def _double_negation(probs: np.ndarray) -> np.ndarray:
+    """:func:`negate_twice` of each distribution along the last axis."""
+    n = probs.shape[-1]
+    return (probs + (n - 2)) / (n - 1) ** 2
 
 
 def negate_iterated(p: ProbDist, k: int) -> ProbDist:
@@ -48,7 +58,8 @@ def negate_iterated(p: ProbDist, k: int) -> ProbDist:
         raise DomainError(f"iteration count must be >= 0, got {k}")
     if k == 0:
         return p
-    return _unchecked(_iterates(p.probs, [k])[0])
+    # at a point mass, 1/n - (1 - 1/n)/(n - 1) can round to -1 ulp below 0
+    return _unchecked(np.clip(_iterates(p.probs, [k])[0], 0.0, 1.0))
 
 
 def _iterates(probs: np.ndarray, ks) -> np.ndarray:

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -43,6 +46,25 @@ def distribution_pairs(draw, min_n=2, max_n=16):
 def random_simplex(rng, n):
     """Dirichlet draw as a ProbDist."""
     return ProbDist(rng.dirichlet(np.ones(n)))
+
+
+def assert_identical(got, want, path="") -> None:
+    """``got == want`` down to the float bits and the types; NaN matches NaN."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            assert_identical(got[key], want[key], f"{path}/{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_identical(g, w, f"{path}[{i}]")
+    elif isinstance(want, float) and math.isnan(want):
+        assert math.isnan(got), path
+    elif isinstance(want, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want), (path, got, want)
+    else:
+        assert got == want, path
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neglab import cli
+from neglab import SQUARE, certificate_suite, cli, distribution, make_dist
 from neglab.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -348,6 +348,54 @@ def test_file_with_bad_row_exits_2(capsys, tmp_path):
     code, doc = run_json(capsys, "entropy", "--file", str(path))
     assert code == EXIT_VALIDATION
     assert doc["error"]["index"] == 1
+
+
+def test_mixed_lengths_report_the_first_bad_row_in_input_order(capsys, tmp_path):
+    # rows of one length are screened together; index 1 (n = 5) comes before
+    # the bad n = 3 row at index 2, although the n = 3 rows are screened first
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([[0.2, 0.3, 0.5], [0.2, 0.2, 0.2, 0.2, 0.3], [0.5, 0.6, 0.1]]))
+    for command in ("verify", "negate"):
+        code, doc = run_json(capsys, command, "--file", str(path))
+        assert code == EXIT_VALIDATION
+        assert doc["error"]["index"] == 1
+        assert doc["error"]["why"] == "values outside [0, 1] or bad total mass"
+        assert doc["error"]["report"] == {"ok": False, "sum_error": pytest.approx(0.1),
+                                          "bad_indices": []}
+
+
+def test_single_entry_row_after_good_rows_exits_2_at_its_index(capsys, tmp_path):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([[0.2, 0.3, 0.5], [0.5, 0.5], [1.0], [0.9, 0.3]]))
+    code, doc = run_json(capsys, "entropy", "--file", str(path))
+    assert code == EXIT_VALIDATION
+    assert doc["error"]["index"] == 2
+    assert doc["error"]["why"] == "a distribution needs at least 2 outcomes, got 1"
+    assert doc["error"]["report"] == {"ok": False, "sum_error": math.inf, "bad_indices": []}
+
+
+def test_verify_mixed_lengths_keeps_input_order(capsys, tmp_path):
+    rows = [[0.2, 0.3, 0.5], [0.5, 0.5], [0.1, 0.2, 0.3, 0.4], [0.6, 0.4], [0.0, 0.5, 0.5]]
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(rows))
+    code, doc = run_json(capsys, "verify", "--file", str(path), "--fn", "square")
+    assert code == EXIT_OK
+    assert [rec["distribution"] for rec in doc["results"]] == rows
+    for rec in doc["results"]:
+        certs = certificate_suite(SQUARE, make_dist(rec["distribution"]))
+        assert rec["certificates"] == json.loads(json.dumps([c.as_dict() for c in certs]))
+        assert ("notes" in rec) == (len(rec["distribution"]) == 2)
+
+
+def test_verify_certifies_rows_accepted_under_tol_without_a_second_check(capsys, monkeypatch):
+    # make_dist keeps a row whose sum is within 32 n eps of 1 as it is, and that
+    # band exceeds DEFAULT_TOLERANCE once n > ~140,000; such a row, accepted under
+    # --tol, must be certified.  A verify-sized stand-in: narrow the default band
+    # to 0 and pass a row whose float sum is one ulp below 1.
+    monkeypatch.setattr(distribution, "DEFAULT_TOLERANCE", 0.0)
+    code, doc = run_json(capsys, "verify", "--dist", "0.7,0.2,0.1", "--tol", "1e-9")
+    assert code == EXIT_OK
+    assert doc["results"][0]["distribution"] == [0.7, 0.2, 0.1]
 
 
 @pytest.mark.parametrize("content", [

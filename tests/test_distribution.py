@@ -82,6 +82,13 @@ def test_make_dist_clamps_negative_dust():
     assert np.all(p.probs >= 0.0)
 
 
+def test_make_dist_keeps_entries_at_most_one():
+    # the sum is within 32 n eps of 1, so the row is not renormalized; the
+    # entry one ulp above 1 must still come back as 1
+    p = make_dist([1.0000000000000002, 0.0])
+    assert p.tolist() == [1.0, 0.0]
+
+
 def test_probdist_is_immutable():
     p = uniform(3)
     with pytest.raises(ValueError):

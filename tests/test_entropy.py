@@ -23,6 +23,8 @@ from neglab import (
     zero_padding_entropy_check,
 )
 
+from neglab.entropy import _cross_entropies, _entropies
+
 from conftest import distributions
 
 # high-precision references for the worked examples
@@ -190,3 +192,35 @@ def test_negation_never_loses_entropy(p):
 @given(distributions())
 def test_chain_certificate_always_holds(p):
     assert entropy_chain_check(p).holds
+
+
+# --- the block forms used by the batch suite -------------------------------
+
+def _rows_with_zeros(n, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(n), size=40)
+    rows[::2, rng.choice(n, size=n // 3 + 1, replace=False)] = 0.0  # every other row
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [3, 8, 9, 64, 200])
+def test_row_entropies_equal_shannon_entropy_bit_for_bit(n):
+    # a zero left in place would reorder numpy's pairwise sum; the block form
+    # must give each row's entropy exactly as shannon_entropy does
+    rows = _rows_with_zeros(n, n)
+    assert _entropies(rows).tolist() == [shannon_entropy(ProbDist(r)) for r in rows]
+
+
+@pytest.mark.parametrize("n", [3, 8, 9, 64, 200])
+def test_row_cross_entropies_sum_over_the_support_bit_for_bit(n):
+    p = _rows_with_zeros(n, n + 1)
+    q = _rows_with_zeros(n, n + 2)
+    q[1::4] = 1.0 / n  # some rows against uniform, the others may miss p's support
+    column = _cross_entropies(p, q, _entropies(p))
+    for r in range(len(p)):
+        support = p[r] > 0
+        if np.any(q[r][support] == 0.0):
+            want = math.inf
+        else:
+            want = float(-np.sum(p[r][support] * np.log2(q[r][support])))
+        assert column.rhs[r] == want

@@ -15,9 +15,11 @@ from neglab import (
     DimensionError,
     FunctionSpec,
     NEG_LOG,
+    ProbDist,
     SQUARE,
     X_LOG_X,
     certificate_suite,
+    certificate_suites,
     concave_mixture_bound,
     double_negation_mixture_bound,
     get_function,
@@ -35,10 +37,10 @@ from neglab import (
     shannon_entropy,
     uniform,
 )
-from neglab.certificates import HOLDS_TOLERANCE, compare
+from neglab.certificates import HOLDS_TOLERANCE, _input_dicts, _input_failures, compare
 from neglab.jensen import _CHAIN_BLOCK_ELEMENTS
 
-from conftest import distributions
+from conftest import assert_identical, distributions
 
 # frozen high-precision sides for the four-outcome worked example
 MIXTURE_RHS_P4 = 2.0279613406792624
@@ -570,6 +572,71 @@ def test_certificate_suite_with_scalar_only_specs():
     p = make_dist([0.5, 0.0, 0.2, 0.3, 0.0])
     for f in (cube, root):
         _assert_same_certificates(certificate_suite(f, p), _oracle_suite(f, p))
+
+
+# --- the batch kernel against one row at a time ----------------------------
+
+CUBE = FunctionSpec("cube", "convex", lambda x: math.pow(x, 3))  # scalar-only
+
+
+def _assert_batch_matches_rows(f, rows):
+    dists = [ProbDist(row) for row in rows]
+    suite = certificate_suites(f, dists)
+    dicts, failures = _input_dicts(suite), _input_failures(suite)
+    assert len(dicts) == len(failures) == len(dists)
+    for r, p in enumerate(dists):
+        certs = certificate_suite(f, p)
+        assert_identical(dicts[r], [c.as_dict() for c in certs])
+        assert failures[r] == [name for c in certs for name in c.failures()]
+        assert_identical([c.row(r).as_dict() for c in suite], [c.as_dict() for c in certs])
+
+
+@st.composite
+def mixed_batches(draw):
+    """Rows of a few lengths n in [2, 40], a few rows each, about 30% with zeros."""
+    sizes = draw(st.lists(st.integers(min_value=2, max_value=40), min_size=1, max_size=3))
+    return [draw(chain_inputs(min_n=n, max_n=n)).probs
+            for n in sizes for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+
+
+@settings(max_examples=40)
+@given(mixed_batches(), st.sampled_from([NEG_LOG, X_LOG_X, SQUARE, CUBE]))
+def test_certificate_suites_match_single_rows(batch, f):
+    by_n = {}
+    for row in batch:
+        by_n.setdefault(row.size, []).append(row)
+    for rows in by_n.values():
+        _assert_batch_matches_rows(f, np.stack(rows))
+
+
+def _dirichlet_rows(m, n, seed):
+    rows = np.random.default_rng(seed).dirichlet(np.ones(n), size=m)
+    rows[::3, ::5] = 0.0  # exact zeros in every third row
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def test_certificate_suites_chain_block_seam_across_rows():
+    n = 8
+    step = _CHAIN_BLOCK_ELEMENTS // (n - 1)  # (row, excluded index) pairs per block
+    assert step % n  # the first seam falls inside a row
+    m = step // n + 2
+    _assert_batch_matches_rows(NEG_LOG, _dirichlet_rows(m, n, 11))
+
+
+def test_certificate_suites_chain_block_seam_inside_a_row():
+    n = 512
+    assert _CHAIN_BLOCK_ELEMENTS // (n - 1) < n  # one row spans several blocks
+    rows = _dirichlet_rows(2, n, 12)
+    _assert_batch_matches_rows(NEG_LOG, rows)
+    _assert_same_certificates(certificate_suite(NEG_LOG, make_dist(rows[0])),
+                              _oracle_suite(NEG_LOG, make_dist(rows[0])))
+
+
+def test_certificate_suites_needs_one_length():
+    with pytest.raises(DimensionError):
+        certificate_suites(NEG_LOG, [])
+    with pytest.raises(DimensionError):
+        certificate_suites(NEG_LOG, [make_dist([0.5, 0.5]), make_dist([0.2, 0.3, 0.5])])
 
 
 def test_pointwise_bounds_rejects_concave(p4):
