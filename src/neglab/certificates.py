@@ -6,7 +6,9 @@ the numeric slack, and whether the bound was met with equality.  Nested
 claims (chains, grouped property checks) attach their parts as ``detail``
 sub-certificates.  A batch kernel certifies one claim for m inputs at
 once as a column: a certificate whose sides, slack and flags are length-m
-arrays, decided by :func:`_compare_columns` under :func:`compare`'s rule.
+arrays.  One rule, :func:`_decide`, decides every certificate, reached
+through :func:`compare` for one claim or :func:`_compare_columns` for
+columns.
 """
 
 from __future__ import annotations
@@ -90,10 +92,11 @@ class Certificate:
         return out
 
     def row(self, r: int) -> "Certificate":
-        """Of a column certificate: the certificate of input ``r``, through :func:`compare`."""
-        return compare(
-            self.name, self.lhs[r], self.rhs[r], holds=self.holds[r],
-            equality=self.equality[r], detail=tuple(d.row(r) for d in self.detail),
+        """Of a column certificate: input ``r``'s certificate, read off the decided columns."""
+        return Certificate(
+            self.name, self.lhs[r].item(), self.rhs[r].item(), self.slack[r].item(),
+            self.holds[r].item(), self.equality[r].item(), self.infinite[r].item(),
+            tuple(d.row(r) for d in self.detail),
         )
 
 
@@ -111,6 +114,24 @@ def _as_dict(name, lhs, rhs, slack, holds, equality, infinite, detail) -> dict:
     }
 
 
+def _decide(lhs, rhs, holds, equality):
+    """The rule of every certificate: ``(slack, holds, equality, infinite)`` of ``lhs <= rhs``.
+
+    Evaluated alike on floats and on arrays of them: the flags come back
+    as bools or as bool arrays.  ``holds`` and ``equality`` are ``None`` to
+    read them off the slack, or bool overrides.  Both sides at the same
+    infinity hold although their slack is nan.
+    """
+    infinite = (abs(lhs) == math.inf) | (abs(rhs) == math.inf)
+    slack = rhs - lhs  # inf - inf is nan, finite - inf is -inf
+    if holds is None:
+        holds = (slack >= -HOLDS_TOLERANCE) | (lhs == rhs)
+    if equality is None:
+        equality = abs(slack) <= EQUALITY_TOLERANCE
+    equality = equality & (infinite ^ True)  # not ~infinite: ~True is -2
+    return slack, holds | equality, equality, infinite
+
+
 def compare(
     name: str,
     lhs: float,
@@ -122,36 +143,18 @@ def compare(
 ) -> Certificate:
     """Certify the claim ``lhs <= rhs``.
 
-    This is the one way a single certificate is built;
-    :func:`_compare_columns` builds columns by the same rule.  By default
-    ``holds`` and ``equality`` are read off the slack (``HOLDS_TOLERANCE``
-    and ``EQUALITY_TOLERANCE``), or off a direct comparison when a side is
-    infinite.  Either may be supplied explicitly for checks whose
-    condition is structural (all support points identical, a chain of
-    sub-claims, say) rather than a single slack.  Two rules hold whatever
-    the overrides say: equality implies holds, and an infinite side never
-    reports equality.
+    By default ``holds`` and ``equality`` are read off the slack
+    (``HOLDS_TOLERANCE`` and ``EQUALITY_TOLERANCE``), or off a direct
+    comparison when a side is infinite.  Either may be supplied explicitly
+    for checks whose condition is structural (all support points
+    identical, a chain of sub-claims, say) rather than a single slack.
+    Two rules hold whatever the overrides say: equality implies holds, and
+    an infinite side never reports equality.  The rule is :func:`_decide`,
+    which :func:`_compare_columns` applies to whole columns.
     """
-    lhs = float(lhs)
-    rhs = float(rhs)
-    infinite = math.isinf(lhs) or math.isinf(rhs)
-    slack = rhs - lhs  # inf-aware: inf - inf is nan, finite - inf is -inf
-    if infinite:
-        eq = False
-    else:
-        eq = abs(slack) <= EQUALITY_TOLERANCE if equality is None else bool(equality)
-    if holds is None:
-        holds = lhs <= rhs if infinite else slack >= -HOLDS_TOLERANCE
-    return Certificate(
-        name=name,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        holds=bool(holds) or eq,
-        equality=eq,
-        infinite=infinite,
-        detail=tuple(detail),
-    )
+    lhs, rhs = float(lhs), float(rhs)
+    holds, equality = (None if x is None else bool(x) for x in (holds, equality))
+    return Certificate(name, lhs, rhs, *_decide(lhs, rhs, holds, equality), tuple(detail))
 
 
 def _compare_columns(
@@ -174,19 +177,13 @@ def _compare_columns(
     lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
     if lhs.ndim != 2 or lhs.shape[1] != len(names):
         raise ValueError(f"{len(names)} names for sides of shape {lhs.shape}")
-    infinite = np.isinf(lhs) | np.isinf(rhs)
+    holds, equality = (None if x is None else np.asarray(x, dtype=bool) for x in (holds, equality))
     with np.errstate(invalid="ignore"):  # inf - inf is nan, as in compare
-        slack = rhs - lhs
-    if equality is None:
-        equality = np.abs(slack) <= EQUALITY_TOLERANCE
-    eq = np.asarray(equality, dtype=bool) & ~infinite
-    if holds is None:
-        holds = np.where(infinite, lhs <= rhs, slack >= -HOLDS_TOLERANCE)
-    holds = np.asarray(holds, dtype=bool) | eq
+        decided = _decide(lhs, rhs, holds, equality)
     detail = tuple(detail)
     return [
         Certificate(name, *fields, detail)
-        for name, *fields in zip(names, lhs.T, rhs.T, slack.T, holds.T, eq.T, infinite.T)
+        for name, *fields in zip(names, lhs.T, rhs.T, *(a.T for a in decided))
     ]
 
 

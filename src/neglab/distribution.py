@@ -181,8 +181,10 @@ def make_dists(
     # final bits, and re-ingesting emitted values must reproduce the array
     # exactly.  A fresh renormalization always lands inside this band, which
     # makes the operation idempotent.  A skipped row may keep an entry a few
-    # ulps above 1, hence the clip.
-    scale = np.abs(totals - 1.0) > 32.0 * rows.shape[1] * np.finfo(float).eps
+    # ulps above 1, hence the clip.  The band is capped at ProbDist's own
+    # mass check, which it would outgrow for n above about 140,000.
+    band = min(32.0 * rows.shape[1] * np.finfo(float).eps, DEFAULT_TOLERANCE)
+    scale = np.abs(totals - 1.0) > band
     arr[scale] /= totals[scale, None]
     np.clip(arr, 0.0, 1.0, out=arr)
     return [_unchecked(row) for row in arr]

@@ -39,19 +39,23 @@ def _entropy(x: np.ndarray) -> float:
     return float(-np.sum(pos * np.log2(pos))) + 0.0
 
 
-def _entropies(rows: np.ndarray) -> np.ndarray:
-    """:func:`shannon_entropy` of each row of an m×n block, to the bit.
+def _support_sums(terms: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Per row of an m×n block, the sum of ``terms`` over the mask ``support``.
 
-    Rows without zeros are summed along the row, which adds as ``np.sum``
-    on the row does; a row with zeros is compacted first, because a zero
-    left in place would change the order of numpy's pairwise sum.
+    A row of full support is summed along the row, which adds as ``np.sum``
+    on the row does; any other row is compacted first, because a term left
+    in place would change the order of numpy's pairwise sum.
     """
-    full = (rows > 0).all(axis=1)
+    sums = terms.sum(axis=1)
+    for r in np.flatnonzero(~support.all(axis=1)).tolist():
+        sums[r] = np.sum(terms[r][support[r]])
+    return sums
+
+
+def _entropies(rows: np.ndarray) -> np.ndarray:
+    """:func:`shannon_entropy` of each row of an m×n block, to the bit."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = -(rows * np.log2(rows)).sum(axis=1) + 0.0
-    for r in np.flatnonzero(~full).tolist():
-        h[r] = _entropy(rows[r])
-    return h
+        return -_support_sums(rows * np.log2(rows), rows > 0) + 0.0
 
 
 def self_information(prob: float) -> float:
@@ -109,14 +113,11 @@ def cross_entropy_check(p: ProbDist, q: ProbDist) -> Certificate:
 def _cross_entropies(p: np.ndarray, q: np.ndarray, h_p: np.ndarray) -> Certificate:
     """:func:`cross_entropy_check` on each row pair of two m×n blocks, given H of p's rows.
 
-    The sum runs over p's support, compacted as in :func:`_entropies`.
+    The sum runs over p's support, as in :func:`_entropies`.
     """
     support = p > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = p * np.log2(q)
-        rhs = -terms.sum(axis=1)
-    for r in np.flatnonzero(~support.all(axis=1)).tolist():
-        rhs[r] = -np.sum(terms[r][support[r]])
+        rhs = -_support_sums(p * np.log2(q), support)
     rhs[(support & (q == 0.0)).any(axis=1)] = math.inf
     same = np.max(np.abs(p - q), axis=1) <= 1e-12
     (column,) = _compare_columns(

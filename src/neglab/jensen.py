@@ -483,11 +483,10 @@ def certificate_suites(f: FunctionSpec, dists: Sequence[ProbDist]) -> list[Certi
 
     Returns the same certificates in the same order, each a column
     certificate whose entry r belongs to ``dists[r]``: ``c.row(r)`` is
-    the certificate of that input, ``c.as_dicts()[r]`` its ``as_dict()``
-    and ``c.row_failures()[r]`` its ``failures()``.  The distributions
-    are used as they are, without a second check.  The whole block is
-    evaluated at once; only the sums of f (``math.fsum``) and the
-    entropies of rows with zeros are taken row by row.
+    the certificate of that input.  The distributions are used as they
+    are, without a second check.  The whole block is evaluated at once;
+    only the sums of f (``math.fsum``) and the entropies of rows with
+    zeros are taken row by row.
     """
     if not dists:
         raise DimensionError("need at least one distribution")

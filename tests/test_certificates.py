@@ -1,4 +1,4 @@
-"""compare(), the one constructor of certificates, and its rules."""
+"""The one certificate rule, through compare() and its column form."""
 
 import math
 import struct
@@ -93,12 +93,16 @@ def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
+#: an override entry: a Python bool or a numpy one
+flag = st.booleans().flatmap(lambda b: st.sampled_from([b, np.bool_(b)]))
+
+
 @given(st.data(), st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=5))
 def test_column_rule_matches_compare(data, m, k):
     pairs = data.draw(st.lists(sides(), min_size=m * k, max_size=m * k))
     lhs = np.array([a for a, _ in pairs]).reshape(m, k)
     rhs = np.array([b for _, b in pairs]).reshape(m, k)
-    flags = st.one_of(st.none(), st.lists(st.booleans(), min_size=m * k, max_size=m * k))
+    flags = st.one_of(st.none(), st.lists(flag, min_size=m * k, max_size=m * k))
     holds, equality = data.draw(flags), data.draw(flags)
     cols = _compare_columns(
         [f"c{j}" for j in range(k)], lhs, rhs,
@@ -120,6 +124,10 @@ def test_column_rule_matches_compare(data, m, k):
             assert (bool(col.holds[r]), bool(col.equality[r]), bool(col.infinite[r])) == (
                 cert.holds, cert.equality, cert.infinite
             )
+            # the row reads the column's entries as Python floats and bools
+            assert_identical(col.row(r).as_dict(), cert.as_dict())
+            assert {type(v) for v in (cert.lhs, cert.rhs, cert.slack)} == {float}
+            assert {type(v) for v in (cert.holds, cert.equality, cert.infinite)} == {bool}
 
 
 @given(st.data(), st.integers(min_value=1, max_value=4))

@@ -388,14 +388,16 @@ def test_verify_mixed_lengths_keeps_input_order(capsys, tmp_path):
 
 
 def test_verify_certifies_rows_accepted_under_tol_without_a_second_check(capsys, monkeypatch):
-    # make_dist keeps a row whose sum is within 32 n eps of 1 as it is, and that
-    # band exceeds DEFAULT_TOLERANCE once n > ~140,000; such a row, accepted under
-    # --tol, must be certified.  A verify-sized stand-in: narrow the default band
-    # to 0 and pass a row whose float sum is one ulp below 1.
+    # a row accepted under --tol must be certified, not checked again under
+    # DEFAULT_TOLERANCE.  Stand-in: narrow the default band to 0 and pass a row
+    # whose float sum is one ulp below 1; its renormalization sums to one ulp
+    # above 1, so a second check at 0 would refuse it.
     monkeypatch.setattr(distribution, "DEFAULT_TOLERANCE", 0.0)
+    accepted = make_dist([0.7, 0.2, 0.1], 1e-9).tolist()
+    assert math.fsum(accepted) != 1.0
     code, doc = run_json(capsys, "verify", "--dist", "0.7,0.2,0.1", "--tol", "1e-9")
     assert code == EXIT_OK
-    assert doc["results"][0]["distribution"] == [0.7, 0.2, 0.1]
+    assert doc["results"][0]["distribution"] == accepted
 
 
 @pytest.mark.parametrize("content", [

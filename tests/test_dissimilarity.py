@@ -27,7 +27,7 @@ from neglab.certificates import HOLDS_TOLERANCE, compare
 from neglab.cli import EXIT_VALIDATION, main
 from neglab.dissimilarity import MAX_ALPHA
 
-from conftest import distribution_pairs, distributions
+from conftest import assert_identical, distribution_pairs, distributions
 
 # closed-form values for the four-outcome example vs its negation (l1 = 4/9)
 GOLDEN_P4 = {
@@ -131,6 +131,29 @@ def test_range_and_symmetry(pair, alpha):
     backward = dissimilarity(q, p, alpha).value
     assert -1e-12 <= forward <= 1.0 + 1e-12
     assert abs(forward - backward) <= 1e-14
+
+
+@st.composite
+def _pairs_with_zeros(draw):
+    """Two distributions on one simplex of n in [2, 16], about a third of the entries 0."""
+    n = draw(st.integers(min_value=2, max_value=16))
+    positive = st.floats(min_value=1e-6, max_value=1.0)
+    entry = st.one_of(st.just(0.0), positive, positive)
+
+    def one():
+        raw = np.asarray(draw(st.lists(entry, min_size=n, max_size=n)))
+        raw[draw(st.integers(min_value=0, max_value=n - 1))] += 1e-3  # some mass
+        return ProbDist(raw / raw.sum())
+    return one(), one()
+
+
+@given(_pairs_with_zeros(), st.lists(st.integers(min_value=0, max_value=59), min_size=1, max_size=6))
+def test_swapped_pair_is_bitwise_the_same(pair, alphas):
+    # min and + commute entry by entry and |q - p| is |p - q|, so evaluating
+    # (q, p) repeats (p, q) to the bit, the literal sum included
+    p, q = pair
+    for alpha in alphas:
+        assert_identical(dissimilarity(q, p, alpha).as_dict(), dissimilarity(p, q, alpha).as_dict())
 
 
 @given(distribution_pairs(), st.integers(min_value=0, max_value=1020))

@@ -89,6 +89,20 @@ def test_make_dist_keeps_entries_at_most_one():
     assert p.tolist() == [1.0, 0.0]
 
 
+def test_make_dist_renormalizes_a_long_row_outside_the_default_band():
+    # 32 n eps is 1.4e-9 at n = 200,000, wider than DEFAULT_TOLERANCE: a
+    # row that far off 1 must still be renormalized, or the result would
+    # fail ProbDist's own mass check
+    n = 200_000
+    p = make_dist(np.full(n, (1.0 + 1.2e-9) / n), tolerance=1e-8)
+    assert isinstance(p, ProbDist)
+    assert abs(float(p.probs.sum()) - 1.0) <= DEFAULT_TOLERANCE
+    assert np.array_equal(ProbDist(p.probs).probs, p.probs)
+    q = make_dist(p.probs)
+    assert isinstance(q, ProbDist)
+    assert q.probs.tobytes() == p.probs.tobytes()
+
+
 def test_probdist_is_immutable():
     p = uniform(3)
     with pytest.raises(ValueError):
