@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 from .certificates import Certificate, _input_dicts, _input_failures, compare
 from .distribution import DimensionError, DomainError, ValidationReport, make_dist, make_dists
-from .dissimilarity import MAX_ALPHA, negation_profile
+from .dissimilarity import MAX_ALPHA, negation_profile, negation_profiles
 from .entropy import entropy_report, shannon_entropy
 from .jensen import (
     NEG_LOG,
@@ -33,7 +33,7 @@ from .jensen import (
     get_function,
     partial_mean_chain,
 )
-from .negation import converge_to_uniform, negate, negate_twice
+from .negation import converge_traces, negate, negate_twice
 
 __all__ = ["main", "EXIT_OK", "EXIT_VALIDATION", "EXIT_FAILURE", "EXIT_USAGE", "MAX_UNIFORM_N"]
 
@@ -139,9 +139,11 @@ def _load_file(path: str) -> list[list[float]]:
 
 
 def _gather_inputs(args) -> list[list[float]]:
-    if getattr(args, "dist", None):
+    if args.dist is not None and args.file is not None:
+        raise _UsageError("--dist and --file cannot be used together")
+    if args.dist:
         return [_parse_dist_text(args.dist)]
-    if getattr(args, "file", None):
+    if args.file:
         rows = _load_file(args.file)
         if not rows:
             raise _UsageError(f"{args.file}: no distributions found")
@@ -198,6 +200,27 @@ def _validate(raw: list[list[float]], tolerance: float):
     return min(failures, key=lambda failure: failure[0]) if failures else dists
 
 
+def _by_group(dists, records_of) -> list:
+    """``records_of(group)`` for each same-n group of ``dists``, in input order.
+
+    A group that raises :class:`DomainError` is charged to its input
+    ``index``, the first if the error names none; the error raised is that
+    of the first input in input order, whichever group it sits in.
+    """
+    records, failures = [None] * len(dists), []
+    for idxs in _by_length(dists).values():
+        try:
+            group = records_of([dists[i] for i in idxs])
+        except DomainError as exc:
+            failures.append((idxs[getattr(exc, "index", 0)], exc))
+            continue
+        for i, record in zip(idxs, group):
+            records[i] = record
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return records
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes (dists, args, inp), checks its own flags,
 # may record them in the document's ``input`` block ``inp``, and returns
@@ -236,17 +259,12 @@ def _csv_entropy(d_idx, rec):
 def _run_converge(dists, args, inp):
     if args.max_steps < 1:
         raise _UsageError(f"--max-steps must be >= 1, got {args.max_steps}")
-    records = []
-    for p in dists:
-        trace = converge_to_uniform(p, tolerance=args.tolerance, max_steps=args.max_steps)
-        records.append(
-            {
-                "distribution": p.tolist(),
-                "tolerance": args.tolerance,
-                **trace.as_dict(),
-            }
-        )
-    return records, True
+
+    def records_of(group):
+        traces = converge_traces(group, args.tolerance, args.max_steps)
+        return [{"distribution": p.tolist(), "tolerance": args.tolerance, **trace}
+                for p, trace in zip(group, traces.as_dicts())]
+    return _by_group(dists, records_of), True
 
 
 def _csv_converge(d_idx, rec):
@@ -276,10 +294,12 @@ def _run_dissim(dists, args, inp):
         raise _UsageError(f"--depth must be >= 1, got {args.depth}")
     inp["alphas"] = alphas
     inp["depth"] = args.depth
-    records = [
-        {"distribution": p.tolist(), **negation_profile(p, alphas, args.depth).as_dict()}
-        for p in dists
-    ]
+
+    def records_of(group):
+        profiles = negation_profiles(group, alphas, args.depth)
+        return [{"distribution": p.tolist(), **profile}
+                for p, profile in zip(group, profiles.as_dicts())]
+    records = _by_group(dists, records_of)
     return records, all(rec["properties"]["holds"] for rec in records)
 
 
@@ -306,20 +326,17 @@ def _run_verify(dists, args, inp):
     except LookupError as exc:  # its message lists the built-ins
         raise _UsageError(str(exc)) from None
     inp["function"] = args.fn
-    records = [None] * len(dists)
-    for n, idxs in _by_length(dists).items():
+
+    def records_of(group):
         # the rows were validated under --tol and are not checked again
-        suite = certificate_suites(f, [dists[i] for i in idxs])
-        for i, certs, failing in zip(idxs, _input_dicts(suite), _input_failures(suite)):
-            records[i] = {
-                "distribution": dists[i].tolist(),
-                "function": args.fn,
-                "certificates": certs,
-                "all_hold": not failing,
-                "failing": failing,
-            }
-            if n < 3:
-                records[i]["notes"] = ["partial_mean_chain skipped: needs n >= 3"]
+        suite = certificate_suites(f, group)
+        notes = {"notes": ["partial_mean_chain skipped: needs n >= 3"]} if group[0].n < 3 else {}
+        return [
+            {"distribution": p.tolist(), "function": args.fn, "certificates": certs,
+             "all_hold": not failing, "failing": failing, **notes}
+            for p, certs, failing in zip(group, _input_dicts(suite), _input_failures(suite))
+        ]
+    records = _by_group(dists, records_of)
     return records, all(rec["all_hold"] for rec in records)
 
 

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .certificates import Certificate, HOLDS_TOLERANCE, compare
-from .distribution import DimensionError, DomainError, ProbDist
-from .negation import _iterates, negate
+from .certificates import Certificate, HOLDS_TOLERANCE, _compare_columns, _input_dicts
+from .distribution import DimensionError, DomainError, ProbDist, _stacked, _unchecked
+from .jensen import _CHAIN_BLOCK_ELEMENTS
+from .negation import _iterates, _negation, negate
 
 __all__ = [
     "MAX_ALPHA",
@@ -41,7 +42,9 @@ __all__ = [
     "IteratedDissimReport",
     "iterated_negation_dissimilarity",
     "NegationProfile",
+    "NegationProfiles",
     "negation_profile",
+    "negation_profiles",
 ]
 
 _CROSS_CHECK_TOL = 1e-12
@@ -72,13 +75,19 @@ class DissimResult:
     l1: float
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "value": self.value,
-            "sum_of_min_pairs": self.sum_of_min_pairs,
-            "closed_form_value": self.closed_form_value,
-            "l1": self.l1,
-        }
+        return _result_dict(self.alpha, self.value, self.sum_of_min_pairs,
+                            self.closed_form_value, self.l1)
+
+
+def _result_dict(alpha, value, sum_of_min_pairs, closed_form_value, l1) -> dict:
+    """The plain-data form of one :class:`DissimResult`, given its fields."""
+    return {
+        "alpha": alpha,
+        "value": value,
+        "sum_of_min_pairs": sum_of_min_pairs,
+        "closed_form_value": closed_form_value,
+        "l1": l1,
+    }
 
 
 def _check_alpha(alpha) -> int:
@@ -104,7 +113,9 @@ def _evaluate(A: np.ndarray, B: np.ndarray, levels) -> tuple[np.ndarray, np.ndar
     ``A`` and ``B`` are (k, n); ``levels`` are checked levels, (L,) for
     every row or (k, L) with row i evaluated at ``levels[i]``.  The
     (k, L, n) block is one array expression.  Returns ``value`` and the
-    literal ``sum_of_min_pairs``, each (k, L), and ``l1`` (k,).
+    literal ``sum_of_min_pairs``, each (k, L), and ``l1`` (k,).  An
+    underflowed value raises :class:`DomainError` for the first row pair
+    that has one, its position in ``index``.
     """
     levels = np.asarray(levels)
     a, b = A[:, None, :], B[:, None, :]
@@ -123,8 +134,10 @@ def _evaluate(A: np.ndarray, B: np.ndarray, levels) -> tuple[np.ndarray, np.ndar
         m, e = math.frexp(float(l1[i]))
         top = min(MAX_ALPHA, e + 1071 + (m > 0.5))
         usable = f"the largest usable level is {top}" if top >= 0 else "no level is usable"
-        raise DomainError(f"l1 = {float(l1[i])!r} is too small for a double to carry "
-                          f"the value at alpha={levels[i, j]}: {usable}")
+        error = DomainError(f"l1 = {float(l1[i])!r} is too small for a double to carry "
+                            f"the value at alpha={levels[i, j]}: {usable}")
+        error.index = int(i)  # the first failing row pair
+        raise error
     bad = np.abs(literal - value) > _CROSS_CHECK_TOL
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -158,33 +171,45 @@ def negation_dissimilarity(p: ProbDist, alpha: int = 0) -> DissimResult:
     return dissimilarity(p, negate(p), alpha)
 
 
-def _properties(alphas: list[int], forward: np.ndarray, backward: np.ndarray, l1: float) -> Certificate:
-    """The properties certificate from the value rows of (p, q) and (q, p)."""
-    in_range = (-HOLDS_TOLERANCE <= forward) & (forward <= 1.0 + HOLDS_TOLERANCE)
-    sym_gap = np.abs(forward - backward)
-    asserted: list[Certificate] = []
-    for a, v, ok, gap in zip(alphas, forward.tolist(), in_range.tolist(), sym_gap.tolist()):
-        asserted += [
-            compare(f"bounded_in_unit_interval[alpha={a}]", v, 1.0, holds=ok, equality=False),
+def _properties(alphas: list[int], forward: np.ndarray, backward: np.ndarray,
+                l1: np.ndarray) -> Certificate:
+    """The properties certificate of m inputs, as a column, from the m×L
+    value rows of (p, q) and (q, p) and the m distances l1."""
+    m, levels = forward.shape
+    gap = np.abs(forward - backward)
+
+    def per_level(*claims):  # m×L sides of each claim, interleaved level by level
+        return np.stack(claims, axis=2).reshape(m, -1)
+
+    asserted = _compare_columns(
+        [f"{claim}[alpha={a}]" for a in alphas
+         for claim in ("bounded_in_unit_interval", "zero_iff_identical", "symmetry")],
+        per_level(forward, forward, gap),
+        per_level(np.ones_like(forward), np.broadcast_to(l1[:, None], forward.shape),
+                  np.full_like(forward, 1e-14)),
+        holds=per_level(
+            (-HOLDS_TOLERANCE <= forward) & (forward <= 1.0 + HOLDS_TOLERANCE),
             # exact: the closed form is 0 only at l1 = 0, and an underflow never gets here
-            compare(f"zero_iff_identical[alpha={a}]", v, l1, holds=(v == 0.0) == (l1 == 0.0),
-                    equality=False),
-            compare(f"symmetry[alpha={a}]", gap, 1e-14, holds=gap <= 1e-14, equality=False),
-        ]
-
-    earlier, later = forward[:-1], forward[1:]
-    direction = [
-        compare("value_non_increasing_in_alpha", forward[-1], forward[0],
-                holds=np.all(later <= earlier + HOLDS_TOLERANCE), equality=False),
-        compare("value_non_decreasing_in_alpha", forward[0], forward[-1],
-                holds=np.all(later >= earlier - HOLDS_TOLERANCE), equality=False),
-    ] if len(alphas) > 1 else []
-
-    holds = all(c.holds for c in asserted)
-    return compare(
-        "dissimilarity_properties", forward[0], forward[-1], holds=holds,
-        equality=holds and l1 <= HOLDS_TOLERANCE, detail=(*asserted, *direction),
+            (forward == 0.0) == (l1 == 0.0)[:, None],
+            gap <= 1e-14,
+        ),
+        equality=False,
     )
+    earlier, later = forward[:, :-1], forward[:, 1:]
+    direction = _compare_columns(
+        ["value_non_increasing_in_alpha", "value_non_decreasing_in_alpha"],
+        forward[:, [-1, 0]], forward[:, [0, -1]],
+        holds=np.stack([np.all(later <= earlier + HOLDS_TOLERANCE, axis=1),
+                        np.all(later >= earlier - HOLDS_TOLERANCE, axis=1)], axis=1),
+        equality=False,
+    ) if levels > 1 else []
+
+    holds = np.all([c.holds for c in asserted], axis=0)
+    (properties,) = _compare_columns(
+        ["dissimilarity_properties"], forward[:, :1], forward[:, -1:], holds=holds[:, None],
+        equality=(holds & (l1 <= HOLDS_TOLERANCE))[:, None], detail=(*asserted, *direction),
+    )
+    return properties
 
 
 def dissimilarity_properties(p: ProbDist, alphas: Sequence[int]) -> Certificate:
@@ -200,7 +225,7 @@ def dissimilarity_properties(p: ProbDist, alphas: Sequence[int]) -> Certificate:
     alphas = _check_alphas(alphas)
     pq = np.stack([p.probs, negate(p).probs])
     value, _, l1 = _evaluate(pq, pq[::-1], alphas)
-    return _properties(alphas, value[0], value[1], l1.tolist()[0])
+    return _properties(alphas, value[:1], value[1:], l1[:1]).row(0)
 
 
 @dataclass(frozen=True)
@@ -262,6 +287,58 @@ class NegationProfile:
                 "properties": self.properties.as_dict(), "iterated": self.iterated.as_dict()}
 
 
+class NegationProfiles(NamedTuple):
+    """The :class:`NegationProfile` of m inputs of one length, as arrays.
+
+    ``value`` and ``sum_of_min_pairs`` are m×(2 + depth)×L and ``l1`` is
+    m×(2 + depth): for input r, entry 0 compares p with its negation q at
+    each level of ``alphas``, entry 1 q with p, and entry 1 + k p with its
+    k-fold negation, at ``alphas[0]`` in every level column.
+    ``properties`` is the properties certificate as a column.
+    """
+
+    alphas: tuple[int, ...]
+    negations: np.ndarray
+    value: np.ndarray
+    sum_of_min_pairs: np.ndarray
+    l1: np.ndarray
+    properties: Certificate
+
+    def row(self, r: int) -> NegationProfile:
+        """Input ``r``'s profile."""
+        value, s, l1 = self.value[r], self.sum_of_min_pairs[r], self.l1[r].tolist()
+        return NegationProfile(
+            negation=_unchecked(self.negations[r]),
+            profile=_results(self.alphas, value[0], s[0], [l1[0]] * len(self.alphas)),
+            properties=self.properties.row(r),
+            iterated=_iterated(self.alphas[0], value[2:, 0], s[2:, 0], l1[2:]),
+        )
+
+    def as_dicts(self) -> list[dict]:
+        """Per input r, ``self.row(r).as_dict()``; each field is converted once."""
+        a0 = self.alphas[0]
+        iterated = self.value[:, 2:, 0]
+        non_decreasing = np.all(iterated[:, 1:] >= iterated[:, :-1] - HOLDS_TOLERANCE, axis=1)
+        return [
+            {
+                "negation": q,
+                "profile": [_result_dict(a, v, s, v, l1[0])
+                            for a, v, s in zip(self.alphas, value[0], sums[0])],
+                "properties": properties,
+                "iterated": {
+                    "alpha": a0,
+                    "results": [_result_dict(a0, v[0], s[0], v[0], d)
+                                for v, s, d in zip(value[2:], sums[2:], l1[2:])],
+                    "non_decreasing": flag,
+                },
+            }
+            for q, value, sums, l1, (properties,), flag in zip(
+                self.negations.tolist(), self.value.tolist(), self.sum_of_min_pairs.tolist(),
+                self.l1.tolist(), _input_dicts([self.properties]), non_decreasing.tolist(),
+            )
+        ]
+
+
 def negation_profile(p: ProbDist, alphas: Sequence[int], depth: int = 3) -> NegationProfile:
     """``p`` against its negation at every level, from one kernel call.
 
@@ -269,21 +346,43 @@ def negation_profile(p: ProbDist, alphas: Sequence[int], depth: int = 3) -> Nega
     each ``a`` in ``alphas``, ``dissimilarity_properties(p, alphas)`` and
     ``iterated_negation_dissimilarity(p, alphas[0], depth)``, equal to the
     separate calls; the iterate rows are needed at the lowest level only.
+    This is the one-row call of :func:`negation_profiles`.
+    """
+    return negation_profiles([p], alphas, depth).row(0)
+
+
+def negation_profiles(
+    dists: Sequence[ProbDist], alphas: Sequence[int], depth: int = 3
+) -> NegationProfiles:
+    """:func:`negation_profile` of m distributions of one length n, as arrays.
+
+    The row pairs of whole inputs go through the kernel in chunks of at
+    most ``_CHAIN_BLOCK_ELEMENTS`` (k × L × n) entries, and the properties
+    certificates are built as one column.  ``.row(r)`` equals
+    ``negation_profile(dists[r], alphas, depth)`` bit for bit.  An
+    underflowed value raises the :class:`DomainError` of the first input
+    that has one, with that input's position in ``dists`` as ``index``.
     """
     alphas = _check_alphas(alphas)
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
-    q = negate(p)
-    iterates = _iterates(p.probs, range(1, depth + 1))
-    A = np.vstack([p.probs, q.probs, np.broadcast_to(p.probs, iterates.shape)])
-    B = np.vstack([q.probs, p.probs, iterates])
-    levels = np.full((len(A), len(alphas)), alphas[0])
+    probs = _stacked(dists)
+    negations = _negation(probs)
+    (m, n), per = probs.shape, 2 + depth
+    levels = np.full((per, len(alphas)), alphas[0])
     levels[:2] = alphas
-    value, s, l1 = _evaluate(A, B, levels)
-    l1 = l1.tolist()
-    return NegationProfile(
-        negation=q,
-        profile=_results(alphas, value[0], s[0], [l1[0]] * len(alphas)),
-        properties=_properties(alphas, value[0], value[1], l1[0]),
-        iterated=_iterated(alphas[0], value[2:, 0], s[2:, 0], l1[2:]),
-    )
+    chunk = max(1, _CHAIN_BLOCK_ELEMENTS // levels.size // n)  # inputs per kernel call
+    parts = []
+    for start in range(0, m, chunk):
+        p, q = probs[start:start + chunk], negations[start:start + chunk]
+        iterates = _iterates(p, range(1, depth + 1))
+        A = np.concatenate([p[:, None], q[:, None], np.broadcast_to(p[:, None], iterates.shape)], 1)
+        B = np.concatenate([q[:, None], p[:, None], iterates], 1)
+        try:
+            parts.append(_evaluate(A.reshape(-1, n), B.reshape(-1, n), np.tile(levels, (len(p), 1))))
+        except DomainError as exc:
+            exc.index = start + exc.index // per  # the row pair's input
+            raise
+    value, s, l1 = (np.concatenate(part).reshape(m, per, -1) for part in zip(*parts))
+    return NegationProfiles(tuple(alphas), negations, value, s, l1[..., 0],
+                            _properties(alphas, value[:, 0], value[:, 1], l1[:, 0, 0]))

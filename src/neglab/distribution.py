@@ -123,6 +123,16 @@ def _block(rows) -> np.ndarray:
     return block
 
 
+def _stacked(dists) -> np.ndarray:
+    """The m×n block of m ``ProbDist``s of one length n, m >= 1."""
+    if not dists:
+        raise DimensionError("need at least one distribution")
+    n = dists[0].n
+    if any(p.n != n for p in dists):
+        raise DimensionError(f"every distribution must have n = {n} outcomes")
+    return np.stack([p.probs for p in dists])
+
+
 def _screen(rows: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The range-and-mass check of raw rows of one length, an m×n block.
 

@@ -30,13 +30,11 @@ __all__ = [
 
 
 def shannon_entropy(p: ProbDist) -> float:
-    """Entropy in bits, zero-probability outcomes contributing nothing."""
-    return _entropy(p.probs)
+    """Entropy in bits, zero-probability outcomes contributing nothing.
 
-
-def _entropy(x: np.ndarray) -> float:
-    pos = x[x > 0]
-    return float(-np.sum(pos * np.log2(pos))) + 0.0
+    The one-row call of the block kernel :func:`_entropies`.
+    """
+    return _entropies(p.probs[None])[0].item()
 
 
 def _support_sums(terms: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -53,7 +51,7 @@ def _support_sums(terms: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 
 def _entropies(rows: np.ndarray) -> np.ndarray:
-    """:func:`shannon_entropy` of each row of an m×n block, to the bit."""
+    """The entropy in bits of each row of an m×n block."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return -_support_sums(rows * np.log2(rows), rows > 0) + 0.0
 

@@ -30,7 +30,7 @@ from .certificates import (
     _compare_columns,
     compare,
 )
-from .distribution import DimensionError, DomainError, ProbDist
+from .distribution import DimensionError, DomainError, ProbDist, _stacked
 from .entropy import _cross_entropies, _entropies, _entropy_chains
 from .negation import _double_negation, _negation, negate
 
@@ -488,12 +488,7 @@ def certificate_suites(f: FunctionSpec, dists: Sequence[ProbDist]) -> list[Certi
     only the sums of f (``math.fsum``) and the entropies of rows with
     zeros are taken row by row.
     """
-    if not dists:
-        raise DimensionError("need at least one distribution")
-    n = dists[0].n
-    if any(p.n != n for p in dists):
-        raise DimensionError(f"every distribution must have n = {n} outcomes")
-    return _suite(f, np.stack([p.probs for p in dists]))
+    return _suite(f, _stacked(dists))
 
 
 def _suite(f: FunctionSpec, probs: np.ndarray) -> list[Certificate]:

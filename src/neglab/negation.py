@@ -12,17 +12,20 @@ two entries forever.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distribution import DomainError, ProbDist, _unchecked
+from .distribution import DomainError, ProbDist, _stacked, _unchecked
 
 __all__ = [
     "negate",
     "negate_twice",
     "negate_iterated",
     "ConvergenceTrace",
+    "ConvergenceTraces",
     "converge_to_uniform",
+    "converge_traces",
 ]
 
 
@@ -63,14 +66,18 @@ def negate_iterated(p: ProbDist, k: int) -> ProbDist:
 
 
 def _iterates(probs: np.ndarray, ks) -> np.ndarray:
-    """One row 1/n + (p_i - 1/n) * r**k per k in ``ks``, as :func:`negate_iterated`."""
-    n = probs.size
+    """One row 1/n + (p_i - 1/n) * r**k per k in ``ks``, as :func:`negate_iterated`.
+
+    ``probs`` is one distribution (n,) or a block (m, n); the result is
+    (K, n) or (m, K, n).
+    """
+    n = probs.shape[-1]
     center, ratio = 1.0 / n, -1.0 / (n - 1)
     powers = np.array([ratio**k for k in ks])  # Python's pow, not numpy's: same bits
-    rows = center + (probs - center) * powers[:, None]
+    rows = center + (probs[..., None, :] - center) * powers[:, None]
     # r**k is 1 only at n = 2, even k: the swaps restore p exactly, which
     # rounding p - 1/n and adding it back need not do
-    rows[powers == 1.0] = probs
+    rows[..., powers == 1.0, :] = probs[..., None, :]
     return rows
 
 
@@ -93,14 +100,57 @@ class ConvergenceTrace:
     oscillating: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "iterates": [q.tolist() for q in self.iterates],
-            "entropies": list(self.entropies),
-            "distances": list(self.distances),
-            "converged": self.converged,
-            "steps": self.steps,
-            "oscillating": self.oscillating,
-        }
+        return _trace_dict([q.tolist() for q in self.iterates], list(self.entropies),
+                           list(self.distances), self.converged, self.steps, self.oscillating)
+
+
+def _trace_dict(iterates, entropies, distances, converged, steps, oscillating) -> dict:
+    """The plain-data form of one trace, given its fields."""
+    return {
+        "iterates": iterates,
+        "entropies": entropies,
+        "distances": distances,
+        "converged": converged,
+        "steps": steps,
+        "oscillating": oscillating,
+    }
+
+
+class ConvergenceTraces(NamedTuple):
+    """The :class:`ConvergenceTrace` of m inputs of one length, as arrays.
+
+    Input r owns ``steps[r] + 1`` consecutive entries of ``iterates`` (a
+    T×n block), ``entropies`` and ``distances``, inputs in order;
+    ``converged``, ``steps`` and ``oscillating`` hold one entry per input.
+    """
+
+    iterates: np.ndarray
+    entropies: np.ndarray
+    distances: np.ndarray
+    converged: np.ndarray
+    steps: np.ndarray
+    oscillating: np.ndarray
+
+    def row(self, r: int) -> ConvergenceTrace:
+        """Input ``r``'s trace."""
+        end = int(np.sum(self.steps[:r + 1] + 1))
+        at = slice(end - int(self.steps[r]) - 1, end)
+        return ConvergenceTrace(
+            tuple(_unchecked(q) for q in self.iterates[at]), tuple(self.entropies[at].tolist()),
+            tuple(self.distances[at].tolist()), self.converged[r].item(), self.steps[r].item(),
+            self.oscillating[r].item(),
+        )
+
+    def as_dicts(self) -> list[dict]:
+        """Per input r, ``self.row(r).as_dict()``; each field is converted once."""
+        flat = self.iterates.tolist(), self.entropies.tolist(), self.distances.tolist()
+        ends = np.cumsum(self.steps + 1).tolist()
+        return [
+            _trace_dict(*(f[end - steps - 1:end] for f in flat), converged, steps, oscillating)
+            for end, converged, steps, oscillating in zip(
+                ends, self.converged.tolist(), self.steps.tolist(), self.oscillating.tolist()
+            )
+        ]
 
 
 def converge_to_uniform(
@@ -118,52 +168,57 @@ def converge_to_uniform(
 
     For n = 2 the trace records one application and stops with the
     ``oscillating`` marker set: the map is a pure swap and never settles
-    unless the input is already uniform.
+    unless the input is already uniform.  This is the one-row call of
+    :func:`converge_traces`.
     """
-    from .entropy import shannon_entropy  # function-level to keep imports acyclic
+    return converge_traces([p], tolerance, max_steps).row(0)
+
+
+def converge_traces(
+    dists: Sequence[ProbDist], tolerance: float = 1e-9, max_steps: int = 1000
+) -> ConvergenceTraces:
+    """:func:`converge_to_uniform` of m distributions of one length n, as arrays.
+
+    Each step negates the block of rows still running at once; a row
+    leaves the block at its own stop step.  The entropies are taken at
+    the end, on all iterates as one block.  ``.row(r)`` equals
+    ``converge_to_uniform(dists[r], tolerance, max_steps)`` bit for bit.
+    """
+    from .entropy import _entropies  # function-level to keep imports acyclic
 
     if tolerance <= 0:
         raise DomainError(f"tolerance must be > 0, got {tolerance}")
     if max_steps < 1:
         raise DomainError(f"max_steps must be >= 1, got {max_steps}")
-
-    n = p.n
+    q = _stacked(dists)
+    m, n = q.shape
     center = 1.0 / n
-    dev = p.probs - center
-    iterates = [p]
-    entropies = [shannon_entropy(p)]
-    distances = [float(np.max(np.abs(dev)))]
-
-    if distances[0] <= tolerance:
-        return ConvergenceTrace(
-            tuple(iterates), tuple(entropies), tuple(distances), True, 0
-        )
-
-    if n == 2:
-        q = negate(p)
-        iterates.append(q)
-        entropies.append(shannon_entropy(q))
-        distances.append(float(np.max(np.abs(q.probs - center))))
-        return ConvergenceTrace(
-            tuple(iterates), tuple(entropies), tuple(distances),
-            converged=False, steps=1, oscillating=True,
-        )
-
+    dev = q - center
+    distance = np.max(np.abs(dev), axis=1)
+    blocks = [(np.arange(m), q, distance)]  # (rows, iterates, distances) of each step
+    converged, steps = distance <= tolerance, np.zeros(m, dtype=int)
+    active = np.flatnonzero(~converged)
+    q, dev = q[active], dev[active]
+    if n == 2:  # a pure swap: one application, measured literally
+        q = _negation(q)
+        blocks.append((active, q, np.max(np.abs(q - center), axis=1)))
+        steps[active] = 1
+        max_steps = 0  # and no further step
     ratio = -1.0 / (n - 1)
-    converged = False
-    steps = 0
-    q = p
     for step in range(1, max_steps + 1):
-        q = negate(q)
-        dev = dev * ratio
-        iterates.append(q)
-        entropies.append(shannon_entropy(q))
-        distances.append(float(np.max(np.abs(dev))))
-        steps = step
-        if distances[-1] <= tolerance:
-            converged = True
+        if not active.size:
             break
-
-    return ConvergenceTrace(
-        tuple(iterates), tuple(entropies), tuple(distances), converged, steps
-    )
+        q = _negation(q)
+        dev *= ratio
+        distance = np.max(np.abs(dev), axis=1)
+        blocks.append((active, q, distance))
+        steps[active] = step
+        stop = distance <= tolerance
+        if stop.any():
+            converged[active[stop]] = True
+            active, q, dev = active[~stop], q[~stop], dev[~stop]
+    rows, iterates, distances = (np.concatenate(column) for column in zip(*blocks))
+    order = np.argsort(rows, kind="stable")  # input by input, each in step order
+    iterates = iterates[order]
+    return ConvergenceTraces(iterates, _entropies(iterates), distances[order], converged, steps,
+                             oscillating=(n == 2) & ~converged)

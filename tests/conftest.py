@@ -43,6 +43,36 @@ def distribution_pairs(draw, min_n=2, max_n=16):
     return one(), one()
 
 
+@st.composite
+def mixed_batches(draw, max_n=12, max_size=10):
+    """Distributions of mixed n in [2, max_n] in input order: positive rows,
+    rows with exact zeros, point masses and uniform rows."""
+    batch = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_size))):
+        n = draw(st.integers(min_value=2, max_value=max_n))
+        kind = draw(st.sampled_from(["positive", "zeros", "point", "uniform"]))
+        if kind == "uniform":
+            arr = np.full(n, 1.0)
+        elif kind == "point":
+            arr = np.zeros(n)
+            arr[draw(st.integers(min_value=0, max_value=n - 1))] = 1.0
+        else:
+            arr = np.asarray(draw(st.lists(st.floats(min_value=1e-6, max_value=1.0),
+                                           min_size=n, max_size=n)))
+            if kind == "zeros":
+                arr[draw(st.lists(st.integers(min_value=1, max_value=n - 1), max_size=n - 1))] = 0.0
+        batch.append(ProbDist(arr / arr.sum()))
+    return batch
+
+
+def by_length(batch):
+    """The distributions of ``batch`` grouped by n, each group in input order."""
+    groups = {}
+    for p in batch:
+        groups.setdefault(p.n, []).append(p)
+    return list(groups.values())
+
+
 def random_simplex(rng, n):
     """Dirichlet draw as a ProbDist."""
     return ProbDist(rng.dirichlet(np.ones(n)))

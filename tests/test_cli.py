@@ -10,7 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neglab import SQUARE, certificate_suite, cli, distribution, make_dist
+import numpy as np
+
+from neglab import (
+    SQUARE,
+    certificate_suite,
+    cli,
+    converge_to_uniform,
+    distribution,
+    make_dist,
+    negation_profile,
+)
 from neglab.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -440,6 +450,45 @@ def test_uniform_size_limit(capsys):
 def test_missing_file_exits_4(capsys, tmp_path):
     code, _, _ = run(capsys, "entropy", "--file", str(tmp_path / "nope.json"))
     assert code == EXIT_USAGE
+
+
+def test_dist_with_file_exits_4(capsys, tmp_path):
+    # the file is never read when --dist wins; together they are a usage error
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([[0.6, 0.6]]))
+    for command in ("negate", "entropy", "converge", "verify", "dissim"):
+        code, out, err = run(capsys, command, "--dist", "0.5,0.5", "--file", str(path))
+        assert code == EXIT_USAGE
+        assert out == "" and err == "neglab: error: --dist and --file cannot be used together\n"
+
+
+def _mixed_batch(seed, size=120):
+    """Dirichlet(1) rows of n uniform in [2, 16], about a tenth with exact zeros."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for n in [2, *rng.integers(2, 17, size=size - 1).tolist()]:
+        p = rng.dirichlet(np.ones(n))
+        if rng.random() < 0.1:
+            p[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 0.0
+            p = p / p.sum()
+        rows.append(p.tolist())
+    return rows
+
+
+def test_grouped_records_equal_the_one_row_calls(capsys, tmp_path):
+    rows = _mixed_batch(3)
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(rows))
+    code, converge = run_json(capsys, "converge", "--file", str(path), "--max-steps", "40")
+    assert code == EXIT_OK
+    code, dissim = run_json(capsys, "dissim", "--file", str(path), "--alpha", "0,2,5", "--depth", "4")
+    assert code == EXIT_OK
+    for row, c, d in zip(rows, converge["results"], dissim["results"], strict=True):
+        p = make_dist(row)
+        trace = converge_to_uniform(p, tolerance=1e-9, max_steps=40).as_dict()
+        assert c == json.loads(json.dumps({"distribution": p.tolist(), "tolerance": 1e-9, **trace}))
+        profile = negation_profile(p, [0, 2, 5], 4).as_dict()
+        assert d == json.loads(json.dumps({"distribution": p.tolist(), **profile}))
 
 
 def test_json_round_trip_bit_for_bit(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """The dissimilarity family, its closed form, and its stated properties."""
 
+import importlib
+import json
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from neglab import (
     DimensionError,
     DomainError,
+    NegationProfile,
     ProbDist,
     dissimilarity,
     dissimilarity_properties,
@@ -20,14 +23,17 @@ from neglab import (
     negate_iterated,
     negation_dissimilarity,
     negation_profile,
+    negation_profiles,
     uniform,
 )
 
 from neglab.certificates import HOLDS_TOLERANCE, compare
 from neglab.cli import EXIT_VALIDATION, main
-from neglab.dissimilarity import MAX_ALPHA
+from neglab.dissimilarity import MAX_ALPHA, _evaluate, _iterated, _results
+from neglab.jensen import _CHAIN_BLOCK_ELEMENTS
+from neglab.negation import _iterates
 
-from conftest import assert_identical, distribution_pairs, distributions
+from conftest import assert_identical, by_length, distribution_pairs, distributions, mixed_batches
 
 # closed-form values for the four-outcome example vs its negation (l1 = 4/9)
 GOLDEN_P4 = {
@@ -410,3 +416,132 @@ def test_negation_profile_validation(p4):
         negation_profile(p4, [0], 0)
     with pytest.raises(TypeError):  # the profile is no longer passed in
         dissimilarity_properties(p4, [0], q=negate(p4))
+
+
+# --- the group kernel against the per-input profile it replaced ------------
+
+def _oracle_profile_properties(alphas, forward, backward, l1):
+    """The properties certificate as the per-input code built it, claim by claim."""
+    in_range = (-HOLDS_TOLERANCE <= forward) & (forward <= 1.0 + HOLDS_TOLERANCE)
+    sym_gap = np.abs(forward - backward)
+    asserted = []
+    for a, v, ok, gap in zip(alphas, forward.tolist(), in_range.tolist(), sym_gap.tolist()):
+        asserted += [
+            compare(f"bounded_in_unit_interval[alpha={a}]", v, 1.0, holds=ok, equality=False),
+            compare(f"zero_iff_identical[alpha={a}]", v, l1, holds=(v == 0.0) == (l1 == 0.0),
+                    equality=False),
+            compare(f"symmetry[alpha={a}]", gap, 1e-14, holds=gap <= 1e-14, equality=False),
+        ]
+    earlier, later = forward[:-1], forward[1:]
+    direction = [
+        compare("value_non_increasing_in_alpha", forward[-1], forward[0],
+                holds=np.all(later <= earlier + HOLDS_TOLERANCE), equality=False),
+        compare("value_non_decreasing_in_alpha", forward[0], forward[-1],
+                holds=np.all(later >= earlier - HOLDS_TOLERANCE), equality=False),
+    ] if len(alphas) > 1 else []
+    holds = all(c.holds for c in asserted)
+    return compare(
+        "dissimilarity_properties", forward[0], forward[-1], holds=holds,
+        equality=holds and l1 <= HOLDS_TOLERANCE, detail=(*asserted, *direction),
+    )
+
+
+def _oracle_profile(p, alphas, depth):
+    """negation_profile as it was before negation_profiles: one input per kernel call."""
+    q = negate(p)
+    iterates = _iterates(p.probs, range(1, depth + 1))
+    A = np.vstack([p.probs, q.probs, np.broadcast_to(p.probs, iterates.shape)])
+    B = np.vstack([q.probs, p.probs, iterates])
+    levels = np.full((len(A), len(alphas)), alphas[0])
+    levels[:2] = alphas
+    value, s, l1 = _evaluate(A, B, levels)
+    l1 = l1.tolist()
+    return NegationProfile(
+        negation=q,
+        profile=_results(alphas, value[0], s[0], [l1[0]] * len(alphas)),
+        properties=_oracle_profile_properties(alphas, value[0], value[1], l1[0]),
+        iterated=_iterated(alphas[0], value[2:, 0], s[2:, 0], l1[2:]),
+    )
+
+
+def _assert_profiles_match(group, alphas, depth):
+    profiles = negation_profiles(group, alphas, depth)
+    dicts = profiles.as_dicts()
+    assert len(dicts) == len(group)
+    for r, p in enumerate(group):
+        want = _oracle_profile(p, alphas, depth).as_dict()
+        assert_identical(profiles.row(r).as_dict(), want)
+        assert_identical(dicts[r], want)
+        assert_identical(negation_profile(p, alphas, depth).as_dict(), want)
+
+
+@given(mixed_batches(), _LEVEL_LISTS, st.integers(min_value=1, max_value=4))
+def test_negation_profiles_match_the_per_input_profile(batch, alphas, depth):
+    for group in by_length(batch):
+        _assert_profiles_match(group, alphas, depth)
+
+
+def test_negation_profiles_chunk_seams(monkeypatch):
+    # 60 inputs of n = 16 at 8 levels and depth 8: 25 inputs per chunk
+    module = importlib.import_module("neglab.dissimilarity")  # the package's name is the function
+    shapes = []
+
+    def recording(A, B, levels):
+        shapes.append((A.shape, np.shape(levels)))
+        return _evaluate(A, B, levels)
+
+    monkeypatch.setattr(module, "_evaluate", recording)
+    rng = np.random.default_rng(5)
+    group = [ProbDist(rng.dirichlet(np.ones(16))) for _ in range(60)]
+    group[30] = uniform(16)
+    profiles = negation_profiles(group, list(range(8)), 8)
+    assert [a[0] for a, _ in shapes] == [250, 250, 100]
+    assert all(a[0] * lv[1] * a[1] <= _CHAIN_BLOCK_ELEMENTS for a, lv in shapes)
+    monkeypatch.undo()
+    for r in (0, 24, 25, 30, 49, 50, 59):
+        assert_identical(profiles.row(r).as_dict(),
+                         _oracle_profile(group[r], list(range(8)), 8).as_dict())
+
+
+def test_negation_profiles_one_level_has_no_direction_claims(p4, p3):
+    profiles = negation_profiles([p4, p4], [3], 1)
+    assert [c.name for c in profiles.properties.detail] == [
+        "bounded_in_unit_interval[alpha=3]", "zero_iff_identical[alpha=3]", "symmetry[alpha=3]",
+    ]
+    with pytest.raises(DimensionError):
+        negation_profiles([p4, p3], [0], 1)
+    with pytest.raises(DimensionError):
+        negation_profiles([], [0], 1)
+    with pytest.raises(DomainError):
+        negation_profiles([p4], [0], 0)
+
+
+def test_negation_profiles_name_the_first_underflowing_input():
+    # l1 = 2**-52 for the near-uniform row; it underflows at 1021.  With
+    # 8 levels and depth 8 a chunk of n = 2 holds 204 inputs, so the first
+    # failing input sits in the second chunk
+    near = ProbDist(np.array([0.5, 0.5000000000000001]))
+    group = [make_dist([0.7, 0.3])] * 300 + [near, make_dist([0.6, 0.4]), near]
+    alphas = [0, 1, 2, 3, 4, 5, 6, 1021]
+    with pytest.raises(DomainError, match="largest usable level is 1020") as caught:
+        negation_profiles(group, alphas, 8)
+    assert caught.value.index == 300
+    with pytest.raises(DomainError) as caught:
+        negation_profiles([near], alphas, 8)
+    assert caught.value.index == 0
+
+
+def test_dissim_names_the_first_underflowing_input_across_groups(capsys, tmp_path):
+    # input 1 (n = 4) and input 2 (n = 2) both underflow at 1021, and the
+    # n = 2 group comes first in the batch: input 1 is the one named
+    rows = [[0.5, 0.5], [0.25, 0.25, 0.25, 0.25000000000000006], [0.5, 0.5000000000000001]]
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(rows))
+    code = main(["dissim", "--file", str(path), "--alpha", "1021"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == ("neglab: invalid input: l1 = 5.551115123125783e-17 is too small for a double"
+                   " to carry the value at alpha=1021: the largest usable level is 1018\n")
+    path.write_text(json.dumps([rows[0], rows[2], rows[1]]))
+    assert main(["dissim", "--file", str(path), "--alpha", "1021"]) == EXIT_VALIDATION
+    assert "largest usable level is 1020" in capsys.readouterr().err

@@ -211,6 +211,16 @@ def test_row_entropies_equal_shannon_entropy_bit_for_bit(n):
     assert _entropies(rows).tolist() == [shannon_entropy(ProbDist(r)) for r in rows]
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 200])
+def test_shannon_entropy_sums_the_compacted_row(n):
+    # the literal formula: -sum(p log2 p) over the entries p > 0, as a Python float
+    for r in _rows_with_zeros(n, n + 3):
+        pos = r[r > 0]
+        h = shannon_entropy(ProbDist(r))
+        assert type(h) is float
+        assert h == float(-np.sum(pos * np.log2(pos))) + 0.0
+
+
 @pytest.mark.parametrize("n", [3, 8, 9, 64, 200])
 def test_row_cross_entropies_sum_over_the_support_bit_for_bit(n):
     p = _rows_with_zeros(n, n + 1)

@@ -8,9 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from neglab import (
+    ConvergenceTrace,
+    DimensionError,
     DomainError,
     ProbDist,
     converge_to_uniform,
+    converge_traces,
     is_uniform,
     l1_distance,
     make_dist,
@@ -20,7 +23,7 @@ from neglab import (
     uniform,
 )
 
-from conftest import distributions
+from conftest import assert_identical, by_length, distributions, mixed_batches
 
 
 def _max_err(p, expected_fracs):
@@ -206,3 +209,98 @@ def test_converge_reaches_declared_tolerance(p):
     assert trace.converged
     assert trace.distances[-1] <= 1e-9
     assert is_uniform(trace.iterates[-1], tolerance=1e-8)
+
+
+# --- the group kernel against the per-input loop it replaced ---------------
+
+def _oracle_entropy(p):
+    """The per-row entropy formula shannon_entropy used before the block kernel."""
+    pos = p.probs[p.probs > 0]
+    return float(-np.sum(pos * np.log2(pos))) + 0.0
+
+
+def _oracle_converge(p, tolerance=1e-9, max_steps=1000):
+    """converge_to_uniform as it was before converge_traces: one input, one step at a time."""
+    n = p.n
+    center = 1.0 / n
+    dev = p.probs - center
+    iterates = [p]
+    entropies = [_oracle_entropy(p)]
+    distances = [float(np.max(np.abs(dev)))]
+    if distances[0] <= tolerance:
+        return ConvergenceTrace(tuple(iterates), tuple(entropies), tuple(distances), True, 0)
+    if n == 2:
+        q = negate(p)
+        iterates.append(q)
+        entropies.append(_oracle_entropy(q))
+        distances.append(float(np.max(np.abs(q.probs - center))))
+        return ConvergenceTrace(tuple(iterates), tuple(entropies), tuple(distances),
+                                converged=False, steps=1, oscillating=True)
+    ratio = -1.0 / (n - 1)
+    converged = False
+    steps = 0
+    q = p
+    for step in range(1, max_steps + 1):
+        q = negate(q)
+        dev = dev * ratio
+        iterates.append(q)
+        entropies.append(_oracle_entropy(q))
+        distances.append(float(np.max(np.abs(dev))))
+        steps = step
+        if distances[-1] <= tolerance:
+            converged = True
+            break
+    return ConvergenceTrace(tuple(iterates), tuple(entropies), tuple(distances), converged, steps)
+
+
+@given(mixed_batches(), st.sampled_from([1e-9, 1e-3, 0.2, 1e-15]),
+       st.sampled_from([1, 2, 3, 1000]))
+def test_converge_traces_match_the_per_input_loop(batch, tolerance, max_steps):
+    for group in by_length(batch):
+        traces = converge_traces(group, tolerance, max_steps)
+        dicts = traces.as_dicts()
+        assert len(dicts) == len(group)
+        for r, p in enumerate(group):
+            want = _oracle_converge(p, tolerance, max_steps).as_dict()
+            assert_identical(traces.row(r).as_dict(), want)
+            assert_identical(dicts[r], want)
+            assert_identical(converge_to_uniform(p, tolerance, max_steps).as_dict(), want)
+
+
+def test_converge_traces_cut_each_row_at_its_own_step():
+    group = [make_dist([0.5, 0.25, 0.25]), uniform(3), make_dist([1.0, 0.0, 0.0])]
+    traces = converge_traces(group, tolerance=1e-6, max_steps=5)
+    assert traces.steps.tolist() == [5, 0, 5]
+    assert traces.converged.tolist() == [False, True, False]
+    assert len(traces.iterates) == len(traces.entropies) == len(traces.distances) == 6 + 1 + 6
+    # input 2 starts after input 0's six entries and input 1's one
+    assert traces.iterates[7].tolist() == [1.0, 0.0, 0.0]
+    assert traces.row(2).iterates[1].tolist() == [0.0, 0.5, 0.5]
+
+
+def test_converge_traces_stop_at_a_distance_equal_to_the_tolerance(p4):
+    # "within tolerance" includes the tolerance itself, at every step
+    for k in (0, 1, 3):
+        tolerance = converge_to_uniform(p4).distances[k]
+        traces = converge_traces([make_dist([0.1, 0.2, 0.3, 0.4]), p4], tolerance)
+        assert traces.row(1).steps == k and traces.row(1).converged
+        assert_identical(traces.row(1).as_dict(), _oracle_converge(p4, tolerance).as_dict())
+
+
+def test_converge_traces_two_outcomes_step_once():
+    group = [make_dist([0.9, 0.1]), uniform(2), make_dist([0.0, 1.0])]
+    traces = converge_traces(group, max_steps=50)
+    assert traces.steps.tolist() == [1, 0, 1]
+    assert traces.oscillating.tolist() == [True, False, True]
+    assert traces.converged.tolist() == [False, True, False]
+
+
+def test_converge_traces_argument_checks(p4, p3):
+    with pytest.raises(DimensionError):
+        converge_traces([])
+    with pytest.raises(DimensionError):
+        converge_traces([p4, p3])
+    with pytest.raises(DomainError):
+        converge_traces([p4], tolerance=-1.0)
+    with pytest.raises(DomainError):
+        converge_traces([p4], max_steps=0)
