@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -21,6 +22,8 @@ import os
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .certificates import Certificate, _input_dicts, _input_failures, compare
 from .distribution import DimensionError, DomainError, ValidationReport, make_dist, make_dists
@@ -64,6 +67,11 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.15g}"
     return str(x)
+
+
+def _cells(*values) -> list[str]:
+    """One CSV row: ``_fmt`` of each value."""
+    return list(map(_fmt, values))
 
 
 def _parse_scalar(token: str) -> float:
@@ -224,8 +232,9 @@ def _by_group(dists, records_of) -> list:
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes (dists, args, inp), checks its own flags,
 # may record them in the document's ``input`` block ``inp``, and returns
-# (records, all_hold); the CSV rows of a record come from its ``_csv_*``
-# function, called only for ``--format csv``
+# (records, all_hold); the CSV rows of a record, lists of cell strings under
+# the command's CSV header, come from its ``_csv_*`` function, called only
+# for ``--format csv``
 
 def _run_negate(dists, args, inp):
     records = [
@@ -241,7 +250,7 @@ def _run_negate(dists, args, inp):
 
 def _csv_negate(d_idx, rec):
     return [
-        {"dist": d_idx, "index": i, "p": v, "negation": nb, "double_negation": nbb}
+        _cells(d_idx, i, v, nb, nbb)
         for i, (v, nb, nbb) in enumerate(
             zip(rec["distribution"], rec["negation"], rec["double_negation"])
         )
@@ -253,7 +262,7 @@ def _run_entropy(dists, args, inp):
 
 
 def _csv_entropy(d_idx, rec):
-    return [{"dist": d_idx, **{k: v for k, v in rec.items() if k != "distribution"}}]
+    return [_cells(d_idx, rec["n"], rec["entropy_bits"], rec["max_entropy_bits"], rec["gap_bits"])]
 
 
 def _run_converge(dists, args, inp):
@@ -269,14 +278,7 @@ def _run_converge(dists, args, inp):
 
 def _csv_converge(d_idx, rec):
     return [
-        {
-            "dist": d_idx,
-            "step": k,
-            "distance": distance,
-            "entropy_bits": entropy,
-            "converged": rec["converged"],
-            "oscillating": rec["oscillating"],
-        }
+        _cells(d_idx, k, distance, entropy, rec["converged"], rec["oscillating"])
         for k, (distance, entropy) in enumerate(zip(rec["distances"], rec["entropies"]))
     ]
 
@@ -294,30 +296,41 @@ def _run_dissim(dists, args, inp):
         raise _UsageError(f"--depth must be >= 1, got {args.depth}")
     inp["alphas"] = alphas
     inp["depth"] = args.depth
+    holds = []
 
     def records_of(group):
         profiles = negation_profiles(group, alphas, args.depth)
+        holds.append(profiles.properties.holds.all())
+        if args.format == "csv":  # a record is then its input's rows of cells
+            return _dissim_cells(profiles)
         return [{"distribution": p.tolist(), **profile}
                 for p, profile in zip(group, profiles.as_dicts())]
-    records = _by_group(dists, records_of)
-    return records, all(rec["properties"]["holds"] for rec in records)
+    return _by_group(dists, records_of), all(holds)
+
+
+def _dissim_cells(profiles) -> list[list[tuple]]:
+    """Per input of a group, its CSV rows after the ``dist`` cell.
+
+    They are read off the group's arrays: a row's ``value`` is also its
+    ``closed_form_value``, and the alpha rows share the l1 of p and its
+    negation.  Entry 1 of the arrays, q against p, has no row.
+    """
+    levels = [("alpha", str(a)) for a in profiles.alphas]
+    levels += [("iterate", str(k)) for k in range(1, profiles.l1.shape[1] - 1)]
+    values = np.concatenate([profiles.value[:, 0], profiles.value[:, 2:, 0]], axis=1)
+    l1s = np.concatenate([profiles.l1[:, :1], profiles.l1[:, 2:]], axis=1)
+    records = []
+    for value, l1, held in zip(values.tolist(), l1s.tolist(), profiles.properties.holds.tolist()):
+        first, *iterates = _cells(*l1)
+        l1, held = [first] * len(profiles.alphas) + iterates, _fmt(held)
+        records.append([(kind, level, v, v, d, held)
+                        for (kind, level), v, d in zip(levels, _cells(*value), l1)])
+    return records
 
 
 def _csv_dissim(d_idx, rec):
-    levels = [("alpha", r["alpha"], r) for r in rec["profile"]]
-    levels += [("iterate", k, r) for k, r in enumerate(rec["iterated"]["results"], start=1)]
-    return [
-        {
-            "dist": d_idx,
-            "kind": kind,
-            "level": level,
-            "value": r["value"],
-            "closed_form_value": r["closed_form_value"],
-            "l1": r["l1"],
-            "properties_hold": rec["properties"]["holds"],
-        }
-        for kind, level, r in levels
-    ]
+    dist = str(d_idx)
+    return [[dist, *row] for row in rec]
 
 
 def _run_verify(dists, args, inp):
@@ -340,21 +353,14 @@ def _run_verify(dists, args, inp):
     return records, all(rec["all_hold"] for rec in records)
 
 
+_CERT_HEADER = ("dist", "name", "lhs", "rhs", "slack", "holds", "equality", "infinite")
+
+
 def _cert_rows(d_idx, cert, prefix=""):
     """CSV rows of a certificate dict and, at any depth, its detail, named by path."""
     name = prefix + cert["name"]
-    rows = [
-        {
-            "dist": d_idx,
-            "name": name,
-            "lhs": cert["lhs"],
-            "rhs": cert["rhs"],
-            "slack": cert["slack"],
-            "holds": cert["holds"],
-            "equality": cert["equality"],
-            "infinite": cert["infinite"],
-        }
-    ]
+    rows = [_cells(d_idx, name, cert["lhs"], cert["rhs"], cert["slack"],
+                   cert["holds"], cert["equality"], cert["infinite"])]
     for sub in cert["detail"]:
         rows += _cert_rows(d_idx, sub, name + "/")
     return rows
@@ -466,26 +472,23 @@ def _render_json(doc: dict) -> str:
     return json.dumps(doc) + "\n"
 
 
+_ERROR_HEADER = ("dist", "error", "sum_error", "bad_indices")
+
+
 def _render_csv(doc: dict) -> str:
     if "error" in doc:
         err = doc["error"]
-        rows = [
-            {
-                "dist": err["index"],
-                "error": err["why"],
-                "sum_error": err["report"]["sum_error"],
-                "bad_indices": " ".join(map(str, err["report"]["bad_indices"])),
-            }
-        ]
+        header = _ERROR_HEADER
+        rows = [_cells(err["index"], err["why"], err["report"]["sum_error"],
+                       " ".join(map(str, err["report"]["bad_indices"])))]
     else:
-        to_rows = _COMMANDS[doc["command"]].csv
-        rows = [row for idx, rec in enumerate(doc["results"]) for row in to_rows(idx, rec)]
+        cmd = _COMMANDS[doc["command"]]
+        header = cmd.header
+        rows = [row for idx, rec in enumerate(doc["results"]) for row in cmd.csv(idx, rec)]
     buf = io.StringIO()
-    if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -565,8 +568,11 @@ def _render_text(doc: dict) -> str:
 def _emit(doc: dict, fmt: str, out_path: str | None) -> None:
     text = {"json": _render_json, "csv": _render_csv, "text": _render_text}[fmt](doc)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -576,7 +582,8 @@ class _Command(NamedTuple):
 
     run: Callable  # (dists, args, inp) -> (records, all_hold)
     text: Callable  # (record, lines) -> None, appends the record's text lines
-    csv: Callable  # (index, record) -> the record's CSV rows
+    csv: Callable  # (index, record) -> the record's CSV rows, lists of cell strings
+    header: tuple  # the CSV header row
     help: str
     flags: tuple = ()  # (flag, add_argument keywords) beyond the common ones
     dist_input: bool = True  # takes --dist, --file and --tol
@@ -585,25 +592,29 @@ class _Command(NamedTuple):
 _COMMANDS = {
     "negate": _Command(
         _run_negate, _text_negate, _csv_negate,
+        ("dist", "index", "p", "negation", "double_negation"),
         "emit a distribution, its negation, and its double negation",
     ),
     "entropy": _Command(
         _run_entropy, _text_entropy, _csv_entropy,
+        ("dist", "n", "entropy_bits", "max_entropy_bits", "gap_bits"),
         "entropy in bits against the log2(n) ceiling",
     ),
     "converge": _Command(
         _run_converge, _text_converge, _csv_converge,
+        ("dist", "step", "distance", "entropy_bits", "converged", "oscillating"),
         "iterate negation toward uniform and trace the path",
         flags=(("--max-steps", {"type": int, "default": 1000}),),
     ),
     "verify": _Command(
-        _run_verify, _text_verify, _csv_verify,
+        _run_verify, _text_verify, _csv_verify, _CERT_HEADER,
         "run the full certificate suite",
         flags=(("--fn", {"default": "neg_log",
                          "help": f"built-in function ({', '.join(BUILTIN_FUNCTIONS)})"}),),
     ),
     "dissim": _Command(
         _run_dissim, _text_dissim, _csv_dissim,
+        ("dist", "kind", "level", "value", "closed_form_value", "l1", "properties_hold"),
         "dissimilarity profile against the negation",
         flags=(
             ("--alpha", {"default": "0,1,2,3", "help": "comma-separated nonnegative integer levels"}),
@@ -612,7 +623,7 @@ _COMMANDS = {
         ),
     ),
     "report": _Command(
-        _run_report, _cert_lines, _cert_rows,
+        _run_report, _cert_lines, _cert_rows, _CERT_HEADER,
         "reproduce the golden fixtures and report pass/fail",
         dist_input=False,
     ),
@@ -652,6 +663,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help lands here; argparse uses 0 for it
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
+    # the inputs, records and documents built below form no reference
+    # cycles, so the cyclic collector would only spend time scanning them
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         cmd = _COMMANDS[args.command]
         if not cmd.dist_input:
@@ -684,6 +699,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, DimensionError) as exc:
         print(f"neglab: invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 
 import contextlib
 import csv
+import dataclasses
+import gc
 import io
 import json
 import math
@@ -241,12 +243,18 @@ def test_report_passes(capsys):
     assert _detail(props, "value_non_decreasing_in_alpha")["holds"] is False
 
 
-def test_report_fails_closed(capsys, monkeypatch):
-    # 1e-12 off one golden value: outside the fixture's 1e-14, inside the
-    # 1e-9 band where compare() would call the two sides equal
+def _bump_golden(monkeypatch) -> str:
+    """Move one golden value 1e-12 off and return its fixture's name: outside
+    the fixture's 1e-14, inside the 1e-9 band where compare() would call the
+    two sides equal."""
     fixture, op, given, expected = cli._GOLDEN[0]
     bumped = (expected[0] + 1e-12, *expected[1:])
     monkeypatch.setattr(cli, "_GOLDEN", ((fixture, op, given, bumped), *cli._GOLDEN[1:]))
+    return fixture
+
+
+def test_report_fails_closed(capsys, monkeypatch):
+    fixture = _bump_golden(monkeypatch)
     code, doc = run_json(capsys, "report")
     assert code == EXIT_FAILURE
     assert doc["all_hold"] is False
@@ -529,6 +537,59 @@ def test_out_file_writing(capsys, tmp_path):
     assert doc["all_hold"] is True
 
 
+@pytest.mark.parametrize("target", ["missing/doc.json", "."])
+def test_unwritable_out_exits_4(capsys, tmp_path, target):
+    # a missing directory, and a directory in place of a file
+    path = tmp_path / target
+    code, out, err = run(capsys, "negate", "--dist", "uniform:2", "--out", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"neglab: error: cannot write {path}: [Errno ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("argv, expected", [
+    (["entropy", "--dist", "0.5,0.5"], EXIT_OK),
+    (["entropy", "--dist", "0.6,0.6"], EXIT_VALIDATION),
+    (["dissim", "--dist", "0.5,0.5000000000000001", "--alpha", "1021"], EXIT_VALIDATION),
+    (["report"], EXIT_FAILURE),  # with one golden value bumped
+    (["entropy", "--bogus"], EXIT_USAGE),
+    (["converge", "--dist", "0.5,0.5", "--max-steps", "0"], EXIT_USAGE),
+    (["entropy", "--dist", "0.5,0.5", "--out", "."], EXIT_USAGE),
+])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, collecting, argv, expected):
+    if expected == EXIT_FAILURE:
+        _bump_golden(monkeypatch)
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(argv) == expected
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def test_records_are_built_and_rendered_with_the_collector_paused(capsys, monkeypatch):
+    seen = []
+
+    def entropy_report(p):
+        seen.append(gc.isenabled())
+        return cli_entropy_report(p)
+
+    def render_json(doc):
+        seen.append(gc.isenabled())
+        return cli_render_json(doc)
+
+    cli_entropy_report, cli_render_json = cli.entropy_report, cli._render_json
+    monkeypatch.setattr(cli, "entropy_report", entropy_report)
+    monkeypatch.setattr(cli, "_render_json", render_json)
+    assert gc.isenabled()
+    assert main(["entropy", "--dist", "0.5,0.5", "--format", "json"]) == EXIT_OK
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
 def test_help_exits_0(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == EXIT_OK
@@ -540,6 +601,176 @@ def test_json_output_is_one_compact_line(capsys):
     assert code == EXIT_OK
     assert out.endswith("\n") and out.count("\n") == 1
     assert out == json.dumps(json.loads(out)) + "\n"
+
+
+# --- CSV against the DictWriter renderer it replaced, applied to JSON ------
+
+def _oracle_fmt(x):
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return f"{x:.15g}"
+    return str(x)
+
+
+def _oracle_negate(d_idx, rec):
+    return [
+        {"dist": d_idx, "index": i, "p": v, "negation": nb, "double_negation": nbb}
+        for i, (v, nb, nbb) in enumerate(
+            zip(rec["distribution"], rec["negation"], rec["double_negation"])
+        )
+    ]
+
+
+def _oracle_entropy(d_idx, rec):
+    return [{"dist": d_idx, **{k: v for k, v in rec.items() if k != "distribution"}}]
+
+
+def _oracle_converge(d_idx, rec):
+    return [
+        {
+            "dist": d_idx,
+            "step": k,
+            "distance": distance,
+            "entropy_bits": entropy,
+            "converged": rec["converged"],
+            "oscillating": rec["oscillating"],
+        }
+        for k, (distance, entropy) in enumerate(zip(rec["distances"], rec["entropies"]))
+    ]
+
+
+def _oracle_dissim(d_idx, rec):
+    levels = [("alpha", r["alpha"], r) for r in rec["profile"]]
+    levels += [("iterate", k, r) for k, r in enumerate(rec["iterated"]["results"], start=1)]
+    return [
+        {
+            "dist": d_idx,
+            "kind": kind,
+            "level": level,
+            "value": r["value"],
+            "closed_form_value": r["closed_form_value"],
+            "l1": r["l1"],
+            "properties_hold": rec["properties"]["holds"],
+        }
+        for kind, level, r in levels
+    ]
+
+
+def _oracle_cert_rows(d_idx, cert, prefix=""):
+    name = prefix + cert["name"]
+    rows = [
+        {
+            "dist": d_idx,
+            "name": name,
+            "lhs": cert["lhs"],
+            "rhs": cert["rhs"],
+            "slack": cert["slack"],
+            "holds": cert["holds"],
+            "equality": cert["equality"],
+            "infinite": cert["infinite"],
+        }
+    ]
+    for sub in cert["detail"]:
+        rows += _oracle_cert_rows(d_idx, sub, name + "/")
+    return rows
+
+
+def _oracle_verify(d_idx, rec):
+    return [row for cert in rec["certificates"] for row in _oracle_cert_rows(d_idx, cert)]
+
+
+_ORACLE_ROWS = {
+    "negate": _oracle_negate,
+    "entropy": _oracle_entropy,
+    "converge": _oracle_converge,
+    "dissim": _oracle_dissim,
+    "verify": _oracle_verify,
+    "report": _oracle_cert_rows,
+}
+
+
+def _oracle_csv(doc):
+    """The CSV of a JSON document, rendered one dict row at a time."""
+    if "error" in doc:
+        err = doc["error"]
+        rows = [
+            {
+                "dist": err["index"],
+                "error": err["why"],
+                "sum_error": err["report"]["sum_error"],
+                "bad_indices": " ".join(map(str, err["report"]["bad_indices"])),
+            }
+        ]
+    else:
+        to_rows = _ORACLE_ROWS[doc["command"]]
+        rows = [row for idx, rec in enumerate(doc["results"]) for row in to_rows(idx, rec)]
+    buf = io.StringIO()
+    if rows:
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: _oracle_fmt(v) for k, v in row.items()})
+    return buf.getvalue()
+
+
+def _csv_batch():
+    """Every n in 2..16, rows with exact zeros, a point mass and uniform rows."""
+    rng = np.random.default_rng(11)
+    rows = [rng.dirichlet(np.ones(n)).tolist() for n in range(2, 17)]
+    for n in (3, 7, 12):
+        p = rng.dirichlet(np.ones(n))
+        p[rng.choice(n, size=n // 2, replace=False)] = 0.0
+        rows.append((p / p.sum()).tolist())
+    return rows + [[0.0, 0.0, 1.0, 0.0], [0.2] * 5, [0.5, 0.5], rows[4]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["negate"],
+    ["entropy"],
+    ["converge"],
+    ["converge", "--max-steps", "2"],
+    ["dissim"],
+    ["dissim", "--alpha", "0", "--depth", "1"],
+    ["dissim", "--alpha", "0,1,2,3,4,5,6,7", "--depth", "8"],
+    ["verify", "--fn", "neg_log"],
+    ["verify", "--fn", "square"],
+    ["verify", "--fn", "x_log_x"],
+])
+@pytest.mark.parametrize("rows", [_csv_batch(), [[0.5, 0.5], [0.3, 0.2, 0.5], [0.6, 0.6]]],
+                         ids=["mixed_n", "validation_error"])
+def test_csv_equals_the_dict_rows_of_the_json_document(capsys, tmp_path, argv, rows):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(rows))
+    code, doc = run_json(capsys, *argv, "--file", str(path))
+    assert code == run(capsys, *argv, "--file", str(path))[0]
+    assert run(capsys, *argv, "--file", str(path), "--format", "csv")[1] == _oracle_csv(doc)
+
+
+def test_dissim_csv_reads_a_failing_properties_column(capsys, monkeypatch, tmp_path):
+    # no valid input fails the properties certificate, so fail every other one
+    def failing_profiles(dists, alphas, depth):
+        profiles = cli_negation_profiles(dists, alphas, depth)
+        holds = profiles.properties.holds.copy()
+        holds[::2] = False
+        return profiles._replace(properties=dataclasses.replace(profiles.properties, holds=holds))
+
+    cli_negation_profiles = cli.negation_profiles
+    monkeypatch.setattr(cli, "negation_profiles", failing_profiles)
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(_csv_batch()))
+    code, doc = run_json(capsys, "dissim", "--file", str(path))
+    assert code == EXIT_FAILURE
+    assert {rec["properties"]["holds"] for rec in doc["results"]} == {True, False}
+    code, out, _ = run(capsys, "dissim", "--file", str(path), "--format", "csv")
+    assert code == EXIT_FAILURE
+    assert out == _oracle_csv(doc)
+
+
+def test_report_csv_equals_the_dict_rows_of_the_json_document(capsys):
+    code, doc = run_json(capsys, "report")
+    assert code == EXIT_OK
+    assert run(capsys, "report", "--format", "csv")[1] == _oracle_csv(doc)
 
 
 # --- exit-code contract under arbitrary --file contents and flags -----------
@@ -568,6 +799,7 @@ _FLAGS = st.lists(st.sampled_from([
     ("--alpha", "0,2"), ("--alpha", "2,1"), ("--alpha", "5000"), ("--alpha", "a"),
     ("--depth", "2"), ("--depth", "0"),
     ("--dist", "0.5,0.5"), ("--dist", "uniform:3"), ("--dist", "1/0"), ("--dist", "uniform:1"),
+    ("--out", "."),  # a directory
 ]), max_size=4)
 
 
