@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import compress
 
 import numpy as np
 
@@ -78,18 +78,12 @@ class Certificate:
             raise ValueError(f"certificate {self.name!r}: equality without holds")
 
     def as_dict(self) -> dict:
-        """Plain-data form, suitable for JSON output."""
-        return _as_dict(
-            self.name, self.lhs, self.rhs, self.slack, self.holds, self.equality,
-            self.infinite, [d.as_dict() for d in self.detail],
-        )
+        """Plain-data form of a one-input certificate, suitable for JSON output."""
+        return _input_dicts([self])[0][0]
 
     def failures(self) -> list[str]:
-        """Names of this certificate and any sub-certificates that fail."""
-        out = [] if self.holds else [self.name]
-        for d in self.detail:
-            out.extend(f"{self.name}/{sub}" for sub in d.failures())
-        return out
+        """Of a one-input certificate: the paths of it and its sub-certificates that fail."""
+        return _input_failures([self])[0]
 
     def row(self, r: int) -> "Certificate":
         """Of a column certificate: input ``r``'s certificate, read off the decided columns."""
@@ -98,20 +92,6 @@ class Certificate:
             self.holds[r].item(), self.equality[r].item(), self.infinite[r].item(),
             tuple(d.row(r) for d in self.detail),
         )
-
-
-def _as_dict(name, lhs, rhs, slack, holds, equality, infinite, detail) -> dict:
-    """The plain-data form of one certificate, given its fields."""
-    return {
-        "name": name,
-        "lhs": lhs,
-        "rhs": rhs,
-        "slack": slack,
-        "holds": holds,
-        "equality": equality,
-        "infinite": infinite,
-        "detail": detail,
-    }
 
 
 def _decide(lhs, rhs, holds, equality):
@@ -187,9 +167,22 @@ def _compare_columns(
     ]
 
 
+def _flat(columns: list[Certificate], depth: int = 0, prefix: str = "") -> list[tuple]:
+    """``(depth, path, certificate)`` of ``columns`` and, at any depth, their
+    detail, depth-first; a path joins the names from the top with ``/``."""
+    out = []
+    for c in columns:
+        out.append((depth, prefix + c.name, c))
+        out += _flat(c.detail, depth + 1, f"{prefix}{c.name}/")
+    return out
+
+
 def _gathered(columns: list[Certificate], field: str) -> np.ndarray:
-    """Field ``field`` of K columns of the same m inputs, as an m×K array."""
-    return np.concatenate([getattr(c, field) for c in columns]).reshape(len(columns), -1).T
+    """Field ``field`` of K columns of the same m inputs, as an m×K array.
+
+    One-input certificates count as columns of m = 1.
+    """
+    return np.reshape([getattr(c, field) for c in columns], (len(columns), -1)).T
 
 
 def _input_dicts(columns: list[Certificate]) -> list[list[dict]]:
@@ -202,29 +195,18 @@ def _input_dicts(columns: list[Certificate]) -> list[list[dict]]:
         _gathered(columns, name).tolist()
         for name in ("lhs", "rhs", "slack", "holds", "equality", "infinite")
     ]
-    names = [c.name for c in columns]
-    details = {k: _input_dicts(c.detail) for k, c in enumerate(columns) if c.detail}
-    out = []
-    for r, values in enumerate(zip(*fields)):
-        subs = [[] for _ in names]
-        for k, rows in details.items():
-            subs[k] = rows[r]
-        out.append(list(map(_as_dict, names, *values, subs)))
-    return out
+    details = [_input_dicts(c.detail) if c.detail else None for c in columns]
+    return [
+        [{"name": c.name, "lhs": lhs, "rhs": rhs, "slack": slack, "holds": holds,
+          "equality": equality, "infinite": infinite, "detail": detail[r] if detail else []}
+         for c, lhs, rhs, slack, holds, equality, infinite, detail in zip(columns, *values, details)]
+        for r, values in enumerate(zip(*fields))
+    ]
 
 
 def _input_failures(columns: list[Certificate]) -> list[list[str]]:
-    """Per input r, ``[name for c in columns for name in c.row(r).failures()]``."""
-    holds = _gathered(columns, "holds")
-    found = [(r, k, columns[k].name) for r, k in np.argwhere(~holds).tolist()]
-    for k, c in enumerate(columns):
-        if c.detail:
-            found += [
-                (r, k, f"{c.name}/{sub}")
-                for r, subs in enumerate(_input_failures(c.detail)) for sub in subs
-            ]
-    out = [[] for _ in range(holds.shape[0])]
-    # a stable sort keeps each failing column ahead of its failing detail
-    for r, _, name in sorted(found, key=itemgetter(0, 1)):
-        out[r].append(name)
-    return out
+    """Per input r, ``[path for c in columns for path in c.row(r).failures()]``."""
+    flat = _flat(columns)
+    paths = [path for _, path, _ in flat]
+    failing = ~_gathered([c for _, _, c in flat], "holds")
+    return [list(compress(paths, row)) for row in failing.tolist()]

@@ -7,7 +7,7 @@ full precision, round-trip safe), CSV, or readable text; numeric text is
 printed with 15 significant digits.
 
 Exit codes are a stable contract: 0 success, 2 input validation failure,
-3 certificate or fixture failure, 4 usage error.
+3 certificate or fixture failure (or a failed cross-check), 4 usage error.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .certificates import Certificate, _input_dicts, _input_failures, compare
+from .certificates import Certificate, _flat, _gathered, _input_dicts, _input_failures, compare
 from .distribution import DimensionError, DomainError, ValidationReport, make_dist, make_dists
-from .dissimilarity import MAX_ALPHA, negation_profile, negation_profiles
+from .dissimilarity import MAX_ALPHA, CrossCheckError, negation_profile, negation_profiles
 from .entropy import entropy_report, shannon_entropy
 from .jensen import (
     NEG_LOG,
@@ -208,82 +208,148 @@ def _validate(raw: list[list[float]], tolerance: float):
     return min(failures, key=lambda failure: failure[0]) if failures else dists
 
 
-def _by_group(dists, records_of) -> list:
-    """``records_of(group)`` for each same-n group of ``dists``, in input order.
+def _by_group(dists, step, render) -> tuple[list, bool]:
+    """The records of ``dists`` in input order, and whether every claim held.
 
-    A group that raises :class:`DomainError` is charged to its input
+    ``step(group)`` gives the ``(result, all_hold)`` of each same-n group
+    of ``dists`` and ``render(group, result)`` its inputs' records.  A
+    group that raises :class:`DomainError` is charged to its input
     ``index``, the first if the error names none; the error raised is that
     of the first input in input order, whichever group it sits in.
     """
-    records, failures = [None] * len(dists), []
+    records, holds, failures = [None] * len(dists), [], []
     for idxs in _by_length(dists).values():
+        group = [dists[i] for i in idxs]
         try:
-            group = records_of([dists[i] for i in idxs])
+            result, group_holds = step(group)
         except DomainError as exc:
             failures.append((idxs[getattr(exc, "index", 0)], exc))
             continue
-        for i, record in zip(idxs, group):
+        holds.append(group_holds)
+        for i, record in zip(idxs, render(group, result)):
             records[i] = record
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    return records
+    return records, all(holds)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each takes (dists, args, inp), checks its own flags,
-# may record them in the document's ``input`` block ``inp``, and returns
-# (records, all_hold); the CSV rows of a record, lists of cell strings under
-# the command's CSV header, come from its ``_csv_*`` function, called only
-# for ``--format csv``
+# subcommands.  A command's step(args, inp) checks its own flags, may record
+# them in the document's ``input`` block ``inp``, and returns the function
+# from a same-n group to its (result, all_hold).  Its json, csv and text
+# entries (the _dicts_*, _rows_* and _lines_* functions) turn a group and its
+# result into one record per input: the input's dict, its CSV rows after the
+# ``dist`` cell, or the input with its text lines.
 
-def _run_negate(dists, args, inp):
-    records = [
-        {
-            "distribution": p.tolist(),
-            "negation": negate(p).tolist(),
-            "double_negation": negate_twice(p).tolist(),
-        }
-        for p in dists
-    ]
-    return records, True
+_CERT_HEADER = ("dist", "name", "lhs", "rhs", "slack", "holds", "equality", "infinite")
+_CERT_FIELDS = _CERT_HEADER[2:]
 
 
-def _csv_negate(d_idx, rec):
+def _certificate_fields(columns: list[Certificate], formats) -> tuple[list, list[list[tuple]]]:
+    """``_flat(columns)`` and, per input, one tuple per certificate of its
+    fields ``_CERT_FIELDS``, each through its function of ``formats``.
+
+    Each field is gathered once across the certificates and formatted once.
+    """
+    flat = _flat(columns)
+    certs = [c for _, _, c in flat]
+    fields = list(zip(*(
+        map(fmt, _gathered(certs, name).ravel().tolist())
+        for name, fmt in zip(_CERT_FIELDS, formats)
+    )))
+    return flat, [fields[start:start + len(certs)] for start in range(0, len(fields), len(certs))]
+
+
+def _certificate_rows(columns: list[Certificate]) -> list[list[tuple]]:
+    """Per input, the CSV rows of ``columns`` and, at any depth, their detail, named by path."""
+    flat, inputs = _certificate_fields(columns, [_fmt] * 6)
+    paths = [path for _, path, _ in flat]
+    return [[(path, *fields) for path, fields in zip(paths, rows)] for rows in inputs]
+
+
+_MARK = {True: "[ok]", False: "[FAIL]"}
+_EQUALITY = {True: " (equality)", False: ""}
+_INFINITE = {True: " (infinite)", False: ""}
+
+
+def _certificate_lines(columns: list[Certificate], indent: str) -> list[list[str]]:
+    """Per input, one text line per certificate of ``columns`` at ``indent``,
+    its detail below it two spaces deeper at each level."""
+    flat, inputs = _certificate_fields(columns, [_fmt] * 3 + [_MARK.get, _EQUALITY.get, _INFINITE.get])
+    heads = [(indent + "  " * depth, c.name) for depth, _, c in flat]
     return [
-        _cells(d_idx, i, v, nb, nbb)
-        for i, (v, nb, nbb) in enumerate(
-            zip(rec["distribution"], rec["negation"], rec["double_negation"])
-        )
+        [f"{head}{mark} {name}: lhs={lhs} rhs={rhs} slack={slack}{eq}{inf}"
+         for (head, name), (lhs, rhs, slack, mark, eq, inf) in zip(heads, rows)]
+        for rows in inputs
     ]
 
 
-def _run_entropy(dists, args, inp):
-    return [{"distribution": p.tolist(), **entropy_report(p).as_dict()} for p in dists], True
+def _vec(values) -> str:
+    return ", ".join(map(_fmt, values))
 
 
-def _csv_entropy(d_idx, rec):
-    return [_cells(d_idx, rec["n"], rec["entropy_bits"], rec["max_entropy_bits"], rec["gap_bits"])]
+def _dicts_negate(group, negations):
+    return [
+        {"distribution": p.tolist(), "negation": q, "double_negation": qq}
+        for p, (q, qq) in zip(group, negations)
+    ]
 
 
-def _run_converge(dists, args, inp):
+def _rows_negate(group, negations):
+    return [
+        [_cells(i, v, nb, nbb) for i, (v, nb, nbb) in enumerate(zip(p, q, qq))]
+        for p, (q, qq) in zip(group, negations)
+    ]
+
+
+def _lines_negate(group, negations):
+    return [
+        (p, [f"  negation:        {_vec(q)}", f"  double negation: {_vec(qq)}"])
+        for p, (q, qq) in zip(group, negations)
+    ]
+
+
+def _step_converge(args, inp):
     if args.max_steps < 1:
         raise _UsageError(f"--max-steps must be >= 1, got {args.max_steps}")
-
-    def records_of(group):
-        traces = converge_traces(group, args.tolerance, args.max_steps)
-        return [{"distribution": p.tolist(), "tolerance": args.tolerance, **trace}
-                for p, trace in zip(group, traces.as_dicts())]
-    return _by_group(dists, records_of), True
+    return lambda group: ((args.tolerance, converge_traces(group, args.tolerance, args.max_steps)), True)
 
 
-def _csv_converge(d_idx, rec):
+def _dicts_converge(group, result):
+    tolerance, traces = result
+    return [{"distribution": p.tolist(), "tolerance": tolerance, **trace}
+            for p, trace in zip(group, traces.as_dicts())]
+
+
+def _rows_converge(group, result):
+    traces = result[1]
+    steps = list(zip(_cells(*traces.distances.tolist()), _cells(*traces.entropies.tolist())))
     return [
-        _cells(d_idx, k, distance, entropy, rec["converged"], rec["oscillating"])
-        for k, (distance, entropy) in enumerate(zip(rec["distances"], rec["entropies"]))
+        [(str(k), distance, entropy, converged, oscillating)
+         for k, (distance, entropy) in enumerate(steps[end - n - 1:end])]
+        for end, n, converged, oscillating in zip(
+            np.cumsum(traces.steps + 1).tolist(), traces.steps.tolist(),
+            _cells(*traces.converged.tolist()), _cells(*traces.oscillating.tolist()))
     ]
 
 
-def _run_dissim(dists, args, inp):
+def _lines_converge(group, result):
+    traces = result[1]
+    last = np.cumsum(traces.steps + 1) - 1
+    records = []
+    for p, steps, converged, oscillating, distance, entropy in zip(
+        group, traces.steps.tolist(), traces.converged.tolist(), traces.oscillating.tolist(),
+        _cells(*traces.distances[last].tolist()), _cells(*traces.entropies[last].tolist()),
+    ):
+        state = "converged" if converged else (
+            "oscillating (period 2, never converges)" if oscillating else "stopped at max_steps"
+        )
+        records.append((p, [f"  {state} after {steps} steps",
+                            f"  final distance {distance}, entropy {entropy} bits"]))
+    return records
+
+
+def _step_dissim(args, inp):
     try:
         alphas = [int(a) for a in args.alpha.split(",") if a.strip()]
     except ValueError:
@@ -296,78 +362,81 @@ def _run_dissim(dists, args, inp):
         raise _UsageError(f"--depth must be >= 1, got {args.depth}")
     inp["alphas"] = alphas
     inp["depth"] = args.depth
-    holds = []
 
-    def records_of(group):
+    def step(group):
         profiles = negation_profiles(group, alphas, args.depth)
-        holds.append(profiles.properties.holds.all())
-        if args.format == "csv":  # a record is then its input's rows of cells
-            return _dissim_cells(profiles)
-        return [{"distribution": p.tolist(), **profile}
-                for p, profile in zip(group, profiles.as_dicts())]
-    return _by_group(dists, records_of), all(holds)
+        return profiles, profiles.properties.holds.all()
+    return step
 
 
-def _dissim_cells(profiles) -> list[list[tuple]]:
-    """Per input of a group, its CSV rows after the ``dist`` cell.
-
-    They are read off the group's arrays: a row's ``value`` is also its
-    ``closed_form_value``, and the alpha rows share the l1 of p and its
-    negation.  Entry 1 of the arrays, q against p, has no row.
-    """
-    levels = [("alpha", str(a)) for a in profiles.alphas]
-    levels += [("iterate", str(k)) for k in range(1, profiles.l1.shape[1] - 1)]
+def _dissim_fields(profiles):
+    """Per input, the cells of its values against its negation at each level, then
+    against each iterate, and of its l1 against its negation, then each iterate."""
     values = np.concatenate([profiles.value[:, 0], profiles.value[:, 2:, 0]], axis=1)
     l1s = np.concatenate([profiles.l1[:, :1], profiles.l1[:, 2:]], axis=1)
+    return [(_cells(*value), _cells(*l1)) for value, l1 in zip(values.tolist(), l1s.tolist())]
+
+
+def _rows_dissim(group, profiles):
+    """A row's ``value`` is also its ``closed_form_value``, and the alpha rows
+    share the l1 of p and its negation."""
+    levels = [("alpha", str(a)) for a in profiles.alphas]
+    levels += [("iterate", str(k)) for k in range(1, profiles.l1.shape[1] - 1)]
     records = []
-    for value, l1, held in zip(values.tolist(), l1s.tolist(), profiles.properties.holds.tolist()):
-        first, *iterates = _cells(*l1)
-        l1, held = [first] * len(profiles.alphas) + iterates, _fmt(held)
-        records.append([(kind, level, v, v, d, held)
-                        for (kind, level), v, d in zip(levels, _cells(*value), l1)])
+    for (values, (first, *iterates)), held in zip(
+        _dissim_fields(profiles), _cells(*profiles.properties.holds.tolist())
+    ):
+        l1 = [first] * len(profiles.alphas) + iterates
+        records.append([(kind, level, v, v, d, held) for (kind, level), v, d in zip(levels, values, l1)])
     return records
 
 
-def _csv_dissim(d_idx, rec):
-    dist = str(d_idx)
-    return [[dist, *row] for row in rec]
+def _lines_dissim(group, profiles):
+    alphas, depth = profiles.alphas, profiles.l1.shape[1] - 2
+    records = []
+    for p, (values, l1), properties, flag in zip(
+        group, _dissim_fields(profiles), _certificate_lines([profiles.properties], "  "),
+        _cells(*profiles.non_decreasing.tolist()),
+    ):
+        lines = [f"  alpha={a}: value={v} (l1={l1[0]})" for a, v in zip(alphas, values)]
+        lines += properties
+        lines.append(f"  vs iterates 1..{depth}: {', '.join(values[len(alphas):])} "
+                     f"(non-decreasing: {flag})")
+        records.append((p, lines))
+    return records
 
 
-def _run_verify(dists, args, inp):
+_SKIPPED_CHAIN = "partial_mean_chain skipped: needs n >= 3"
+
+
+def _step_verify(args, inp):
     try:
         f = get_function(args.fn)
     except LookupError as exc:  # its message lists the built-ins
         raise _UsageError(str(exc)) from None
     inp["function"] = args.fn
 
-    def records_of(group):
+    def step(group):
         # the rows were validated under --tol and are not checked again
         suite = certificate_suites(f, group)
-        notes = {"notes": ["partial_mean_chain skipped: needs n >= 3"]} if group[0].n < 3 else {}
-        return [
-            {"distribution": p.tolist(), "function": args.fn, "certificates": certs,
-             "all_hold": not failing, "failing": failing, **notes}
-            for p, certs, failing in zip(group, _input_dicts(suite), _input_failures(suite))
-        ]
-    records = _by_group(dists, records_of)
-    return records, all(rec["all_hold"] for rec in records)
+        failing = _input_failures(suite)
+        return (f.name, suite, failing), not any(failing)
+    return step
 
 
-_CERT_HEADER = ("dist", "name", "lhs", "rhs", "slack", "holds", "equality", "infinite")
+def _dicts_verify(group, result):
+    fn, suite, failing = result
+    notes = {"notes": [_SKIPPED_CHAIN]} if group[0].n < 3 else {}
+    return [
+        {"distribution": p.tolist(), "function": fn, "certificates": certs,
+         "all_hold": not fails, "failing": fails, **notes}
+        for p, certs, fails in zip(group, _input_dicts(suite), failing)
+    ]
 
 
-def _cert_rows(d_idx, cert, prefix=""):
-    """CSV rows of a certificate dict and, at any depth, its detail, named by path."""
-    name = prefix + cert["name"]
-    rows = [_cells(d_idx, name, cert["lhs"], cert["rhs"], cert["slack"],
-                   cert["holds"], cert["equality"], cert["infinite"])]
-    for sub in cert["detail"]:
-        rows += _cert_rows(d_idx, sub, name + "/")
-    return rows
-
-
-def _csv_verify(d_idx, rec):
-    return [row for cert in rec["certificates"] for row in _cert_rows(d_idx, cert)]
+def _lines_verify(group, result):
+    notes = [f"  note: {_SKIPPED_CHAIN}"] if group[0].n < 3 else []
+    return [(p, lines + notes) for p, lines in zip(group, _certificate_lines(result[1], "  "))]
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +467,8 @@ def _claim(name: str, lhs: float, rhs: float, ok: bool, *detail: Certificate) ->
     return compare(name, lhs, rhs, holds=ok, equality=False, detail=detail)
 
 
-def _run_report(dists, args, inp):
+def _golden_fixtures(_) -> tuple[list[Certificate], bool]:
+    """The step of ``report``, for no group: the fixtures and whether all hold."""
     golden: dict[str, list[Certificate]] = {}
     for fixture, op, given, expected in _GOLDEN:
         err = max(abs(g - e) for g, e in zip(op(make_dist(given)).tolist(), expected))
@@ -461,7 +531,7 @@ def _run_report(dists, args, inp):
         and not direction["value_non_decreasing_in_alpha"],
         *closed_form, props,
     ))
-    return [c.as_dict() for c in fixtures], all(c.holds for c in fixtures)
+    return fixtures, all(c.holds for c in fixtures)
 
 
 # ---------------------------------------------------------------------------
@@ -482,69 +552,15 @@ def _render_csv(doc: dict) -> str:
         rows = [_cells(err["index"], err["why"], err["report"]["sum_error"],
                        " ".join(map(str, err["report"]["bad_indices"])))]
     else:
-        cmd = _COMMANDS[doc["command"]]
-        header = cmd.header
-        rows = [row for idx, rec in enumerate(doc["results"]) for row in cmd.csv(idx, rec)]
+        header = _COMMANDS[doc["command"]].header
+        records = doc["results"]
+        rows = [(dist, *row) for dist, record in zip(map(str, range(len(records))), records)
+                for row in record]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _vec(values) -> str:
-    return ", ".join(_fmt(v) for v in values)
-
-
-def _cert_lines(cert: dict, out: list[str], indent: str = "") -> None:
-    mark = "ok" if cert["holds"] else "FAIL"
-    eq = " (equality)" if cert["equality"] else ""
-    inf = " (infinite)" if cert["infinite"] else ""
-    out.append(
-        f"{indent}[{mark}] {cert['name']}: lhs={_fmt(cert['lhs'])} "
-        f"rhs={_fmt(cert['rhs'])} slack={_fmt(cert['slack'])}{eq}{inf}"
-    )
-    for sub in cert["detail"]:
-        _cert_lines(sub, out, indent + "  ")
-
-
-def _text_negate(rec: dict, out: list[str]) -> None:
-    out.append(f"  negation:        {_vec(rec['negation'])}")
-    out.append(f"  double negation: {_vec(rec['double_negation'])}")
-
-
-def _text_entropy(rec: dict, out: list[str]) -> None:
-    out.append(
-        f"  entropy {_fmt(rec['entropy_bits'])} bits of "
-        f"{_fmt(rec['max_entropy_bits'])} max, gap {_fmt(rec['gap_bits'])}"
-    )
-
-
-def _text_converge(rec: dict, out: list[str]) -> None:
-    state = "converged" if rec["converged"] else (
-        "oscillating (period 2, never converges)" if rec["oscillating"] else "stopped at max_steps"
-    )
-    out.append(f"  {state} after {rec['steps']} steps")
-    out.append(f"  final distance {_fmt(rec['distances'][-1])}, entropy {_fmt(rec['entropies'][-1])} bits")
-
-
-def _text_dissim(rec: dict, out: list[str]) -> None:
-    for r in rec["profile"]:
-        out.append(f"  alpha={r['alpha']}: value={_fmt(r['value'])} (l1={_fmt(r['l1'])})")
-    _cert_lines(rec["properties"], out, "  ")
-    iterated = rec["iterated"]
-    vals = _vec([r["value"] for r in iterated["results"]])
-    out.append(
-        f"  vs iterates 1..{len(iterated['results'])}: {vals} "
-        f"(non-decreasing: {_fmt(iterated['non_decreasing'])})"
-    )
-
-
-def _text_verify(rec: dict, out: list[str]) -> None:
-    for cert in rec["certificates"]:
-        _cert_lines(cert, out, "  ")
-    for note in rec.get("notes", ()):
-        out.append(f"  note: {note}")
 
 
 def _render_text(doc: dict) -> str:
@@ -556,11 +572,10 @@ def _render_text(doc: dict) -> str:
             f"validation failed for distribution {err['index']}: {err['why']} "
             f"(sum_error={_fmt(rep['sum_error'])}, bad_indices={rep['bad_indices']})"
         )
-    render = _COMMANDS[doc["command"]].text
-    for idx, rec in enumerate(doc["results"]):
-        if "distribution" in rec:
-            out.append(f"distribution {idx}: {_vec(rec['distribution'])}")
-        render(rec, out)
+    for idx, (p, lines) in enumerate(doc["results"]):
+        if p is not None:  # a report fixture has no distribution
+            out.append(f"distribution {idx}: {_vec(p)}")
+        out += lines
     out.append(f"all_hold: {_fmt(doc['all_hold'])}")
     return "\n".join(out) + "\n"
 
@@ -578,11 +593,12 @@ def _emit(doc: dict, fmt: str, out_path: str | None) -> None:
 
 
 class _Command(NamedTuple):
-    """One subcommand: how it runs, renders, and what it adds to the parser."""
+    """One subcommand: its step, its record of each format, and what it adds to the parser."""
 
-    run: Callable  # (dists, args, inp) -> (records, all_hold)
-    text: Callable  # (record, lines) -> None, appends the record's text lines
-    csv: Callable  # (index, record) -> the record's CSV rows, lists of cell strings
+    step: Callable  # (args, inp) -> (group -> (result, all_hold))
+    json: Callable  # (group, result) -> per input, its dict
+    csv: Callable  # (group, result) -> per input, its CSV rows after the dist cell
+    text: Callable  # (group, result) -> per input, (the input, its text lines)
     header: tuple  # the CSV header row
     help: str
     flags: tuple = ()  # (flag, add_argument keywords) beyond the common ones
@@ -591,29 +607,42 @@ class _Command(NamedTuple):
 
 _COMMANDS = {
     "negate": _Command(
-        _run_negate, _text_negate, _csv_negate,
+        lambda args, inp: lambda group: ([(negate(p).tolist(), negate_twice(p).tolist()) for p in group],
+                                         True),
+        _dicts_negate, _rows_negate, _lines_negate,
         ("dist", "index", "p", "negation", "double_negation"),
         "emit a distribution, its negation, and its double negation",
     ),
     "entropy": _Command(
-        _run_entropy, _text_entropy, _csv_entropy,
+        lambda args, inp: lambda group: ([entropy_report(p) for p in group], True),
+        lambda group, reports: [{"distribution": p.tolist(), **r.as_dict()}
+                                for p, r in zip(group, reports)],
+        lambda group, reports: [[_cells(r.n, r.entropy_bits, r.max_entropy_bits, r.gap_bits)]
+                                for r in reports],
+        lambda group, reports: [(p, [f"  entropy {_fmt(r.entropy_bits)} bits of "
+                                     f"{_fmt(r.max_entropy_bits)} max, gap {_fmt(r.gap_bits)}"])
+                                for p, r in zip(group, reports)],
         ("dist", "n", "entropy_bits", "max_entropy_bits", "gap_bits"),
         "entropy in bits against the log2(n) ceiling",
     ),
     "converge": _Command(
-        _run_converge, _text_converge, _csv_converge,
+        _step_converge, _dicts_converge, _rows_converge, _lines_converge,
         ("dist", "step", "distance", "entropy_bits", "converged", "oscillating"),
         "iterate negation toward uniform and trace the path",
         flags=(("--max-steps", {"type": int, "default": 1000}),),
     ),
     "verify": _Command(
-        _run_verify, _text_verify, _csv_verify, _CERT_HEADER,
+        _step_verify, _dicts_verify, lambda group, result: _certificate_rows(result[1]), _lines_verify,
+        _CERT_HEADER,
         "run the full certificate suite",
         flags=(("--fn", {"default": "neg_log",
                          "help": f"built-in function ({', '.join(BUILTIN_FUNCTIONS)})"}),),
     ),
     "dissim": _Command(
-        _run_dissim, _text_dissim, _csv_dissim,
+        _step_dissim,
+        lambda group, profiles: [{"distribution": p.tolist(), **profile}
+                                 for p, profile in zip(group, profiles.as_dicts())],
+        _rows_dissim, _lines_dissim,
         ("dist", "kind", "level", "value", "closed_form_value", "l1", "properties_hold"),
         "dissimilarity profile against the negation",
         flags=(
@@ -623,7 +652,11 @@ _COMMANDS = {
         ),
     ),
     "report": _Command(
-        _run_report, _cert_lines, _cert_rows, _CERT_HEADER,
+        lambda args, inp: _golden_fixtures,  # report reads no distributions
+        lambda _, fixtures: _input_dicts(fixtures)[0],
+        lambda _, fixtures: [_certificate_rows([c])[0] for c in fixtures],
+        lambda _, fixtures: [(None, _certificate_lines([c], "")[0]) for c in fixtures],
+        _CERT_HEADER,
         "reproduce the golden fixtures and report pass/fail",
         dist_input=False,
     ),
@@ -669,6 +702,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         cmd = _COMMANDS[args.command]
+        render = getattr(cmd, args.format)
         if not cmd.dist_input:
             dists, doc_input = None, {}
         else:
@@ -689,7 +723,12 @@ def main(argv: list[str] | None = None) -> int:
                 _emit(doc, args.format, args.out)
                 return EXIT_VALIDATION
 
-        results, all_hold = cmd.run(dists, args, doc_input)
+        step = cmd.step(args, doc_input)
+        if cmd.dist_input:
+            results, all_hold = _by_group(dists, step, render)
+        else:  # each fixture is a record
+            fixtures, all_hold = step(None)
+            results = render(None, fixtures)
         doc = {"command": args.command, "input": doc_input, "results": results, "all_hold": all_hold}
         _emit(doc, args.format, args.out)
         return EXIT_OK if all_hold else EXIT_FAILURE
@@ -699,6 +738,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, DimensionError) as exc:
         print(f"neglab: invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except CrossCheckError as exc:
+        print(f"neglab: cross-check failed: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     finally:
         if collecting:
             gc.enable()

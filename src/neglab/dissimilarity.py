@@ -221,11 +221,9 @@ def dissimilarity_properties(p: ProbDist, alphas: Sequence[int]) -> Certificate:
     non-decreasing in alpha, so a failing direction stays visible; these are
     detail only, and the top-level certificate holds when the per-level
     checks all hold.  ``alphas`` must be nonempty and sorted ascending.
+    This is a one-row call of :func:`negation_profile`, at depth 1.
     """
-    alphas = _check_alphas(alphas)
-    pq = np.stack([p.probs, negate(p).probs])
-    value, _, l1 = _evaluate(pq, pq[::-1], alphas)
-    return _properties(alphas, value[:1], value[1:], l1[:1]).row(0)
+    return negation_profile(p, alphas, 1).properties
 
 
 @dataclass(frozen=True)
@@ -254,23 +252,14 @@ class IteratedDissimReport:
         }
 
 
-def _iterated(alpha: int, values: np.ndarray, sums: np.ndarray, l1s: list) -> IteratedDissimReport:
-    return IteratedDissimReport(
-        alpha, _results([alpha] * len(values), values, sums, l1s),
-        non_decreasing=bool(np.all(values[1:] >= values[:-1] - HOLDS_TOLERANCE)),
-    )
-
-
 def iterated_negation_dissimilarity(
     p: ProbDist, alpha: int = 0, depth: int = 3
 ) -> IteratedDissimReport:
-    """Dissimilarity of ``p`` from its k-fold negation, k = 1..depth."""
-    alpha = _check_alpha(alpha)
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
-    iterates = _iterates(p.probs, range(1, depth + 1))
-    value, s, l1 = _evaluate(np.broadcast_to(p.probs, iterates.shape), iterates, [alpha])
-    return _iterated(alpha, value[:, 0], s[:, 0], l1.tolist())
+    """Dissimilarity of ``p`` from its k-fold negation, k = 1..depth.
+
+    This is a one-row call of :func:`negation_profile`, at the one level ``alpha``.
+    """
+    return negation_profile(p, [alpha], depth).iterated
 
 
 @dataclass(frozen=True)
@@ -294,7 +283,8 @@ class NegationProfiles(NamedTuple):
     m×(2 + depth): for input r, entry 0 compares p with its negation q at
     each level of ``alphas``, entry 1 q with p, and entry 1 + k p with its
     k-fold negation, at ``alphas[0]`` in every level column.
-    ``properties`` is the properties certificate as a column.
+    ``properties`` is the properties certificate as a column, and
+    ``non_decreasing`` the iterated report's flag of each input.
     """
 
     alphas: tuple[int, ...]
@@ -303,22 +293,23 @@ class NegationProfiles(NamedTuple):
     sum_of_min_pairs: np.ndarray
     l1: np.ndarray
     properties: Certificate
+    non_decreasing: np.ndarray
 
     def row(self, r: int) -> NegationProfile:
         """Input ``r``'s profile."""
         value, s, l1 = self.value[r], self.sum_of_min_pairs[r], self.l1[r].tolist()
+        a0, depth = self.alphas[0], len(l1) - 2
         return NegationProfile(
             negation=_unchecked(self.negations[r]),
             profile=_results(self.alphas, value[0], s[0], [l1[0]] * len(self.alphas)),
             properties=self.properties.row(r),
-            iterated=_iterated(self.alphas[0], value[2:, 0], s[2:, 0], l1[2:]),
+            iterated=IteratedDissimReport(a0, _results([a0] * depth, value[2:, 0], s[2:, 0], l1[2:]),
+                                          self.non_decreasing[r].item()),
         )
 
     def as_dicts(self) -> list[dict]:
         """Per input r, ``self.row(r).as_dict()``; each field is converted once."""
         a0 = self.alphas[0]
-        iterated = self.value[:, 2:, 0]
-        non_decreasing = np.all(iterated[:, 1:] >= iterated[:, :-1] - HOLDS_TOLERANCE, axis=1)
         return [
             {
                 "negation": q,
@@ -334,7 +325,7 @@ class NegationProfiles(NamedTuple):
             }
             for q, value, sums, l1, (properties,), flag in zip(
                 self.negations.tolist(), self.value.tolist(), self.sum_of_min_pairs.tolist(),
-                self.l1.tolist(), _input_dicts([self.properties]), non_decreasing.tolist(),
+                self.l1.tolist(), _input_dicts([self.properties]), self.non_decreasing.tolist(),
             )
         ]
 
@@ -384,5 +375,9 @@ def negation_profiles(
             exc.index = start + exc.index // per  # the row pair's input
             raise
     value, s, l1 = (np.concatenate(part).reshape(m, per, -1) for part in zip(*parts))
-    return NegationProfiles(tuple(alphas), negations, value, s, l1[..., 0],
-                            _properties(alphas, value[:, 0], value[:, 1], l1[:, 0, 0]))
+    iterated = value[:, 2:, 0]
+    return NegationProfiles(
+        tuple(alphas), negations, value, s, l1[..., 0],
+        _properties(alphas, value[:, 0], value[:, 1], l1[:, 0, 0]),
+        np.all(iterated[:, 1:] >= iterated[:, :-1] - HOLDS_TOLERANCE, axis=1),
+    )

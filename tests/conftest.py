@@ -97,6 +97,28 @@ def assert_identical(got, want, path="") -> None:
         assert got == want, path
 
 
+def oracle_as_dict(cert) -> dict:
+    """``Certificate.as_dict`` as a recursive walk of one certificate's tree."""
+    return {
+        "name": cert.name,
+        "lhs": cert.lhs,
+        "rhs": cert.rhs,
+        "slack": cert.slack,
+        "holds": cert.holds,
+        "equality": cert.equality,
+        "infinite": cert.infinite,
+        "detail": [oracle_as_dict(d) for d in cert.detail],
+    }
+
+
+def oracle_failures(cert) -> list[str]:
+    """``Certificate.failures`` as a recursive walk of one certificate's tree."""
+    out = [] if cert.holds else [cert.name]
+    for d in cert.detail:
+        out.extend(f"{cert.name}/{sub}" for sub in oracle_failures(d))
+    return out
+
+
 @pytest.fixture
 def p4():
     return make_dist([1 / 3, 1 / 6, 1 / 6, 1 / 3])

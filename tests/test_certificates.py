@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from neglab import EQUALITY_TOLERANCE, HOLDS_TOLERANCE, Certificate, compare
 from neglab.certificates import _compare_columns, _input_dicts, _input_failures
 
-from conftest import assert_identical
+from conftest import assert_identical, oracle_as_dict, oracle_failures
 
 INF = math.inf
 
@@ -147,8 +147,11 @@ def test_columns_materialise_like_certificates(data, m):
         certs = [col.row(r) for col in cols]
         assert [cert.name for cert in certs] == ["a", "b", "c"]
         assert [d.name for d in certs[1].detail] == ["d0", "d1"]
-        assert failures[r] == [name for cert in certs for name in cert.failures()]
-        assert_identical(dicts[r], [cert.as_dict() for cert in certs])
+        assert failures[r] == [name for cert in certs for name in oracle_failures(cert)]
+        assert_identical(dicts[r], [oracle_as_dict(cert) for cert in certs])
+        for cert in certs:
+            assert cert.failures() == oracle_failures(cert)
+            assert_identical(cert.as_dict(), oracle_as_dict(cert))
 
 
 def test_compare_columns_needs_one_name_per_column():

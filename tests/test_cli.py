@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -548,6 +549,22 @@ def test_unwritable_out_exits_4(capsys, tmp_path, target):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["dissim", "--dist", "0.5,0.3,0.2"],
+    ["dissim", "--dist", "0.5,0.3,0.2", "--format", "json"],
+    ["report"],
+])
+def test_failed_cross_check_exits_3(capsys, monkeypatch, argv):
+    # no correct arithmetic fails the cross-check, so fail every one; the
+    # package attribute neglab.dissimilarity is the function, not the module
+    monkeypatch.setattr(sys.modules["neglab.dissimilarity"], "_CROSS_CHECK_TOL", -1.0)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_FAILURE
+    assert out == ""
+    assert err.startswith("neglab: cross-check failed: literal value ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("collecting", [True, False])
 @pytest.mark.parametrize("argv, expected", [
     (["entropy", "--dist", "0.5,0.5"], EXIT_OK),
@@ -714,6 +731,93 @@ def _oracle_csv(doc):
     return buf.getvalue()
 
 
+# --- text against the dict-walking renderer it replaced, applied to JSON ----
+
+def _oracle_vec(values):
+    return ", ".join(_oracle_fmt(v) for v in values)
+
+
+def _oracle_cert_lines(cert, out, indent=""):
+    mark = "ok" if cert["holds"] else "FAIL"
+    eq = " (equality)" if cert["equality"] else ""
+    inf = " (infinite)" if cert["infinite"] else ""
+    out.append(
+        f"{indent}[{mark}] {cert['name']}: lhs={_oracle_fmt(cert['lhs'])} "
+        f"rhs={_oracle_fmt(cert['rhs'])} slack={_oracle_fmt(cert['slack'])}{eq}{inf}"
+    )
+    for sub in cert["detail"]:
+        _oracle_cert_lines(sub, out, indent + "  ")
+
+
+def _oracle_text_negate(rec, out):
+    out.append(f"  negation:        {_oracle_vec(rec['negation'])}")
+    out.append(f"  double negation: {_oracle_vec(rec['double_negation'])}")
+
+
+def _oracle_text_entropy(rec, out):
+    out.append(
+        f"  entropy {_oracle_fmt(rec['entropy_bits'])} bits of "
+        f"{_oracle_fmt(rec['max_entropy_bits'])} max, gap {_oracle_fmt(rec['gap_bits'])}"
+    )
+
+
+def _oracle_text_converge(rec, out):
+    state = "converged" if rec["converged"] else (
+        "oscillating (period 2, never converges)" if rec["oscillating"] else "stopped at max_steps"
+    )
+    out.append(f"  {state} after {rec['steps']} steps")
+    out.append(f"  final distance {_oracle_fmt(rec['distances'][-1])}, "
+               f"entropy {_oracle_fmt(rec['entropies'][-1])} bits")
+
+
+def _oracle_text_dissim(rec, out):
+    for r in rec["profile"]:
+        out.append(f"  alpha={r['alpha']}: value={_oracle_fmt(r['value'])} (l1={_oracle_fmt(r['l1'])})")
+    _oracle_cert_lines(rec["properties"], out, "  ")
+    iterated = rec["iterated"]
+    vals = _oracle_vec([r["value"] for r in iterated["results"]])
+    out.append(
+        f"  vs iterates 1..{len(iterated['results'])}: {vals} "
+        f"(non-decreasing: {_oracle_fmt(iterated['non_decreasing'])})"
+    )
+
+
+def _oracle_text_verify(rec, out):
+    for cert in rec["certificates"]:
+        _oracle_cert_lines(cert, out, "  ")
+    for note in rec.get("notes", ()):
+        out.append(f"  note: {note}")
+
+
+_ORACLE_LINES = {
+    "negate": _oracle_text_negate,
+    "entropy": _oracle_text_entropy,
+    "converge": _oracle_text_converge,
+    "dissim": _oracle_text_dissim,
+    "verify": _oracle_text_verify,
+    "report": _oracle_cert_lines,
+}
+
+
+def _oracle_text(doc):
+    """The text of a JSON document, rendered by walking its dicts."""
+    out = [f"command: {doc['command']}"]
+    if "error" in doc:
+        err = doc["error"]
+        rep = err["report"]
+        out.append(
+            f"validation failed for distribution {err['index']}: {err['why']} "
+            f"(sum_error={_oracle_fmt(rep['sum_error'])}, bad_indices={rep['bad_indices']})"
+        )
+    render = _ORACLE_LINES[doc["command"]]
+    for idx, rec in enumerate(doc["results"]):
+        if "distribution" in rec:
+            out.append(f"distribution {idx}: {_oracle_vec(rec['distribution'])}")
+        render(rec, out)
+    out.append(f"all_hold: {_oracle_fmt(doc['all_hold'])}")
+    return "\n".join(out) + "\n"
+
+
 def _csv_batch():
     """Every n in 2..16, rows with exact zeros, a point mass and uniform rows."""
     rng = np.random.default_rng(11)
@@ -725,7 +829,7 @@ def _csv_batch():
     return rows + [[0.0, 0.0, 1.0, 0.0], [0.2] * 5, [0.5, 0.5], rows[4]]
 
 
-@pytest.mark.parametrize("argv", [
+_BATCH_ARGV = pytest.mark.parametrize("argv", [
     ["negate"],
     ["entropy"],
     ["converge"],
@@ -737,14 +841,29 @@ def _csv_batch():
     ["verify", "--fn", "square"],
     ["verify", "--fn", "x_log_x"],
 ])
-@pytest.mark.parametrize("rows", [_csv_batch(), [[0.5, 0.5], [0.3, 0.2, 0.5], [0.6, 0.6]]],
-                         ids=["mixed_n", "validation_error"])
+_BATCH_ROWS = pytest.mark.parametrize(
+    "rows", [_csv_batch(), [[0.5, 0.5], [0.3, 0.2, 0.5], [0.6, 0.6]]],
+    ids=["mixed_n", "validation_error"],
+)
+
+
+@_BATCH_ARGV
+@_BATCH_ROWS
 def test_csv_equals_the_dict_rows_of_the_json_document(capsys, tmp_path, argv, rows):
     path = tmp_path / "batch.json"
     path.write_text(json.dumps(rows))
     code, doc = run_json(capsys, *argv, "--file", str(path))
     assert code == run(capsys, *argv, "--file", str(path))[0]
     assert run(capsys, *argv, "--file", str(path), "--format", "csv")[1] == _oracle_csv(doc)
+
+
+@_BATCH_ARGV
+@_BATCH_ROWS
+def test_text_equals_the_dict_lines_of_the_json_document(capsys, tmp_path, argv, rows):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(rows))
+    code, doc = run_json(capsys, *argv, "--file", str(path))
+    assert run(capsys, *argv, "--file", str(path), "--format", "text")[:2] == (code, _oracle_text(doc))
 
 
 def test_dissim_csv_reads_a_failing_properties_column(capsys, monkeypatch, tmp_path):
@@ -765,12 +884,21 @@ def test_dissim_csv_reads_a_failing_properties_column(capsys, monkeypatch, tmp_p
     code, out, _ = run(capsys, "dissim", "--file", str(path), "--format", "csv")
     assert code == EXIT_FAILURE
     assert out == _oracle_csv(doc)
+    code, out, _ = run(capsys, "dissim", "--file", str(path), "--format", "text")
+    assert code == EXIT_FAILURE
+    assert out == _oracle_text(doc)
 
 
 def test_report_csv_equals_the_dict_rows_of_the_json_document(capsys):
     code, doc = run_json(capsys, "report")
     assert code == EXIT_OK
     assert run(capsys, "report", "--format", "csv")[1] == _oracle_csv(doc)
+
+
+def test_report_text_equals_the_dict_lines_of_the_json_document(capsys):
+    code, doc = run_json(capsys, "report")
+    assert code == EXIT_OK
+    assert run(capsys, "report", "--format", "text")[1] == _oracle_text(doc)
 
 
 # --- exit-code contract under arbitrary --file contents and flags -----------

@@ -29,7 +29,7 @@ from neglab import (
 
 from neglab.certificates import HOLDS_TOLERANCE, compare
 from neglab.cli import EXIT_VALIDATION, main
-from neglab.dissimilarity import MAX_ALPHA, _evaluate, _iterated, _results
+from neglab.dissimilarity import MAX_ALPHA, IteratedDissimReport, _evaluate, _results
 from neglab.jensen import _CHAIN_BLOCK_ELEMENTS
 from neglab.negation import _iterates
 
@@ -446,6 +446,14 @@ def _oracle_profile_properties(alphas, forward, backward, l1):
     )
 
 
+def _oracle_iterated(alpha, values, sums, l1s):
+    """The iterated report of one input's values against its iterates, with its own flag."""
+    return IteratedDissimReport(
+        alpha, _results([alpha] * len(values), values, sums, l1s),
+        non_decreasing=bool(np.all(values[1:] >= values[:-1] - HOLDS_TOLERANCE)),
+    )
+
+
 def _oracle_profile(p, alphas, depth):
     """negation_profile as it was before negation_profiles: one input per kernel call."""
     q = negate(p)
@@ -460,7 +468,7 @@ def _oracle_profile(p, alphas, depth):
         negation=q,
         profile=_results(alphas, value[0], s[0], [l1[0]] * len(alphas)),
         properties=_oracle_profile_properties(alphas, value[0], value[1], l1[0]),
-        iterated=_iterated(alphas[0], value[2:, 0], s[2:, 0], l1[2:]),
+        iterated=_oracle_iterated(alphas[0], value[2:, 0], s[2:, 0], l1[2:]),
     )
 
 
