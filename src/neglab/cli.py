@@ -27,7 +27,7 @@ import numpy as np
 
 from .certificates import Certificate, _flat, _gathered, _input_dicts, _input_failures, compare
 from .distribution import DimensionError, DomainError, ValidationReport, make_dist, make_dists
-from .dissimilarity import MAX_ALPHA, CrossCheckError, negation_profile, negation_profiles
+from .dissimilarity import MAX_ALPHA, MAX_DEPTH, CrossCheckError, negation_profile, negation_profiles
 from .entropy import entropy_report, shannon_entropy
 from .jensen import (
     NEG_LOG,
@@ -36,7 +36,7 @@ from .jensen import (
     get_function,
     partial_mean_chain,
 )
-from .negation import converge_traces, negate, negate_twice
+from .negation import converge_traces, negate, negate_twice, negation_pairs
 
 __all__ = ["main", "EXIT_OK", "EXIT_VALIDATION", "EXIT_FAILURE", "EXIT_USAGE", "MAX_UNIFORM_N"]
 
@@ -288,24 +288,24 @@ def _vec(values) -> str:
     return ", ".join(map(_fmt, values))
 
 
-def _dicts_negate(group, negations):
+def _dicts_negate(group, pairs):
     return [
         {"distribution": p.tolist(), "negation": q, "double_negation": qq}
-        for p, (q, qq) in zip(group, negations)
+        for p, q, qq in zip(group, *pairs)
     ]
 
 
-def _rows_negate(group, negations):
+def _rows_negate(group, pairs):
     return [
         [_cells(i, v, nb, nbb) for i, (v, nb, nbb) in enumerate(zip(p, q, qq))]
-        for p, (q, qq) in zip(group, negations)
+        for p, q, qq in zip(group, *pairs)
     ]
 
 
-def _lines_negate(group, negations):
+def _lines_negate(group, pairs):
     return [
         (p, [f"  negation:        {_vec(q)}", f"  double negation: {_vec(qq)}"])
-        for p, (q, qq) in zip(group, negations)
+        for p, q, qq in zip(group, *pairs)
     ]
 
 
@@ -360,6 +360,8 @@ def _step_dissim(args, inp):
         raise _UsageError(f"--alpha levels must be <= {MAX_ALPHA}, got {alphas[-1]}")
     if args.depth < 1:
         raise _UsageError(f"--depth must be >= 1, got {args.depth}")
+    if args.depth > MAX_DEPTH:
+        raise _UsageError(f"--depth must be <= {MAX_DEPTH}, got {args.depth}")
     inp["alphas"] = alphas
     inp["depth"] = args.depth
 
@@ -370,35 +372,30 @@ def _step_dissim(args, inp):
 
 
 def _dissim_fields(profiles):
-    """Per input, the cells of its values against its negation at each level, then
-    against each iterate, and of its l1 against its negation, then each iterate."""
-    values = np.concatenate([profiles.value[:, 0], profiles.value[:, 2:, 0]], axis=1)
-    l1s = np.concatenate([profiles.l1[:, :1], profiles.l1[:, 2:]], axis=1)
-    return [(_cells(*value), _cells(*l1)) for value, l1 in zip(values.tolist(), l1s.tolist())]
+    """Per input, the cells of its values and of its l1s: against its negation
+    at each level, then against each iterate."""
+    return [(_cells(*value), _cells(*l1))
+            for value, l1 in zip(profiles.value.tolist(), profiles.l1.tolist())]
 
 
 def _rows_dissim(group, profiles):
-    """A row's ``value`` is also its ``closed_form_value``, and the alpha rows
-    share the l1 of p and its negation."""
+    """A row's ``value`` is also its ``closed_form_value``."""
     levels = [("alpha", str(a)) for a in profiles.alphas]
-    levels += [("iterate", str(k)) for k in range(1, profiles.l1.shape[1] - 1)]
-    records = []
-    for (values, (first, *iterates)), held in zip(
-        _dissim_fields(profiles), _cells(*profiles.properties.holds.tolist())
-    ):
-        l1 = [first] * len(profiles.alphas) + iterates
-        records.append([(kind, level, v, v, d, held) for (kind, level), v, d in zip(levels, values, l1)])
-    return records
+    levels += [("iterate", str(k)) for k in range(1, profiles.l1.shape[1] - len(profiles.alphas) + 1)]
+    return [
+        [(kind, level, v, v, d, held) for (kind, level), v, d in zip(levels, values, l1)]
+        for (values, l1), held in zip(_dissim_fields(profiles), _cells(*profiles.properties.holds.tolist()))
+    ]
 
 
 def _lines_dissim(group, profiles):
-    alphas, depth = profiles.alphas, profiles.l1.shape[1] - 2
+    alphas, depth = profiles.alphas, profiles.l1.shape[1] - len(profiles.alphas)
     records = []
     for p, (values, l1), properties, flag in zip(
         group, _dissim_fields(profiles), _certificate_lines([profiles.properties], "  "),
         _cells(*profiles.non_decreasing.tolist()),
     ):
-        lines = [f"  alpha={a}: value={v} (l1={l1[0]})" for a, v in zip(alphas, values)]
+        lines = [f"  alpha={a}: value={v} (l1={d})" for a, v, d in zip(alphas, values, l1)]
         lines += properties
         lines.append(f"  vs iterates 1..{depth}: {', '.join(values[len(alphas):])} "
                      f"(non-decreasing: {flag})")
@@ -538,8 +535,9 @@ def _golden_fixtures(_) -> tuple[list[Certificate], bool]:
 # rendering
 
 def _render_json(doc: dict) -> str:
-    # one-shot dumps without indent runs CPython's C encoder
-    return json.dumps(doc) + "\n"
+    # one-shot dumps without indent runs CPython's C encoder; the documents
+    # are acyclic, so the encoder need not track the containers it is in
+    return json.dumps(doc, check_circular=False) + "\n"
 
 
 _ERROR_HEADER = ("dist", "error", "sum_error", "bad_indices")
@@ -607,8 +605,8 @@ class _Command(NamedTuple):
 
 _COMMANDS = {
     "negate": _Command(
-        lambda args, inp: lambda group: ([(negate(p).tolist(), negate_twice(p).tolist()) for p in group],
-                                         True),
+        # each input's negation and double negation, as lists
+        lambda args, inp: lambda group: ([block.tolist() for block in negation_pairs(group)], True),
         _dicts_negate, _rows_negate, _lines_negate,
         ("dist", "index", "p", "negation", "double_negation"),
         "emit a distribution, its negation, and its double negation",

@@ -16,7 +16,8 @@ a value that would underflow to 0 while l1 > 0 raises :class:`DomainError`
 naming the largest usable level.  The literal min-pair sum cross-checks it at
 1e-12 absolute (:class:`CrossCheckError`); from about alpha = 53 the blend
 (scale - 1)·a + b no longer carries b, so there the check is only coarse.
-Each public function stacks its row pairs and calls one array kernel once.
+Each public function stacks its row pairs, one level each, and calls one
+array kernel once.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .negation import _iterates, _negation, negate
 
 __all__ = [
     "MAX_ALPHA",
+    "MAX_DEPTH",
     "CrossCheckError",
     "DissimResult",
     "dissimilarity",
@@ -52,6 +54,10 @@ _LN2 = math.log(2.0)
 
 #: largest level whose closed-form scale 2**(alpha + 2) is a finite double
 MAX_ALPHA = 1021
+
+#: deepest iterate compared: r**k with |r| <= 1/2 is 0 from k = 1075 on, so every
+#: deeper iterate of n >= 3 is exactly uniform, and at n = 2 they only alternate
+MAX_DEPTH = 1075
 
 
 class CrossCheckError(ArithmeticError):
@@ -107,49 +113,44 @@ def _check_alphas(alphas: Sequence[int]) -> list[int]:
     return alphas
 
 
-def _evaluate(A: np.ndarray, B: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row ``A[i]`` against row ``B[i]`` at each of its levels, in one pass.
+def _evaluate(A: np.ndarray, B: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row ``A[i]`` against row ``B[i]`` at level ``levels[i]``, in one pass.
 
-    ``A`` and ``B`` are (k, n); ``levels`` are checked levels, (L,) for
-    every row or (k, L) with row i evaluated at ``levels[i]``.  The
-    (k, L, n) block is one array expression.  Returns ``value`` and the
-    literal ``sum_of_min_pairs``, each (k, L), and ``l1`` (k,).  An
+    ``A`` and ``B`` are (k, n) and ``levels`` the k checked levels.  Returns
+    ``value``, the literal ``sum_of_min_pairs`` and ``l1``, each (k,).  An
     underflowed value raises :class:`DomainError` for the first row pair
     that has one, its position in ``index``.
     """
-    levels = np.asarray(levels)
-    a, b = A[:, None, :], B[:, None, :]
-    scale = np.ldexp(1.0, levels)[..., None]
-    toward_b, toward_a = ((scale - 1.0) * a + b) / scale, (a + (scale - 1.0) * b) / scale
-    s = (np.minimum(a, toward_b) + np.minimum(toward_a, b)).sum(axis=-1)
+    scale = np.ldexp(1.0, levels)[:, None]
+    toward_b, toward_a = ((scale - 1.0) * A + B) / scale, (A + (scale - 1.0) * B) / scale
+    s = (np.minimum(A, toward_b) + np.minimum(toward_a, B)).sum(axis=-1)
     l1 = np.abs(A - B).sum(axis=-1)
-    value = -np.log1p(-np.ldexp(l1[:, None], -(levels + 2))) / _LN2
+    value = -np.log1p(-np.ldexp(l1, -(levels + 2))) / _LN2
     literal = -np.log2((1.0 + 0.5 * s) / 2.0)
 
-    lost = (value == 0.0) & (l1[:, None] > 0.0)
-    levels = np.broadcast_to(levels, value.shape)
+    lost = (value == 0.0) & (l1 > 0.0)
     if lost.any():
-        i, j = np.argwhere(lost)[0]
+        i = np.argmax(lost)
         # l1 = m * 2**e rounds to 0 below 2**-1075 after scaling by 2**-(alpha + 2)
         m, e = math.frexp(float(l1[i]))
         top = min(MAX_ALPHA, e + 1071 + (m > 0.5))
         usable = f"the largest usable level is {top}" if top >= 0 else "no level is usable"
         error = DomainError(f"l1 = {float(l1[i])!r} is too small for a double to carry "
-                            f"the value at alpha={levels[i, j]}: {usable}")
+                            f"the value at alpha={levels[i]}: {usable}")
         error.index = int(i)  # the first failing row pair
         raise error
     bad = np.abs(literal - value) > _CROSS_CHECK_TOL
     if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise CrossCheckError(f"literal value {float(literal[i, j])!r} and closed form "
-                              f"{float(value[i, j])!r} disagree at alpha={levels[i, j]}")
+        i = np.argmax(bad)
+        raise CrossCheckError(f"literal value {float(literal[i])!r} and closed form "
+                              f"{float(value[i])!r} disagree at alpha={levels[i]}")
     return value, s, l1
 
 
-def _results(alphas, values: np.ndarray, sums: np.ndarray, l1s: list) -> tuple[DissimResult, ...]:
+def _results(alphas, values: np.ndarray, sums: np.ndarray, l1s: np.ndarray) -> tuple[DissimResult, ...]:
     return tuple(
         DissimResult(alpha=a, value=v, sum_of_min_pairs=s, closed_form_value=v, l1=d)
-        for a, v, s, d in zip(alphas, values.tolist(), sums.tolist(), l1s)
+        for a, v, s, d in zip(alphas, values.tolist(), sums.tolist(), l1s.tolist())
     )
 
 
@@ -162,8 +163,7 @@ def dissimilarity(p: ProbDist, q: ProbDist, alpha: int = 0) -> DissimResult:
     alpha = _check_alpha(alpha)
     if p.n != q.n:
         raise DimensionError(f"size mismatch: {p.n} vs {q.n}")
-    value, s, l1 = _evaluate(p.probs[None], q.probs[None], [alpha])
-    return _results([alpha], value[0], s[0], l1.tolist())[0]
+    return _results([alpha], *_evaluate(p.probs[None], q.probs[None], np.array([alpha])))[0]
 
 
 def negation_dissimilarity(p: ProbDist, alpha: int = 0) -> DissimResult:
@@ -171,34 +171,30 @@ def negation_dissimilarity(p: ProbDist, alpha: int = 0) -> DissimResult:
     return dissimilarity(p, negate(p), alpha)
 
 
-def _properties(alphas: list[int], forward: np.ndarray, backward: np.ndarray,
-                l1: np.ndarray) -> Certificate:
+def _properties(alphas: list[int], values: np.ndarray, l1: np.ndarray) -> Certificate:
     """The properties certificate of m inputs, as a column, from the m×L
-    value rows of (p, q) and (q, p) and the m distances l1."""
-    m, levels = forward.shape
-    gap = np.abs(forward - backward)
+    values of p against its negation q and the m distances l1."""
+    m, levels = values.shape
 
     def per_level(*claims):  # m×L sides of each claim, interleaved level by level
         return np.stack(claims, axis=2).reshape(m, -1)
 
     asserted = _compare_columns(
         [f"{claim}[alpha={a}]" for a in alphas
-         for claim in ("bounded_in_unit_interval", "zero_iff_identical", "symmetry")],
-        per_level(forward, forward, gap),
-        per_level(np.ones_like(forward), np.broadcast_to(l1[:, None], forward.shape),
-                  np.full_like(forward, 1e-14)),
+         for claim in ("bounded_in_unit_interval", "zero_iff_identical")],
+        per_level(values, values),
+        per_level(np.ones_like(values), np.broadcast_to(l1[:, None], values.shape)),
         holds=per_level(
-            (-HOLDS_TOLERANCE <= forward) & (forward <= 1.0 + HOLDS_TOLERANCE),
+            (-HOLDS_TOLERANCE <= values) & (values <= 1.0 + HOLDS_TOLERANCE),
             # exact: the closed form is 0 only at l1 = 0, and an underflow never gets here
-            (forward == 0.0) == (l1 == 0.0)[:, None],
-            gap <= 1e-14,
+            (values == 0.0) == (l1 == 0.0)[:, None],
         ),
         equality=False,
     )
-    earlier, later = forward[:, :-1], forward[:, 1:]
+    earlier, later = values[:, :-1], values[:, 1:]
     direction = _compare_columns(
         ["value_non_increasing_in_alpha", "value_non_decreasing_in_alpha"],
-        forward[:, [-1, 0]], forward[:, [0, -1]],
+        values[:, [-1, 0]], values[:, [0, -1]],
         holds=np.stack([np.all(later <= earlier + HOLDS_TOLERANCE, axis=1),
                         np.all(later >= earlier - HOLDS_TOLERANCE, axis=1)], axis=1),
         equality=False,
@@ -206,7 +202,7 @@ def _properties(alphas: list[int], forward: np.ndarray, backward: np.ndarray,
 
     holds = np.all([c.holds for c in asserted], axis=0)
     (properties,) = _compare_columns(
-        ["dissimilarity_properties"], forward[:, :1], forward[:, -1:], holds=holds[:, None],
+        ["dissimilarity_properties"], values[:, :1], values[:, -1:], holds=holds[:, None],
         equality=(holds & (l1 <= HOLDS_TOLERANCE))[:, None], detail=(*asserted, *direction),
     )
     return properties
@@ -215,8 +211,9 @@ def _properties(alphas: list[int], forward: np.ndarray, backward: np.ndarray,
 def dissimilarity_properties(p: ProbDist, alphas: Sequence[int]) -> Certificate:
     """Audit the measure's defining properties on ``p`` vs its negation.
 
-    Per level: the value lies in [0, 1], is 0 exactly when the L1 distance
-    is, and the separately evaluated swapped pair differs by at most 1e-14.
+    Per level: the value lies in [0, 1] and is 0 exactly when the L1
+    distance is.  Symmetry needs no claim: the value depends on ``p`` and
+    ``q`` only through the L1 distance, which is the same either way round.
     Across levels the direction is recorded both ways, non-increasing and
     non-decreasing in alpha, so a failing direction stays visible; these are
     detail only, and the top-level certificate holds when the per-level
@@ -279,12 +276,12 @@ class NegationProfile:
 class NegationProfiles(NamedTuple):
     """The :class:`NegationProfile` of m inputs of one length, as arrays.
 
-    ``value`` and ``sum_of_min_pairs`` are m×(2 + depth)×L and ``l1`` is
-    m×(2 + depth): for input r, entry 0 compares p with its negation q at
-    each level of ``alphas``, entry 1 q with p, and entry 1 + k p with its
-    k-fold negation, at ``alphas[0]`` in every level column.
-    ``properties`` is the properties certificate as a column, and
-    ``non_decreasing`` the iterated report's flag of each input.
+    ``value``, ``sum_of_min_pairs`` and ``l1`` are m×(L + depth): for input
+    r, column j < L compares p with its negation q at ``alphas[j]``, and
+    column L + k - 1 p with its k-fold negation at ``alphas[0]``, the order
+    in which ``dissim`` reports them.  ``properties`` is the properties
+    certificate as a column, and ``non_decreasing`` the iterated report's
+    flag of each input.
     """
 
     alphas: tuple[int, ...]
@@ -295,39 +292,34 @@ class NegationProfiles(NamedTuple):
     properties: Certificate
     non_decreasing: np.ndarray
 
+    def _columns(self) -> tuple[int, tuple[int, ...]]:
+        """L, and the level of each column: ``alphas``, then ``alphas[0]`` per iterate."""
+        levels = len(self.alphas)
+        return levels, self.alphas + self.alphas[:1] * (self.l1.shape[1] - levels)
+
     def row(self, r: int) -> NegationProfile:
         """Input ``r``'s profile."""
-        value, s, l1 = self.value[r], self.sum_of_min_pairs[r], self.l1[r].tolist()
-        a0, depth = self.alphas[0], len(l1) - 2
+        levels, at = self._columns()
+        results = _results(at, self.value[r], self.sum_of_min_pairs[r], self.l1[r])
         return NegationProfile(
-            negation=_unchecked(self.negations[r]),
-            profile=_results(self.alphas, value[0], s[0], [l1[0]] * len(self.alphas)),
+            negation=_unchecked(self.negations[r]), profile=results[:levels],
             properties=self.properties.row(r),
-            iterated=IteratedDissimReport(a0, _results([a0] * depth, value[2:, 0], s[2:, 0], l1[2:]),
-                                          self.non_decreasing[r].item()),
+            iterated=IteratedDissimReport(at[0], results[levels:], self.non_decreasing[r].item()),
         )
 
     def as_dicts(self) -> list[dict]:
         """Per input r, ``self.row(r).as_dict()``; each field is converted once."""
-        a0 = self.alphas[0]
-        return [
-            {
-                "negation": q,
-                "profile": [_result_dict(a, v, s, v, l1[0])
-                            for a, v, s in zip(self.alphas, value[0], sums[0])],
-                "properties": properties,
-                "iterated": {
-                    "alpha": a0,
-                    "results": [_result_dict(a0, v[0], s[0], v[0], d)
-                                for v, s, d in zip(value[2:], sums[2:], l1[2:])],
-                    "non_decreasing": flag,
-                },
-            }
-            for q, value, sums, l1, (properties,), flag in zip(
-                self.negations.tolist(), self.value.tolist(), self.sum_of_min_pairs.tolist(),
-                self.l1.tolist(), _input_dicts([self.properties]), self.non_decreasing.tolist(),
-            )
-        ]
+        levels, at = self._columns()
+        records = []
+        for q, value, sums, l1, (properties,), flag in zip(
+            self.negations.tolist(), self.value.tolist(), self.sum_of_min_pairs.tolist(),
+            self.l1.tolist(), _input_dicts([self.properties]), self.non_decreasing.tolist(),
+        ):
+            results = [_result_dict(a, v, s, v, d) for a, v, s, d in zip(at, value, sums, l1)]
+            records.append({"negation": q, "profile": results[:levels], "properties": properties,
+                            "iterated": {"alpha": at[0], "results": results[levels:],
+                                         "non_decreasing": flag}})
+        return records
 
 
 def negation_profile(p: ProbDist, alphas: Sequence[int], depth: int = 3) -> NegationProfile:
@@ -347,37 +339,38 @@ def negation_profiles(
 ) -> NegationProfiles:
     """:func:`negation_profile` of m distributions of one length n, as arrays.
 
+    Each input stacks L + depth row pairs, one level each: (p, q) at each
+    of the L ``alphas``, then (p, Tᵏp) at ``alphas[0]`` for k = 1..depth.
     The row pairs of whole inputs go through the kernel in chunks of at
-    most ``_CHAIN_BLOCK_ELEMENTS`` (k × L × n) entries, and the properties
-    certificates are built as one column.  ``.row(r)`` equals
+    most ``_CHAIN_BLOCK_ELEMENTS`` (row pairs × n) entries, and the
+    properties certificates are built as one column.  ``.row(r)`` equals
     ``negation_profile(dists[r], alphas, depth)`` bit for bit.  An
     underflowed value raises the :class:`DomainError` of the first input
     that has one, with that input's position in ``dists`` as ``index``.
     """
     alphas = _check_alphas(alphas)
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise DomainError(f"depth must be in [1, {MAX_DEPTH}], got {depth}")
     probs = _stacked(dists)
     negations = _negation(probs)
-    (m, n), per = probs.shape, 2 + depth
-    levels = np.full((per, len(alphas)), alphas[0])
-    levels[:2] = alphas
-    chunk = max(1, _CHAIN_BLOCK_ELEMENTS // levels.size // n)  # inputs per kernel call
+    (m, n), levels = probs.shape, len(alphas)
+    at = alphas + alphas[:1] * depth  # the level of each row pair of an input
+    per = len(at)
+    chunk = max(1, _CHAIN_BLOCK_ELEMENTS // per // n)  # inputs per kernel call
     parts = []
     for start in range(0, m, chunk):
         p, q = probs[start:start + chunk], negations[start:start + chunk]
-        iterates = _iterates(p, range(1, depth + 1))
-        A = np.concatenate([p[:, None], q[:, None], np.broadcast_to(p[:, None], iterates.shape)], 1)
-        B = np.concatenate([q[:, None], p[:, None], iterates], 1)
+        B = np.concatenate([np.broadcast_to(q[:, None], (len(p), levels, n)),
+                            _iterates(p, range(1, depth + 1))], 1)
         try:
-            parts.append(_evaluate(A.reshape(-1, n), B.reshape(-1, n), np.tile(levels, (len(p), 1))))
+            parts.append(_evaluate(np.repeat(p, per, axis=0), B.reshape(-1, n), np.tile(at, len(p))))
         except DomainError as exc:
             exc.index = start + exc.index // per  # the row pair's input
             raise
-    value, s, l1 = (np.concatenate(part).reshape(m, per, -1) for part in zip(*parts))
-    iterated = value[:, 2:, 0]
+    value, s, l1 = (np.concatenate(part).reshape(m, per) for part in zip(*parts))
+    iterated = value[:, levels:]
     return NegationProfiles(
-        tuple(alphas), negations, value, s, l1[..., 0],
-        _properties(alphas, value[:, 0], value[:, 1], l1[:, 0, 0]),
+        tuple(alphas), negations, value, s, l1,
+        _properties(alphas, value[:, :levels], l1[:, 0]),
         np.all(iterated[:, 1:] >= iterated[:, :-1] - HOLDS_TOLERANCE, axis=1),
     )

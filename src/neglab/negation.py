@@ -21,6 +21,7 @@ from .distribution import DomainError, ProbDist, _stacked, _unchecked
 __all__ = [
     "negate",
     "negate_twice",
+    "negation_pairs",
     "negate_iterated",
     "ConvergenceTrace",
     "ConvergenceTraces",
@@ -37,6 +38,13 @@ def negate(p: ProbDist) -> ProbDist:
 def negate_twice(p: ProbDist) -> ProbDist:
     """Two applications in one step: entry i becomes (p_i + n - 2) / (n - 1)^2."""
     return _unchecked(_double_negation(p.probs))
+
+
+def negation_pairs(dists: Sequence[ProbDist]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`negate` and :func:`negate_twice` of m distributions of one
+    length n, as two m×n blocks; row r equals the one-input calls bit for bit."""
+    probs = _stacked(dists)
+    return _negation(probs), _double_negation(probs)
 
 
 def _negation(probs: np.ndarray) -> np.ndarray:

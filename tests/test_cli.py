@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from neglab import (
+    MAX_DEPTH,
     SQUARE,
     certificate_suite,
     cli,
@@ -207,6 +208,14 @@ def test_dissim_flag_validation(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run(capsys, "dissim", "--dist", "uniform:3", "--alpha", "x")
     assert code == EXIT_USAGE
+
+
+def test_dissim_depth_bound_exits_4_before_any_array(capsys):
+    # a depth of 10**12 would ask numpy for terabytes; the flag is refused first
+    code, out, err = run(capsys, "dissim", "--dist", "0.5,0.3,0.2", "--depth", str(10**12))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"neglab: error: --depth must be <= {MAX_DEPTH}, got {10**12}\n"
+    assert run(capsys, "dissim", "--dist", "0.5,0.3,0.2", "--depth", str(MAX_DEPTH))[0] == EXIT_OK
 
 
 REPORT_FIXTURES = [

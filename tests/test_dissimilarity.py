@@ -29,7 +29,8 @@ from neglab import (
 
 from neglab.certificates import HOLDS_TOLERANCE, compare
 from neglab.cli import EXIT_VALIDATION, main
-from neglab.dissimilarity import MAX_ALPHA, IteratedDissimReport, _evaluate, _results
+from neglab.dissimilarity import MAX_ALPHA, MAX_DEPTH, IteratedDissimReport, _evaluate
+from neglab.distribution import _unchecked
 from neglab.jensen import _CHAIN_BLOCK_ELEMENTS
 from neglab.negation import _iterates
 
@@ -199,7 +200,6 @@ def test_properties_golden(p4):
     for alpha in (0, 1, 2, 3):
         assert by_name[f"bounded_in_unit_interval[alpha={alpha}]"].holds
         assert by_name[f"zero_iff_identical[alpha={alpha}]"].holds
-        assert by_name[f"symmetry[alpha={alpha}]"].holds
 
 
 def test_properties_two_outcome():
@@ -279,9 +279,8 @@ def _oracle_properties(p, alphas):
     """Reference: the properties certificate as the scalar code built it."""
     q = negate(p)
     forward = [_oracle_dissim(p, q, a) for a in alphas]
-    backward = [_oracle_dissim(q, p, a) for a in alphas]
     asserted = []
-    for a, (value, _, _, l1), (rev, _, _, _) in zip(alphas, forward, backward):
+    for a, (value, _, _, l1) in zip(alphas, forward):
         in_range = -HOLDS_TOLERANCE <= value <= 1.0 + HOLDS_TOLERANCE
         asserted.append(compare(
             f"bounded_in_unit_interval[alpha={a}]", value, 1.0, holds=in_range, equality=False,
@@ -290,10 +289,6 @@ def _oracle_properties(p, alphas):
         zero_iff = (value <= HOLDS_TOLERANCE) == (l1 <= l1_cutoff)
         asserted.append(compare(
             f"zero_iff_identical[alpha={a}]", value, l1, holds=zero_iff, equality=False,
-        ))
-        gap = abs(value - rev)
-        asserted.append(compare(
-            f"symmetry[alpha={a}]", gap, 1e-14, holds=gap <= 1e-14, equality=False,
         ))
     values = [r[0] for r in forward]
     steps = list(zip(values, values[1:]))
@@ -414,23 +409,23 @@ def test_negation_profile_validation(p4):
         negation_profile(p4, [0, 1022], 1)
     with pytest.raises(DomainError):
         negation_profile(p4, [0], 0)
+    with pytest.raises(DomainError, match="depth must be in"):  # before any array is built
+        negation_profile(p4, [0], 10**12)
     with pytest.raises(TypeError):  # the profile is no longer passed in
         dissimilarity_properties(p4, [0], q=negate(p4))
 
 
 # --- the group kernel against the per-input profile it replaced ------------
 
-def _oracle_profile_properties(alphas, forward, backward, l1):
+def _oracle_profile_properties(alphas, forward, l1):
     """The properties certificate as the per-input code built it, claim by claim."""
     in_range = (-HOLDS_TOLERANCE <= forward) & (forward <= 1.0 + HOLDS_TOLERANCE)
-    sym_gap = np.abs(forward - backward)
     asserted = []
-    for a, v, ok, gap in zip(alphas, forward.tolist(), in_range.tolist(), sym_gap.tolist()):
+    for a, v, ok in zip(alphas, forward.tolist(), in_range.tolist()):
         asserted += [
             compare(f"bounded_in_unit_interval[alpha={a}]", v, 1.0, holds=ok, equality=False),
             compare(f"zero_iff_identical[alpha={a}]", v, l1, holds=(v == 0.0) == (l1 == 0.0),
                     equality=False),
-            compare(f"symmetry[alpha={a}]", gap, 1e-14, holds=gap <= 1e-14, equality=False),
         ]
     earlier, later = forward[:-1], forward[1:]
     direction = [
@@ -446,34 +441,30 @@ def _oracle_profile_properties(alphas, forward, backward, l1):
     )
 
 
-def _oracle_iterated(alpha, values, sums, l1s):
-    """The iterated report of one input's values against its iterates, with its own flag."""
-    return IteratedDissimReport(
-        alpha, _results([alpha] * len(values), values, sums, l1s),
-        non_decreasing=bool(np.all(values[1:] >= values[:-1] - HOLDS_TOLERANCE)),
-    )
-
-
 def _oracle_profile(p, alphas, depth):
-    """negation_profile as it was before negation_profiles: one input per kernel call."""
+    """negation_profile with each reported value from its own public dissimilarity call."""
     q = negate(p)
-    iterates = _iterates(p.probs, range(1, depth + 1))
-    A = np.vstack([p.probs, q.probs, np.broadcast_to(p.probs, iterates.shape)])
-    B = np.vstack([q.probs, p.probs, iterates])
-    levels = np.full((len(A), len(alphas)), alphas[0])
-    levels[:2] = alphas
-    value, s, l1 = _evaluate(A, B, levels)
-    l1 = l1.tolist()
+    profile = tuple(dissimilarity(p, q, a) for a in alphas)
+    # the unclipped iterate rows, as the kernel compares them
+    iterated = tuple(dissimilarity(p, _unchecked(x), alphas[0])
+                     for x in _iterates(p.probs, range(1, depth + 1)))
+    forward, values = (np.array([r.value for r in rs]) for rs in (profile, iterated))
     return NegationProfile(
         negation=q,
-        profile=_results(alphas, value[0], s[0], [l1[0]] * len(alphas)),
-        properties=_oracle_profile_properties(alphas, value[0], value[1], l1[0]),
-        iterated=_oracle_iterated(alphas[0], value[2:, 0], s[2:, 0], l1[2:]),
+        profile=profile,
+        properties=_oracle_profile_properties(alphas, forward, profile[0].l1),
+        iterated=IteratedDissimReport(
+            alphas[0], iterated,
+            non_decreasing=bool(np.all(values[1:] >= values[:-1] - HOLDS_TOLERANCE)),
+        ),
     )
 
 
 def _assert_profiles_match(group, alphas, depth):
     profiles = negation_profiles(group, alphas, depth)
+    # column j is the j-th value dissim reports: each level, then each iterate
+    assert profiles.value.shape == (len(group), len(alphas) + depth)
+    assert profiles.sum_of_min_pairs.shape == profiles.l1.shape == profiles.value.shape
     dicts = profiles.as_dicts()
     assert len(dicts) == len(group)
     for r, p in enumerate(group):
@@ -490,7 +481,8 @@ def test_negation_profiles_match_the_per_input_profile(batch, alphas, depth):
 
 
 def test_negation_profiles_chunk_seams(monkeypatch):
-    # 60 inputs of n = 16 at 8 levels and depth 8: 25 inputs per chunk
+    # 300 inputs of n = 16 at 8 levels and depth 8: 16 row pairs of 16
+    # entries each, so 128 inputs per chunk
     module = importlib.import_module("neglab.dissimilarity")  # the package's name is the function
     shapes = []
 
@@ -500,13 +492,13 @@ def test_negation_profiles_chunk_seams(monkeypatch):
 
     monkeypatch.setattr(module, "_evaluate", recording)
     rng = np.random.default_rng(5)
-    group = [ProbDist(rng.dirichlet(np.ones(16))) for _ in range(60)]
-    group[30] = uniform(16)
+    group = [ProbDist(rng.dirichlet(np.ones(16))) for _ in range(300)]
+    group[150] = uniform(16)
     profiles = negation_profiles(group, list(range(8)), 8)
-    assert [a[0] for a, _ in shapes] == [250, 250, 100]
-    assert all(a[0] * lv[1] * a[1] <= _CHAIN_BLOCK_ELEMENTS for a, lv in shapes)
+    assert [a[0] for a, _ in shapes] == [2048, 2048, 704]
+    assert all(lv == (a[0],) and a[0] * a[1] <= _CHAIN_BLOCK_ELEMENTS for a, lv in shapes)
     monkeypatch.undo()
-    for r in (0, 24, 25, 30, 49, 50, 59):
+    for r in (0, 127, 128, 150, 255, 256, 299):
         assert_identical(profiles.row(r).as_dict(),
                          _oracle_profile(group[r], list(range(8)), 8).as_dict())
 
@@ -514,7 +506,7 @@ def test_negation_profiles_chunk_seams(monkeypatch):
 def test_negation_profiles_one_level_has_no_direction_claims(p4, p3):
     profiles = negation_profiles([p4, p4], [3], 1)
     assert [c.name for c in profiles.properties.detail] == [
-        "bounded_in_unit_interval[alpha=3]", "zero_iff_identical[alpha=3]", "symmetry[alpha=3]",
+        "bounded_in_unit_interval[alpha=3]", "zero_iff_identical[alpha=3]",
     ]
     with pytest.raises(DimensionError):
         negation_profiles([p4, p3], [0], 1)
@@ -526,14 +518,14 @@ def test_negation_profiles_one_level_has_no_direction_claims(p4, p3):
 
 def test_negation_profiles_name_the_first_underflowing_input():
     # l1 = 2**-52 for the near-uniform row; it underflows at 1021.  With
-    # 8 levels and depth 8 a chunk of n = 2 holds 204 inputs, so the first
+    # 8 levels and depth 8 a chunk of n = 2 holds 1,024 inputs, so the first
     # failing input sits in the second chunk
     near = ProbDist(np.array([0.5, 0.5000000000000001]))
-    group = [make_dist([0.7, 0.3])] * 300 + [near, make_dist([0.6, 0.4]), near]
+    group = [make_dist([0.7, 0.3])] * 1100 + [near, make_dist([0.6, 0.4]), near]
     alphas = [0, 1, 2, 3, 4, 5, 6, 1021]
     with pytest.raises(DomainError, match="largest usable level is 1020") as caught:
         negation_profiles(group, alphas, 8)
-    assert caught.value.index == 300
+    assert caught.value.index == 1100
     with pytest.raises(DomainError) as caught:
         negation_profiles([near], alphas, 8)
     assert caught.value.index == 0
@@ -553,3 +545,13 @@ def test_dissim_names_the_first_underflowing_input_across_groups(capsys, tmp_pat
     path.write_text(json.dumps([rows[0], rows[2], rows[1]]))
     assert main(["dissim", "--file", str(path), "--alpha", "1021"]) == EXIT_VALIDATION
     assert "largest usable level is 1020" in capsys.readouterr().err
+
+
+def test_depth_bound_is_where_every_iterate_becomes_uniform():
+    # |r| <= 1/2 for n >= 3, and r**k rounds to 0 from k = MAX_DEPTH on, not before
+    assert (-0.5) ** (MAX_DEPTH - 1) != 0.0 and (-0.5) ** MAX_DEPTH == 0.0
+    p = make_dist([0.5, 0.3, 0.2])
+    last = negation_profile(p, [0], MAX_DEPTH).iterated.results[-1]
+    assert last == dissimilarity(p, uniform(3), 0)
+    with pytest.raises(DomainError):
+        negation_profile(p, [0], MAX_DEPTH + 1)

@@ -20,6 +20,7 @@ from neglab import (
     negate,
     negate_iterated,
     negate_twice,
+    negation_pairs,
     uniform,
 )
 
@@ -304,3 +305,20 @@ def test_converge_traces_argument_checks(p4, p3):
         converge_traces([p4], tolerance=-1.0)
     with pytest.raises(DomainError):
         converge_traces([p4], max_steps=0)
+
+
+@given(mixed_batches())
+def test_negation_pairs_equal_the_one_input_calls(batch):
+    for group in by_length(batch):
+        negations, doubles = negation_pairs(group)
+        assert negations.shape == doubles.shape == (len(group), group[0].n)
+        for p, q, qq in zip(group, negations.tolist(), doubles.tolist()):
+            assert_identical(q, negate(p).tolist())
+            assert_identical(qq, negate_twice(p).tolist())
+
+
+def test_negation_pairs_need_one_length(p4, p3):
+    with pytest.raises(DimensionError):
+        negation_pairs([p4, p3])
+    with pytest.raises(DimensionError):
+        negation_pairs([])
