@@ -176,23 +176,18 @@ def _resolve_tolerance(args) -> float:
     return tol
 
 
-def _by_length(rows) -> dict[int, list[int]]:
-    """Positions of the rows of each length, in input order."""
-    groups: dict[int, list[int]] = {}
-    for idx, row in enumerate(rows):
-        groups.setdefault(len(row), []).append(idx)
-    return groups
-
-
 def _validate(raw: list[list[float]], tolerance: float):
-    """All rows into ProbDists, or (index, report, why) for the first bad row.
+    """Each same-length group of rows as (its positions, its ProbDists), in
+    order of first appearance, or (index, report, why) for the first bad row.
 
     Rows of one length are screened as one block; the failure reported is
     the first in input order, whichever block it sits in.
     """
-    dists = [None] * len(raw)
-    failures = []
-    for idxs in _by_length(raw).values():
+    positions: dict[int, list[int]] = {}
+    for idx, row in enumerate(raw):
+        positions.setdefault(len(row), []).append(idx)
+    groups, failures = [], []
+    for idxs in positions.values():
         try:
             result = make_dists([raw[i] for i in idxs], tolerance)
         except DimensionError as exc:
@@ -203,23 +198,21 @@ def _validate(raw: list[list[float]], tolerance: float):
             r, report = result
             failures.append((idxs[r], report, "values outside [0, 1] or bad total mass"))
         else:
-            for i, p in zip(idxs, result):
-                dists[i] = p
-    return min(failures, key=lambda failure: failure[0]) if failures else dists
+            groups.append((idxs, result))
+    return min(failures, key=lambda failure: failure[0]) if failures else groups
 
 
-def _by_group(dists, step, render) -> tuple[list, bool]:
-    """The records of ``dists`` in input order, and whether every claim held.
+def _by_group(groups, count: int, step, render) -> tuple[list, bool]:
+    """The records of ``count`` inputs in input order, and whether every claim held.
 
-    ``step(group)`` gives the ``(result, all_hold)`` of each same-n group
-    of ``dists`` and ``render(group, result)`` its inputs' records.  A
-    group that raises :class:`DomainError` is charged to its input
-    ``index``, the first if the error names none; the error raised is that
-    of the first input in input order, whichever group it sits in.
+    ``step(group)`` gives the ``(result, all_hold)`` of each of
+    :func:`_validate`'s ``groups`` and ``render(group, result)`` its inputs'
+    records.  A group that raises :class:`DomainError` is charged to its
+    input ``index``, the first if the error names none; the error raised is
+    that of the first input in input order, whichever group it sits in.
     """
-    records, holds, failures = [None] * len(dists), [], []
-    for idxs in _by_length(dists).values():
-        group = [dists[i] for i in idxs]
+    records, holds, failures = [None] * count, [], []
+    for idxs, group in groups:
         try:
             result, group_holds = step(group)
         except DomainError as exc:
@@ -702,14 +695,14 @@ def main(argv: list[str] | None = None) -> int:
         cmd = _COMMANDS[args.command]
         render = getattr(cmd, args.format)
         if not cmd.dist_input:
-            dists, doc_input = None, {}
+            doc_input = {}
         else:
             args.tolerance = _resolve_tolerance(args)
             raw = _gather_inputs(args)
             doc_input = {"distributions": raw, "tolerance": args.tolerance}
-            dists = _validate(raw, args.tolerance)
-            if isinstance(dists, tuple):
-                idx, report, why = dists
+            groups = _validate(raw, args.tolerance)
+            if isinstance(groups, tuple):
+                idx, report, why = groups
                 doc = {
                     "command": args.command,
                     "input": doc_input,
@@ -723,7 +716,7 @@ def main(argv: list[str] | None = None) -> int:
 
         step = cmd.step(args, doc_input)
         if cmd.dist_input:
-            results, all_hold = _by_group(dists, step, render)
+            results, all_hold = _by_group(groups, len(raw), step, render)
         else:  # each fixture is a record
             fixtures, all_hold = step(None)
             results = render(None, fixtures)

@@ -341,9 +341,10 @@ def negation_profiles(
 
     Each input stacks L + depth row pairs, one level each: (p, q) at each
     of the L ``alphas``, then (p, Tᵏp) at ``alphas[0]`` for k = 1..depth.
-    The row pairs of whole inputs go through the kernel in chunks of at
-    most ``_CHAIN_BLOCK_ELEMENTS`` (row pairs × n) entries, and the
-    properties certificates are built as one column.  ``.row(r)`` equals
+    The row pairs go through the kernel in blocks of at most
+    ``_CHAIN_BLOCK_ELEMENTS`` (row pairs × n) entries, or of one row pair
+    if n is more, so one input may span several blocks; the properties
+    certificates are built as one column.  ``.row(r)`` equals
     ``negation_profile(dists[r], alphas, depth)`` bit for bit.  An
     underflowed value raises the :class:`DomainError` of the first input
     that has one, with that input's position in ``dists`` as ``index``.
@@ -354,18 +355,19 @@ def negation_profiles(
     probs = _stacked(dists)
     negations = _negation(probs)
     (m, n), levels = probs.shape, len(alphas)
-    at = alphas + alphas[:1] * depth  # the level of each row pair of an input
-    per = len(at)
-    chunk = max(1, _CHAIN_BLOCK_ELEMENTS // per // n)  # inputs per kernel call
+    at = np.array(alphas + alphas[:1] * depth)  # the level of each row pair of an input
+    per = at.size
+    step = max(1, _CHAIN_BLOCK_ELEMENTS // n)  # row pairs per kernel call
     parts = []
-    for start in range(0, m, chunk):
-        p, q = probs[start:start + chunk], negations[start:start + chunk]
-        B = np.concatenate([np.broadcast_to(q[:, None], (len(p), levels, n)),
-                            _iterates(p, range(1, depth + 1))], 1)
+    for start in range(0, m * per, step):
+        inputs, pair = np.divmod(np.arange(start, min(start + step, m * per)), per)
+        p = probs[inputs]
+        ks = np.maximum(pair - levels + 1, 0)  # pair L + k - 1 is (p, Tᵏp), pair j < L (p, q)
+        B = np.where((ks == 0)[:, None], negations[inputs], _iterates(p, ks.tolist()))
         try:
-            parts.append(_evaluate(np.repeat(p, per, axis=0), B.reshape(-1, n), np.tile(at, len(p))))
+            parts.append(_evaluate(p, B, at[pair]))
         except DomainError as exc:
-            exc.index = start + exc.index // per  # the row pair's input
+            exc.index = int(inputs[exc.index])  # the row pair's input
             raise
     value, s, l1 = (np.concatenate(part).reshape(m, per) for part in zip(*parts))
     iterated = value[:, levels:]

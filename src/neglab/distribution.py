@@ -1,9 +1,9 @@
 """Validated discrete probability distributions and simplex utilities.
 
-Distributions are stored as read-only double precision arrays.  Raw inputs
-whose sum strays from 1 by no more than the validation tolerance are
-renormalized on construction, so downstream algebraic identities hold to
-machine precision instead of inheriting entry noise.
+Distributions are stored as read-only double precision arrays.  Every raw
+vector takes one validation path, that of :func:`make_dists`: a sum within
+the tolerance of 1 is renormalized, so downstream algebraic identities
+hold to machine precision instead of inheriting entry noise.
 """
 
 from __future__ import annotations
@@ -44,11 +44,10 @@ class DomainError(ValueError):
 class ProbDist:
     """A point on the probability simplex with at least two outcomes.
 
-    The wrapped array is copied and marked read-only.  Entries must lie in
-    [0, 1] and sum to 1, both up to ``DEFAULT_TOLERANCE``; negative round-off
-    dust inside the tolerance band is clamped to exactly 0, and the sum is
-    checked after clamping, so the stored values always satisfy the
-    invariants.
+    The wrapped array is copied and marked read-only.  It is validated and
+    renormalized exactly as :func:`make_dist` does at ``DEFAULT_TOLERANCE``,
+    bit for bit, and :class:`DomainError` is raised where :func:`make_dist`
+    returns a :class:`ValidationReport`.
     """
 
     probs: np.ndarray
@@ -58,12 +57,12 @@ class ProbDist:
     def __post_init__(self, _screened: bool) -> None:
         arr = np.array(self.probs, dtype=float)
         if not _screened:
-            if _screen(_block(arr[None]), DEFAULT_TOLERANCE)[2].any():
-                raise DomainError("probabilities must lie in [0, 1]")
-            np.clip(arr, 0.0, 1.0, out=arr)
-            # clamping in-tolerance dust can move the sum by n times the tolerance
-            if not abs(float(arr.sum()) - 1.0) <= DEFAULT_TOLERANCE:
+            result = _normalized(_block(arr[None]), DEFAULT_TOLERANCE)
+            if isinstance(result, tuple):
+                if result[1].bad_indices:
+                    raise DomainError("probabilities must lie in [0, 1]")
                 raise DomainError(f"probabilities must sum to 1, got {float(arr.sum())!r}")
+            arr = result[0]
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
@@ -142,7 +141,7 @@ def _screen(rows: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray,
     infinite entries included).
     """
     outside = ~((rows >= -tolerance) & (rows <= 1.0 + tolerance))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf is NaN, never valid
         total = rows.sum(axis=1)
     finite = np.isfinite(total)
     sum_error = np.where(finite, np.abs(total - 1.0), math.inf)
@@ -161,18 +160,9 @@ def _unchecked(arr: np.ndarray) -> ProbDist:
     return ProbDist(arr, _screened=True)
 
 
-def make_dists(
-    rows, tolerance: float = DEFAULT_TOLERANCE
-) -> list[ProbDist] | tuple[int, ValidationReport]:
-    """:func:`make_dist` on each row of an m×n block, under one screen.
-
-    Returns every row's distribution, or the position of the first row
-    that fails and its :class:`ValidationReport`.  Each row is
-    renormalized on its own, exactly as :func:`make_dist` would.  Rows
-    that do not form an m×n block with n >= 2 raise
-    :class:`DimensionError`.
-    """
-    rows = _block(rows)
+def _normalized(rows: np.ndarray, tolerance: float) -> np.ndarray | tuple[int, ValidationReport]:
+    """The screened, clamped and renormalized m×n block ``rows``, or the
+    position of the first row that fails and its :class:`ValidationReport`."""
     ok, sum_error, outside = _screen(rows, tolerance)
     arr = np.where(rows < 0.0, 0.0, rows)
     with np.errstate(over="ignore"):
@@ -191,13 +181,28 @@ def make_dists(
     # final bits, and re-ingesting emitted values must reproduce the array
     # exactly.  A fresh renormalization always lands inside this band, which
     # makes the operation idempotent.  A skipped row may keep an entry a few
-    # ulps above 1, hence the clip.  The band is capped at ProbDist's own
-    # mass check, which it would outgrow for n above about 140,000.
+    # ulps above 1, hence the clip.  The band is capped at DEFAULT_TOLERANCE
+    # (it outgrows it above n = 140,000): every stored sum lies within it.
     band = min(32.0 * rows.shape[1] * np.finfo(float).eps, DEFAULT_TOLERANCE)
     scale = np.abs(totals - 1.0) > band
     arr[scale] /= totals[scale, None]
     np.clip(arr, 0.0, 1.0, out=arr)
-    return [_unchecked(row) for row in arr]
+    return arr
+
+
+def make_dists(
+    rows, tolerance: float = DEFAULT_TOLERANCE
+) -> list[ProbDist] | tuple[int, ValidationReport]:
+    """:func:`make_dist` on each row of an m×n block, under one screen.
+
+    Returns every row's distribution, or the position of the first row
+    that fails and its :class:`ValidationReport`.  Each row is
+    renormalized on its own, exactly as :func:`make_dist` would.  Rows
+    that do not form an m×n block with n >= 2 raise
+    :class:`DimensionError`.
+    """
+    result = _normalized(_block(rows), tolerance)
+    return result if isinstance(result, tuple) else [_unchecked(row) for row in result]
 
 
 def make_dist(

@@ -30,7 +30,7 @@ from .certificates import (
     _compare_columns,
     compare,
 )
-from .distribution import DimensionError, DomainError, ProbDist, _stacked
+from .distribution import DimensionError, DomainError, ProbDist, _screen, _stacked
 from .entropy import _cross_entropies, _entropies, _entropy_chains
 from .negation import _double_negation, _negation, negate
 
@@ -210,7 +210,8 @@ def jensen_check(
     """Certify Jensen's inequality for ``f`` at a weighted point set.
 
     For convex f the claim is f(mean) <= weighted mean of f; concave f
-    flips it.  Weights must be nonnegative and sum to 1 within 1e-12.
+    flips it.  Weights and points must lie in [0, 1] and the weights sum to
+    1, all within 1e-12; NaN and infinite ones raise :class:`DomainError`.
     Points where f diverges are fine as long as their weight is zero;
     with positive weight the function side becomes infinite and the bound
     holds trivially.  Equality is flagged when every point carrying
@@ -224,12 +225,12 @@ def jensen_check(
         raise DimensionError(f"size mismatch: {x.size} points vs {w.size} weights")
     if x.size == 0:
         raise DimensionError("need at least one point")
-    if np.any(w < -HOLDS_TOLERANCE):
-        raise DomainError("weights must be nonnegative")
-    w = np.where(w < 0.0, 0.0, w)
-    if abs(float(w.sum()) - 1.0) > 1e-12:
-        raise DomainError(f"weights must sum to 1, got {float(w.sum())!r}")
-    if np.any(x < -HOLDS_TOLERANCE) or np.any(x > 1.0 + HOLDS_TOLERANCE):
+    # dust is clamped first, so the screen checks the mass of the weights used
+    w = np.where((w < 0.0) & (w >= -HOLDS_TOLERANCE), 0.0, w)
+    ok, _, outside = _screen(np.stack([w, x]), HOLDS_TOLERANCE)
+    if not ok[0]:
+        raise DomainError(f"weights must lie in [0, 1] and sum to 1, got sum {float(w.sum())!r}")
+    if outside[1].any():
         raise DomainError("points must lie in [0, 1]")
     x = np.clip(x, 0.0, 1.0)
 

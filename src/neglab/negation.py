@@ -74,19 +74,17 @@ def negate_iterated(p: ProbDist, k: int) -> ProbDist:
 
 
 def _iterates(probs: np.ndarray, ks) -> np.ndarray:
-    """One row 1/n + (p_i - 1/n) * r**k per k in ``ks``, as :func:`negate_iterated`.
+    """1/n + (p_i - 1/n) * r**k per k in ``ks``, as :func:`negate_iterated`, unclipped.
 
-    ``probs`` is one distribution (n,) or a block (m, n); the result is
-    (K, n) or (m, K, n).
+    ``probs`` is one distribution (n,), giving one row per k, or a block
+    (K, n) with one k per row; the result is (K, n).
     """
     n = probs.shape[-1]
     center, ratio = 1.0 / n, -1.0 / (n - 1)
-    powers = np.array([ratio**k for k in ks])  # Python's pow, not numpy's: same bits
-    rows = center + (probs[..., None, :] - center) * powers[:, None]
+    powers = np.array([ratio**k for k in ks])[:, None]  # Python's pow, not numpy's: same bits
     # r**k is 1 only at n = 2, even k: the swaps restore p exactly, which
     # rounding p - 1/n and adding it back need not do
-    rows[..., powers == 1.0, :] = probs[..., None, :]
-    return rows
+    return np.where(powers == 1.0, probs, center + (probs - center) * powers)
 
 
 @dataclass(frozen=True)
@@ -194,7 +192,7 @@ def converge_traces(
     """
     from .entropy import _entropies  # function-level to keep imports acyclic
 
-    if tolerance <= 0:
+    if not tolerance > 0:  # NaN fails too
         raise DomainError(f"tolerance must be > 0, got {tolerance}")
     if max_steps < 1:
         raise DomainError(f"max_steps must be >= 1, got {max_steps}")

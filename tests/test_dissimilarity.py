@@ -503,6 +503,33 @@ def test_negation_profiles_chunk_seams(monkeypatch):
                          _oracle_profile(group[r], list(range(8)), 8).as_dict())
 
 
+@pytest.mark.parametrize("n, m, alphas, depth, calls", [
+    # 16 row pairs of 4,096 entries: 8 per call, so each input spans two calls
+    (4096, 2, [0, 1, 2, 3], 12, [8, 8, 8, 8]),
+    # 13 row pairs of 16 entries: the seam after 2,048 falls inside input 157
+    (16, 200, [0, 1, 2, 3, 4], 8, [2048, 552]),
+    # wider than a block: one row pair per call
+    (40_000, 1, [0], 2, [1, 1, 1]),
+])
+def test_negation_profiles_split_inputs_by_row_pair(monkeypatch, n, m, alphas, depth, calls):
+    module = importlib.import_module("neglab.dissimilarity")
+    shapes = []
+
+    def recording(A, B, levels):
+        shapes.append(A.shape)
+        return _evaluate(A, B, levels)
+
+    monkeypatch.setattr(module, "_evaluate", recording)
+    rng = np.random.default_rng(n)
+    group = [ProbDist(rng.dirichlet(np.ones(n))) for _ in range(m)]
+    profiles = negation_profiles(group, alphas, depth)
+    assert [a[0] for a in shapes] == calls
+    assert all(a[0] * a[1] <= max(_CHAIN_BLOCK_ELEMENTS, n) for a in shapes)
+    monkeypatch.undo()
+    for r in sorted({0, 2048 // (len(alphas) + depth), m - 1} & set(range(m))):
+        assert_identical(profiles.row(r).as_dict(), _oracle_profile(group[r], alphas, depth).as_dict())
+
+
 def test_negation_profiles_one_level_has_no_direction_claims(p4, p3):
     profiles = negation_profiles([p4, p4], [3], 1)
     assert [c.name for c in profiles.properties.detail] == [

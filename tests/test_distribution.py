@@ -91,8 +91,8 @@ def test_make_dist_keeps_entries_at_most_one():
 
 def test_make_dist_renormalizes_a_long_row_outside_the_default_band():
     # 32 n eps is 1.4e-9 at n = 200,000, wider than DEFAULT_TOLERANCE: a
-    # row that far off 1 must still be renormalized, or the result would
-    # fail ProbDist's own mass check
+    # row that far off 1 must still be renormalized, or its stored sum
+    # would lie outside DEFAULT_TOLERANCE
     n = 200_000
     p = make_dist(np.full(n, (1.0 + 1.2e-9) / n), tolerance=1e-8)
     assert isinstance(p, ProbDist)
@@ -124,16 +124,44 @@ def test_probdist_screen_messages():
 
 
 def test_probdist_checks_mass_after_clamping_dust():
-    # the raw sum is 1, but clamping the five -1e-9 entries adds 5e-9,
-    # more than the tolerance: the stored values would break the invariant
-    raw = np.array([-1e-9] * 5 + [0.2 + 1e-9] * 5)
-    assert abs(float(raw.sum()) - 1.0) <= DEFAULT_TOLERANCE
-    with pytest.raises(DomainError, match="must sum to 1"):
-        ProbDist(raw)
+    # the first raw sum is 1, but clamping the five -1e-9 entries adds
+    # 5e-9, more than the tolerance; the second is off by more than 32 n
+    # eps.  Both are renormalized, as by make_dist, so the stored values
+    # keep the invariant
+    for raw in ([-1e-9] * 5 + [0.2 + 1e-9] * 5, [0.2, 0.3, 0.5 + 9e-10]):
+        assert abs(math.fsum(raw) - 1.0) <= DEFAULT_TOLERANCE
+        p = ProbDist(np.array(raw))
+        assert abs(float(p.probs.sum()) - 1.0) <= DEFAULT_TOLERANCE
+        assert p.probs.tobytes() == make_dist(raw).probs.tobytes()
     # dust whose clamping stays inside the tolerance is still accepted
     p = ProbDist(np.array([-1e-12, 0.5, 0.5 + 1e-12]))
     assert p[0] == 0.0
     assert abs(float(p.probs.sum()) - 1.0) <= DEFAULT_TOLERANCE
+
+
+@st.composite
+def raw_rows(draw, max_n=12):
+    """Raw rows near the simplex: entry dust and a sum off by up to twice
+    the tolerance, and now and then a NaN or infinite entry."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    weights = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(any)))
+    off = 2 * DEFAULT_TOLERANCE
+    noise = draw(st.lists(st.floats(-off / n, off / n), min_size=n, max_size=n))
+    row = weights / weights.sum() + np.asarray(noise)
+    i = draw(st.integers(0, n - 1))
+    row[i] += draw(st.floats(-off, off))
+    row[i] = draw(st.sampled_from([row[i], math.nan, math.inf, -math.inf]))
+    return row.tolist()
+
+
+@given(raw_rows())
+def test_probdist_validates_exactly_as_make_dist(raw):
+    result = make_dist(raw)
+    if isinstance(result, ValidationReport):
+        with pytest.raises(DomainError):
+            ProbDist(np.array(raw))
+    else:
+        assert ProbDist(np.array(raw)).probs.tobytes() == result.probs.tobytes()
 
 
 def test_make_dist_rejects_all_mass_clamped_away():
@@ -147,6 +175,7 @@ def test_make_dist_rejects_all_mass_clamped_away():
 @pytest.mark.parametrize("values, tolerance", [
     ([1e308, 1e308], math.inf),  # the raw sum overflows
     ([1e308, -1e308, 1e308], 1e308),  # the sum overflows once -1e308 is clamped to 0
+    ([math.inf, -math.inf], DEFAULT_TOLERANCE),  # the raw sum is NaN
 ])
 def test_make_dist_rejects_an_overflowed_sum(values, tolerance):
     # an infinite total used to pass inf <= inf and be divided into all zeros

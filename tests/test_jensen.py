@@ -159,6 +159,11 @@ def test_jensen_validation():
         jensen_check(SQUARE, [0.5, 0.5], [-0.5, 1.5])
     with pytest.raises(DomainError):
         jensen_check(SQUARE, [0.5, 1.5], [0.5, 0.5])
+    # NaN fails every comparison, so "raise if bad" checks let it through
+    for points, weights in [([0.2, 0.6], [math.nan, 1.0]), ([math.nan, 0.6], [0.5, 0.5]),
+                            ([0.2, 0.6], [math.inf, 1.0])]:
+        with pytest.raises(DomainError):
+            jensen_check(SQUARE, points, weights)
 
 
 @given(distributions())

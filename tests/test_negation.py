@@ -202,6 +202,10 @@ def test_converge_parameter_validation(p4):
         converge_to_uniform(p4, tolerance=0.0)
     with pytest.raises(DomainError):
         converge_to_uniform(p4, max_steps=0)
+    # every comparison with NaN is False: `tolerance <= 0` let it through,
+    # and the trace ran to max_steps without converging
+    with pytest.raises(DomainError):
+        converge_to_uniform(p4, tolerance=float("nan"), max_steps=50)
 
 
 @given(distributions(min_n=3, max_n=16))
