@@ -26,8 +26,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .certificates import Certificate, _flat, _gathered, _input_dicts, _input_failures, compare
-from .distribution import DimensionError, DomainError, ValidationReport, make_dist, make_dists
-from .dissimilarity import MAX_ALPHA, MAX_DEPTH, CrossCheckError, negation_profile, negation_profiles
+from .distribution import (DEFAULT_TOLERANCE, DimensionError, DomainError, ValidationReport,
+                           _check_int, _check_tolerance, make_dist, make_dists)
+from .dissimilarity import MAX_DEPTH, CrossCheckError, _check_alphas, negation_profile, negation_profiles
 from .entropy import entropy_report, shannon_entropy
 from .jensen import (
     NEG_LOG,
@@ -44,8 +45,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_FAILURE = 3
 EXIT_USAGE = 4
-
-_DEFAULT_TOLERANCE = 1e-9
 
 #: largest n accepted by ``--dist uniform:n``; checked before the n values are built
 MAX_UNIFORM_N = 1 << 20
@@ -159,21 +158,26 @@ def _gather_inputs(args) -> list[list[float]]:
     raise _UsageError("provide a distribution with --dist or --file")
 
 
+def _flag(check, *args):
+    """``check(*args)``, a library range rule on a flag's value, with its
+    :class:`DomainError` as a usage error."""
+    try:
+        return check(*args)
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _resolve_tolerance(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        tol = args.tol
-    else:
-        env = os.environ.get("NEGLAB_TOL")
-        if env is not None and env.strip():
-            try:
-                tol = float(env)
-            except ValueError:
-                raise _UsageError(f"NEGLAB_TOL is not a number: {env!r}") from None
-        else:
-            tol = _DEFAULT_TOLERANCE
-    if not 0 < tol < math.inf:
-        raise _UsageError(f"tolerance must be finite and > 0, got {tol}")
-    return tol
+    if args.tol is not None:
+        return _flag(_check_tolerance, "--tol", args.tol)
+    env = os.environ.get("NEGLAB_TOL")
+    if env is None or not env.strip():
+        return DEFAULT_TOLERANCE
+    try:
+        tol = float(env)
+    except ValueError:
+        raise _UsageError(f"NEGLAB_TOL is not a number: {env!r}") from None
+    return _flag(_check_tolerance, "NEGLAB_TOL", tol)
 
 
 def _validate(raw: list[list[float]], tolerance: float):
@@ -303,8 +307,7 @@ def _lines_negate(group, pairs):
 
 
 def _step_converge(args, inp):
-    if args.max_steps < 1:
-        raise _UsageError(f"--max-steps must be >= 1, got {args.max_steps}")
+    _flag(_check_int, "--max-steps", args.max_steps, 1)
     return lambda group: ((args.tolerance, converge_traces(group, args.tolerance, args.max_steps)), True)
 
 
@@ -347,14 +350,8 @@ def _step_dissim(args, inp):
         alphas = [int(a) for a in args.alpha.split(",") if a.strip()]
     except ValueError:
         raise _UsageError(f"--alpha must be comma-separated integers, got {args.alpha!r}") from None
-    if not alphas or alphas != sorted(alphas) or alphas[0] < 0:
-        raise _UsageError("--alpha must be nonempty, nonnegative, sorted ascending")
-    if alphas[-1] > MAX_ALPHA:
-        raise _UsageError(f"--alpha levels must be <= {MAX_ALPHA}, got {alphas[-1]}")
-    if args.depth < 1:
-        raise _UsageError(f"--depth must be >= 1, got {args.depth}")
-    if args.depth > MAX_DEPTH:
-        raise _UsageError(f"--depth must be <= {MAX_DEPTH}, got {args.depth}")
+    _flag(_check_alphas, alphas, "--alpha")
+    _flag(_check_int, "--depth", args.depth, 1, MAX_DEPTH)
     inp["alphas"] = alphas
     inp["depth"] = args.depth
 

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .certificates import Certificate, HOLDS_TOLERANCE, _compare_columns, _input_dicts
-from .distribution import DimensionError, DomainError, ProbDist, _stacked, _unchecked
+from .distribution import DimensionError, DomainError, ProbDist, _check_int, _stacked, _unchecked
 from .jensen import _CHAIN_BLOCK_ELEMENTS
 from .negation import _iterates, _negation, negate
 
@@ -96,20 +96,16 @@ def _result_dict(alpha, value, sum_of_min_pairs, closed_form_value, l1) -> dict:
     }
 
 
-def _check_alpha(alpha) -> int:
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, np.integer)):
-        raise DomainError(f"alpha must be a nonnegative integer, got {alpha!r}")
-    if not 0 <= alpha <= MAX_ALPHA:
-        raise DomainError(f"alpha must be an integer in [0, {MAX_ALPHA}], got {alpha}")
-    return int(alpha)
+def _check_alpha(alpha, name: str = "alpha") -> int:
+    return _check_int(name, alpha, 0, MAX_ALPHA)
 
 
-def _check_alphas(alphas: Sequence[int]) -> list[int]:
-    alphas = [_check_alpha(a) for a in alphas]
+def _check_alphas(alphas: Sequence[int], name: str = "alpha") -> list[int]:
+    alphas = [_check_alpha(a, name) for a in alphas]
     if not alphas:
-        raise DomainError("alphas must be nonempty")
+        raise DomainError(f"{name} levels must be nonempty")
     if alphas != sorted(alphas):
-        raise DomainError("alphas must be sorted ascending")
+        raise DomainError(f"{name} levels must be sorted ascending")
     return alphas
 
 
@@ -350,8 +346,7 @@ def negation_profiles(
     that has one, with that input's position in ``dists`` as ``index``.
     """
     alphas = _check_alphas(alphas)
-    if not 1 <= depth <= MAX_DEPTH:
-        raise DomainError(f"depth must be in [1, {MAX_DEPTH}], got {depth}")
+    depth = _check_int("depth", depth, 1, MAX_DEPTH)
     probs = _stacked(dists)
     negations = _negation(probs)
     (m, n), levels = probs.shape, len(alphas)

@@ -149,6 +149,22 @@ def _screen(rows: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray,
     return ok, sum_error, outside
 
 
+def _check_int(name: str, value, lo: int, hi: float = math.inf) -> int:
+    """``value`` as an ``int``, if it is a Python or numpy integer (no bool, no float) in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+        span = f"in [{lo}, {hi}]" if hi < math.inf else f">= {lo}"
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
+def _check_tolerance(name: str, value) -> float:
+    """``value`` as a float, if 0 < value < 1.  A tolerance of 1 would admit
+    ``[0, 0]``, and every distribution lies within it of uniform."""
+    if not 0.0 < value < 1.0:  # NaN fails too
+        raise DomainError(f"{name} must be finite and in (0, 1), got {value!r}")
+    return float(value)
+
+
 def _unchecked(arr: np.ndarray) -> ProbDist:
     """Wrap an array that is a distribution by construction.
 
@@ -164,18 +180,13 @@ def _normalized(rows: np.ndarray, tolerance: float) -> np.ndarray | tuple[int, V
     """The screened, clamped and renormalized m×n block ``rows``, or the
     position of the first row that fails and its :class:`ValidationReport`."""
     ok, sum_error, outside = _screen(rows, tolerance)
-    arr = np.where(rows < 0.0, 0.0, rows)
-    with np.errstate(over="ignore"):
-        totals = arr.sum(axis=1)
-    # no mass, or overflow; only a tolerance >= 1 lets a row that passed the screen get here
-    empty = (totals == 0.0) | (totals == math.inf)
-    failed = ~ok | empty
-    if failed.any():
-        r = int(np.argmax(failed))
-        if ok[r]:
-            return r, ValidationReport(ok=False, sum_error=abs(float(totals[r]) - 1.0))
+    if not ok.all():
+        r = int(np.argmin(ok))
         bad = tuple(np.flatnonzero(outside[r]).tolist())
         return r, ValidationReport(ok=False, sum_error=float(sum_error[r]), bad_indices=bad)
+    # a row that passed has a clamped total in [1 - tolerance, 2n]: above 0, and finite
+    arr = np.where(rows < 0.0, 0.0, rows)
+    totals = arr.sum(axis=1)
     # Skip the division when the sum is already 1 up to accumulated rounding
     # noise: renormalizing is then a no-op mathematically but would disturb
     # final bits, and re-ingesting emitted values must reproduce the array
@@ -201,7 +212,7 @@ def make_dists(
     that do not form an m×n block with n >= 2 raise
     :class:`DimensionError`.
     """
-    result = _normalized(_block(rows), tolerance)
+    result = _normalized(_block(rows), _check_tolerance("tolerance", tolerance))
     return result if isinstance(result, tuple) else [_unchecked(row) for row in result]
 
 
@@ -210,19 +221,18 @@ def make_dist(
 ) -> ProbDist | ValidationReport:
     """Validate raw values and renormalize them into a :class:`ProbDist`.
 
-    Out-of-range entries or a bad total return the failing
-    :class:`ValidationReport` instead of raising, so batch callers can
-    surface per-input diagnostics.  Too few entries is a structural
-    mistake and raises :class:`DimensionError`.
+    Out-of-range entries or a bad total, beyond ``tolerance``, return the
+    failing :class:`ValidationReport` instead of raising, so batch callers
+    can surface per-input diagnostics.  Too few entries raises
+    :class:`DimensionError`, and a tolerance outside (0, 1) :class:`DomainError`.
     """
     result = make_dists(np.asarray(list(values), dtype=float)[None], tolerance)
     return result[1] if isinstance(result, tuple) else result[0]
 
 
 def pad_with_zeros(p: ProbDist, k: int) -> ProbDist:
-    """Append ``k`` zero-probability outcomes."""
-    if k < 0:
-        raise DomainError(f"cannot pad with a negative count, got {k}")
+    """Append ``k`` zero-probability outcomes, an integer ``k >= 0``."""
+    k = _check_int("k", k, 0)
     if k == 0:
         return p
     return _unchecked(np.concatenate([p.probs, np.zeros(k)]))
@@ -236,8 +246,8 @@ def uniform(n: int) -> ProbDist:
 
 
 def is_uniform(p: ProbDist, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """True when every entry is within ``tolerance`` of 1/n."""
-    return bool(np.max(np.abs(p.probs - 1.0 / p.n)) <= tolerance)
+    """True when every entry is within ``tolerance`` of 1/n, 0 < tolerance < 1."""
+    return bool(np.max(np.abs(p.probs - 1.0 / p.n)) <= _check_tolerance("tolerance", tolerance))
 
 
 def l1_distance(p: ProbDist, q: ProbDist) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import Certificate, _compare_columns, compare
-from .distribution import DimensionError, DomainError, ProbDist, pad_with_zeros, is_uniform
+from .distribution import DimensionError, DomainError, ProbDist, _check_int, pad_with_zeros, is_uniform
 from .negation import _double_negation, _negation, negate
 
 __all__ = [
@@ -156,7 +156,7 @@ def _entropy_chains(n: int, h0: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> C
 
 
 def zero_padding_entropy_check(p: ProbDist, k: int) -> Certificate:
-    """Compare entropy before and after appending ``k`` zero outcomes.
+    """Compare entropy before and after appending ``k`` zero outcomes, an integer ``k >= 1``.
 
     Padding leaves the entropy itself untouched (sub-certificate one, an
     equality claim at 1e-12), but feeds the negation extra room: the
@@ -164,8 +164,7 @@ def zero_padding_entropy_check(p: ProbDist, k: int) -> Certificate:
     whenever p is not uniform (sub-certificate two).  For uniform p the
     second comparison is recorded without being asserted.
     """
-    if k < 1:
-        raise DomainError(f"padding count must be >= 1, got {k}")
+    k = _check_int("k", k, 1)
     padded = pad_with_zeros(p, k)
     h = shannon_entropy(p)
     h_padded = shannon_entropy(padded)

@@ -8,8 +8,8 @@ restatement on the negation pair, the concave mirror image, and a peeled
 partial-mean refinement that tightens the same quantity step by step.
 
 Functions enter as :class:`FunctionSpec` records carrying a declared
-curvature tag.  The tag is not taken on faith: registration runs a seeded
-spot-check of the chord inequality on random triples and refuses specs
+curvature tag.  The tag is not taken on faith: registration spot-checks
+the chord inequality at every triple of a fixed grid and refuses specs
 whose numerics contradict their declaration.  Kernels evaluate a spec on
 whole arrays through :meth:`FunctionSpec.values`.
 """
@@ -57,9 +57,11 @@ __all__ = [
     "certificate_suites",
 ]
 
-_SPOT_CHECK_TRIPLES = 100
+_SPOT_CHECK_POINTS = 32
 _SPOT_CHECK_TOL = 1e-12
-_SPOT_CHECK_SEED = 20240817
+#: every index triple i < j < k of the spot-check grid, as three arrays
+_SPOT_CHECK_TRIPLES = np.nonzero(
+    np.fromfunction(lambda i, j, k: (i < j) & (j < k), (_SPOT_CHECK_POINTS,) * 3))
 
 #: doubles per temporary array of the chain kernel; bounds its peak memory
 _CHAIN_BLOCK_ELEMENTS = 1 << 15
@@ -95,8 +97,9 @@ class FunctionSpec:
     zero_ok : bool
         Whether evaluating at exactly 0 yields a finite value.
 
-    Construction runs the curvature spot-check: 100 seeded random triples
-    x < y < z must satisfy the chord inequality within 1e-12, otherwise
+    Construction runs the curvature spot-check: on 32 evenly spaced points
+    from 0 (1e-6 without ``zero_ok``) to 1, every triple x < y < z must
+    satisfy the chord inequality within 1e-12, otherwise
     :class:`CurvatureError` aborts the registration.
     """
 
@@ -133,20 +136,12 @@ class FunctionSpec:
         return out.shape == probe.shape and np.array_equal(out, [self(v) for v in probe])
 
     def _spot_check(self) -> None:
-        rng = np.random.default_rng(_SPOT_CHECK_SEED)
-        lo = 0.0 if self.zero_ok else 1e-6
-        triples = []
-        while len(triples) < _SPOT_CHECK_TRIPLES:
-            triple = np.sort(rng.uniform(lo, 1.0, size=3))
-            if triple[2] - triple[0] >= 1e-9:
-                triples.append(triple)
-        x, y, z = np.array(triples).T
-        chord = ((z - y) * self.values(x) + (y - x) * self.values(z)) / (z - x)
-        fy = self.values(y)
-        if self.curvature == "convex":
-            bad = fy > chord + _SPOT_CHECK_TOL
-        else:
-            bad = fy < chord - _SPOT_CHECK_TOL
+        grid = np.linspace(0.0 if self.zero_ok else 1e-6, 1.0, _SPOT_CHECK_POINTS)
+        f = self.values(grid)
+        x, y, z = (grid[t] for t in _SPOT_CHECK_TRIPLES)
+        fx, fy, fz = (f[t] for t in _SPOT_CHECK_TRIPLES)
+        chord = ((z - y) * fx + (y - x) * fz) / (z - x)
+        bad = (fy - chord if self.curvature == "convex" else chord - fy) > _SPOT_CHECK_TOL
         if bad.any():
             k = int(np.argmax(bad))
             raise CurvatureError(

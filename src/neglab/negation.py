@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distribution import DomainError, ProbDist, _stacked, _unchecked
+from .distribution import ProbDist, _check_int, _check_tolerance, _stacked, _unchecked
 
 __all__ = [
     "negate",
@@ -59,14 +59,14 @@ def _double_negation(probs: np.ndarray) -> np.ndarray:
 
 
 def negate_iterated(p: ProbDist, k: int) -> ProbDist:
-    """``k`` applications via the affine closed form.
+    """``k`` applications via the affine closed form, an integer ``k >= 0``.
 
     Entry i maps to 1/n + (p_i - 1/n) * r**k with r = -1/(n - 1).
     ``k = 0`` returns ``p`` itself; for n = 2 an even ``k`` returns p's
-    entries exactly.
+    entries exactly.  Any other ``k``, a float or a bool included, raises
+    :class:`DomainError`.
     """
-    if k < 0:
-        raise DomainError(f"iteration count must be >= 0, got {k}")
+    k = _check_int("k", k, 0)
     if k == 0:
         return p
     # at a point mass, 1/n - (1 - 1/n)/(n - 1) can round to -1 ulp below 0
@@ -162,7 +162,8 @@ class ConvergenceTraces(NamedTuple):
 def converge_to_uniform(
     p: ProbDist, tolerance: float = 1e-9, max_steps: int = 1000
 ) -> ConvergenceTrace:
-    """Negate repeatedly until within ``tolerance`` of uniform (max norm).
+    """Negate repeatedly until within ``tolerance`` of uniform (max norm),
+    0 < tolerance < 1, for at most an integer ``max_steps >= 1`` steps.
 
     Iterates are produced by literal negation, so consecutive trace
     entries are related by :func:`negate` exactly.  The recorded
@@ -192,10 +193,8 @@ def converge_traces(
     """
     from .entropy import _entropies  # function-level to keep imports acyclic
 
-    if not tolerance > 0:  # NaN fails too
-        raise DomainError(f"tolerance must be > 0, got {tolerance}")
-    if max_steps < 1:
-        raise DomainError(f"max_steps must be >= 1, got {max_steps}")
+    _check_tolerance("tolerance", tolerance)
+    max_steps = _check_int("max_steps", max_steps, 1)
     q = _stacked(dists)
     m, n = q.shape
     center = 1.0 / n

@@ -214,7 +214,7 @@ def test_dissim_depth_bound_exits_4_before_any_array(capsys):
     # a depth of 10**12 would ask numpy for terabytes; the flag is refused first
     code, out, err = run(capsys, "dissim", "--dist", "0.5,0.3,0.2", "--depth", str(10**12))
     assert code == EXIT_USAGE and out == ""
-    assert err == f"neglab: error: --depth must be <= {MAX_DEPTH}, got {10**12}\n"
+    assert err == f"neglab: error: --depth must be an integer in [1, {MAX_DEPTH}], got {10**12}\n"
     assert run(capsys, "dissim", "--dist", "0.5,0.3,0.2", "--depth", str(MAX_DEPTH))[0] == EXIT_OK
 
 
@@ -319,6 +319,17 @@ def test_non_finite_tolerance_exits_4(capsys, monkeypatch):
     monkeypatch.setenv("NEGLAB_TOL", "inf")
     code, _, _ = run(capsys, "negate", "--dist", "0.5,0.5")
     assert code == EXIT_USAGE
+
+
+def test_tolerance_of_one_or_more_exits_4(capsys, monkeypatch):
+    # a tolerance of 1 would read 5,-3 as 1,0
+    code, out, err = run(capsys, "negate", "--dist", "5,-3", "--tol", "10")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "neglab: error: --tol must be finite and in (0, 1), got 10.0\n"
+    monkeypatch.setenv("NEGLAB_TOL", "1")
+    code, out, err = run(capsys, "negate", "--dist", "0.5,0.5")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "neglab: error: NEGLAB_TOL must be finite and in (0, 1), got 1.0\n"
 
 
 def test_report_takes_no_tolerance(capsys, monkeypatch):
@@ -932,8 +943,9 @@ _FLAGS = st.lists(st.sampled_from([
     ("--format", "json"), ("--format", "csv"), ("--format", "text"), ("--format", "xml"),
     ("--fn", "neg_log"), ("--fn", "square"), ("--fn", "x_log_x"), ("--fn", "cube"),
     ("--tol", "1e-9"), ("--tol", "0.5"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
+    ("--tol", "1"), ("--tol", "10"),
     ("--max-steps", "3"), ("--max-steps", "0"), ("--max-steps", "x"),
-    ("--alpha", "0,2"), ("--alpha", "2,1"), ("--alpha", "5000"), ("--alpha", "a"),
+    ("--alpha", "0,2"), ("--alpha", "2,1"), ("--alpha", "5000"), ("--alpha", "a"), ("--alpha", "0,1022"),
     ("--depth", "2"), ("--depth", "0"),
     ("--dist", "0.5,0.5"), ("--dist", "uniform:3"), ("--dist", "1/0"), ("--dist", "uniform:1"),
     ("--out", "."),  # a directory

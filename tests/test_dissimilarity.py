@@ -409,7 +409,7 @@ def test_negation_profile_validation(p4):
         negation_profile(p4, [0, 1022], 1)
     with pytest.raises(DomainError):
         negation_profile(p4, [0], 0)
-    with pytest.raises(DomainError, match="depth must be in"):  # before any array is built
+    with pytest.raises(DomainError, match="depth must be an integer in"):  # before any array is built
         negation_profile(p4, [0], 10**12)
     with pytest.raises(TypeError):  # the profile is no longer passed in
         dissimilarity_properties(p4, [0], q=negate(p4))

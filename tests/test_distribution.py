@@ -10,18 +10,24 @@ from hypothesis import strategies as st
 
 from neglab import (
     DEFAULT_TOLERANCE,
+    MAX_ALPHA,
+    MAX_DEPTH,
     DimensionError,
     DomainError,
     ProbDist,
     ValidationReport,
+    converge_traces,
+    dissimilarity,
     is_uniform,
     l1_distance,
     make_dist,
     negate,
     negate_iterated,
     negate_twice,
+    negation_profiles,
     pad_with_zeros,
     uniform,
+    zero_padding_entropy_check,
 )
 
 from conftest import distribution_pairs, distributions
@@ -165,25 +171,89 @@ def test_probdist_validates_exactly_as_make_dist(raw):
 
 
 def test_make_dist_rejects_all_mass_clamped_away():
-    # a tolerance of 1 admits [0, 0]; with no mass to renormalize it must
-    # come back as a failing report, not as a NaN distribution
-    report = make_dist([0.0, 0.0], tolerance=1.0)
-    assert isinstance(report, ValidationReport)
-    assert not report.ok
+    # a tolerance of 1 would admit [0, 0], with no mass to renormalize: it
+    # is refused before any row is screened, not turned into a NaN distribution
+    with pytest.raises(DomainError, match=r"tolerance must be finite and in \(0, 1\), got 1.0"):
+        make_dist([0.0, 0.0], tolerance=1.0)
 
 
 @pytest.mark.parametrize("values, tolerance", [
     ([1e308, 1e308], math.inf),  # the raw sum overflows
     ([1e308, -1e308, 1e308], 1e308),  # the sum overflows once -1e308 is clamped to 0
     ([math.inf, -math.inf], DEFAULT_TOLERANCE),  # the raw sum is NaN
+    ([1e308, 1e308], DEFAULT_TOLERANCE),
 ])
 def test_make_dist_rejects_an_overflowed_sum(values, tolerance):
-    # an infinite total used to pass inf <= inf and be divided into all zeros
+    # an infinite total used to pass inf <= inf and be divided into all zeros;
+    # a tolerance of 1 or more, which let such a row pass the screen, is refused
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        if tolerance >= 1.0:
+            with pytest.raises(DomainError, match="tolerance must be finite and in"):
+                make_dist(values, tolerance=tolerance)
+            return
         report = make_dist(values, tolerance=tolerance)
     assert isinstance(report, ValidationReport)
     assert not report.ok and report.sum_error == math.inf
+
+
+# --- one range rule per scalar parameter -----------------------------------
+
+_P3 = [0.5, 0.3, 0.2]
+
+#: (function, parameter, call, lo, hi) of each integer parameter, its call returning plain data
+_INTEGER_PARAMETERS = [
+    ("dissimilarity", "alpha", lambda p, v: dissimilarity(p, negate(p), v).value, 0, MAX_ALPHA),
+    ("negation_profiles", "alpha", lambda p, v: negation_profiles([p], [v], 1).value.tolist(),
+     0, MAX_ALPHA),
+    ("negation_profiles", "depth", lambda p, v: negation_profiles([p], [0], v).value.tolist(),
+     1, MAX_DEPTH),
+    ("negate_iterated", "k", lambda p, v: negate_iterated(p, v).tolist(), 0, math.inf),
+    ("converge_traces", "max_steps",
+     lambda p, v: converge_traces([p], 1e-9, v).distances.tolist(), 1, math.inf),
+    ("pad_with_zeros", "k", lambda p, v: pad_with_zeros(p, v).tolist(), 0, math.inf),
+    ("zero_padding_entropy_check", "k",
+     lambda p, v: zero_padding_entropy_check(p, v).as_dict(), 1, math.inf),
+]
+
+#: (function, call) of each tolerance, whose rule is 0 < tolerance < 1
+_TOLERANCES = [
+    ("make_dist", lambda p, v: make_dist(_P3, v).tolist()),
+    ("converge_traces", lambda p, v: converge_traces([p], v).distances.tolist()),
+    ("is_uniform", lambda p, v: is_uniform(p, v)),
+]
+
+_NOT_NUMBERS = [True, False, math.nan, math.inf, -math.inf]
+
+
+def _scalar_cases():
+    """(name, call, value, whether the rule admits it, the plain value it stands for)."""
+    for function, name, call, lo, hi in _INTEGER_PARAMETERS:
+        values = _NOT_NUMBERS + [2.5, float(lo), -1, lo - 1, lo, lo + 1, np.int64(lo)]
+        if hi < math.inf:
+            values += [hi - 1, hi, hi + 1, np.int64(hi)]
+        for v in {repr(v): v for v in values}.values():  # -1 is lo - 1 when lo is 0
+            inside = isinstance(v, (int, np.integer)) and not isinstance(v, bool) and lo <= v <= hi
+            yield pytest.param(name, call, v, inside, int(v) if inside else None,
+                               id=f"{function}.{name}={v!r}")
+    for function, call in _TOLERANCES:
+        for v in _NOT_NUMBERS + [0.0, -1.0, 5e-324, 1e-9, 0.5, np.float64(0.5),
+                                 math.nextafter(1.0, 0.0), 1.0, 1, 2.5]:
+            inside = not isinstance(v, bool) and 0.0 < v < 1.0
+            yield pytest.param("tolerance", call, v, inside, float(v) if inside else None,
+                               id=f"{function}.tolerance={v!r}")
+
+
+@pytest.mark.parametrize("name, call, value, inside, plain", _scalar_cases())
+def test_every_scalar_parameter_takes_its_rule(name, call, value, inside, plain):
+    # a count or level is an integer in its range, a numpy one included, and
+    # never a bool or a float; a tolerance lies in (0, 1), NaN excluded
+    p = make_dist(_P3)
+    if inside:
+        assert call(p, value) == call(p, plain)
+    else:
+        with pytest.raises(DomainError, match=rf"^{name} must be "):
+            call(p, value)
 
 
 def test_pad_with_zeros():

@@ -1,12 +1,16 @@
 """FunctionSpec registry and the convexity certificate suite."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import neglab
 from neglab import (
     BUILTIN_FUNCTIONS,
     ChainUndefinedError,
@@ -79,6 +83,17 @@ def test_spot_check_rejects_mislabeled_curvature():
         FunctionSpec("mislabeled", "convex", lambda x: -(x * x))
     with pytest.raises(CurvatureError):
         FunctionSpec("mislabeled", "concave", lambda x: math.exp(x))
+
+
+def test_building_the_builtins_leaves_numpy_random_unloaded():
+    # the spot check runs on a fixed grid; numpy.random would add its import
+    # time to every start of the CLI
+    src = os.path.dirname(os.path.dirname(os.path.abspath(neglab.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, neglab.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_spot_check_accepts_valid_custom():
