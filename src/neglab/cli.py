@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -79,8 +78,8 @@ def _parse_scalar(token: str) -> float:
         raise _UsageError("empty value in distribution")
     try:
         if "/" in token:
-            num, den = token.split("/", 1)
-            return float(Fraction(int(num.strip()), int(den.strip())))
+            num, den = map(int, token.split("/", 1))
+            return num / den if den > 0 else -num / -den  # rounded once; 0/-n is 0.0, as in Fraction
         return float(token)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise _UsageError(f"cannot parse value {token!r}: {exc}") from None
@@ -433,7 +432,7 @@ def _lines_verify(group, result):
 
 def _frac(text: str) -> tuple[float, ...]:
     """Space-separated exact fractions, each rounded once to a float."""
-    return tuple(float(Fraction(t)) for t in text.split())
+    return tuple(map(_parse_scalar, text.split()))
 
 
 _P4 = _frac("1/3 1/6 1/6 1/3")

@@ -23,7 +23,6 @@ array kernel once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -64,9 +63,8 @@ class CrossCheckError(ArithmeticError):
     """Literal evaluation and closed form disagreed beyond 1e-12."""
 
 
-@dataclass(frozen=True)
-class DissimResult:
-    """One dissimilarity evaluation with its audit trail.
+class DissimResult(NamedTuple):
+    """One dissimilarity evaluation with its audit trail (an immutable NamedTuple).
 
     ``value`` is the measure, from the closed form, and
     ``closed_form_value`` carries the same number; ``sum_of_min_pairs`` is
@@ -81,19 +79,7 @@ class DissimResult:
     l1: float
 
     def as_dict(self) -> dict:
-        return _result_dict(self.alpha, self.value, self.sum_of_min_pairs,
-                            self.closed_form_value, self.l1)
-
-
-def _result_dict(alpha, value, sum_of_min_pairs, closed_form_value, l1) -> dict:
-    """The plain-data form of one :class:`DissimResult`, given its fields."""
-    return {
-        "alpha": alpha,
-        "value": value,
-        "sum_of_min_pairs": sum_of_min_pairs,
-        "closed_form_value": closed_form_value,
-        "l1": l1,
-    }
+        return self._asdict()
 
 
 def _check_alpha(alpha, name: str = "alpha") -> int:
@@ -219,9 +205,9 @@ def dissimilarity_properties(p: ProbDist, alphas: Sequence[int]) -> Certificate:
     return negation_profile(p, alphas, 1).properties
 
 
-@dataclass(frozen=True)
-class IteratedDissimReport:
-    """Dissimilarity between a distribution and each of its negation iterates.
+class IteratedDissimReport(NamedTuple):
+    """Dissimilarity between a distribution and each of its negation iterates
+    (an immutable NamedTuple).
 
     ``results[k]`` compares ``p`` with its (k + 1)-fold negation at the
     fixed level.  One might expect deeper iterates to look ever less like
@@ -238,11 +224,7 @@ class IteratedDissimReport:
     non_decreasing: bool
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "results": [r.as_dict() for r in self.results],
-            "non_decreasing": self.non_decreasing,
-        }
+        return {**self._asdict(), "results": [r.as_dict() for r in self.results]}
 
 
 def iterated_negation_dissimilarity(
@@ -255,9 +237,8 @@ def iterated_negation_dissimilarity(
     return negation_profile(p, [alpha], depth).iterated
 
 
-@dataclass(frozen=True)
-class NegationProfile:
-    """Everything ``neglab dissim`` reports for one distribution."""
+class NegationProfile(NamedTuple):
+    """Everything ``neglab dissim`` reports for one distribution (an immutable NamedTuple)."""
 
     negation: ProbDist
     profile: tuple[DissimResult, ...]
@@ -311,10 +292,11 @@ class NegationProfiles(NamedTuple):
             self.negations.tolist(), self.value.tolist(), self.sum_of_min_pairs.tolist(),
             self.l1.tolist(), _input_dicts([self.properties]), self.non_decreasing.tolist(),
         ):
-            results = [_result_dict(a, v, s, v, d) for a, v, s, d in zip(at, value, sums, l1)]
-            records.append({"negation": q, "profile": results[:levels], "properties": properties,
-                            "iterated": {"alpha": at[0], "results": results[levels:],
-                                         "non_decreasing": flag}})
+            # closed_form_value repeats value
+            results = [dict(zip(DissimResult._fields, r)) for r in zip(at, value, sums, value, l1)]
+            iterated = dict(zip(IteratedDissimReport._fields, (at[0], results[levels:], flag)))
+            records.append(dict(zip(NegationProfile._fields,
+                                    (q, results[:levels], properties, iterated))))
         return records
 
 

@@ -9,8 +9,8 @@ hold to machine precision instead of inheriting entry noise.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import InitVar, dataclass
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -87,9 +87,8 @@ class ProbDist:
         return f"ProbDist({self.probs.tolist()})"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Why a raw vector was rejected by :func:`make_dist`.
+class ValidationReport(NamedTuple):
+    """Why a raw vector was rejected by :func:`make_dist` (an immutable NamedTuple).
 
     ``sum_error`` is the absolute deviation of the raw sum from 1 and
     ``bad_indices`` lists positions whose entries fall outside [0, 1]
@@ -98,14 +97,10 @@ class ValidationReport:
 
     ok: bool
     sum_error: float
-    bad_indices: tuple[int, ...] = field(default_factory=tuple)
+    bad_indices: tuple[int, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "sum_error": self.sum_error,
-            "bad_indices": list(self.bad_indices),
-        }
+        return {**self._asdict(), "bad_indices": list(self.bad_indices)}
 
 
 def _block(rows) -> np.ndarray:
@@ -239,7 +234,8 @@ def pad_with_zeros(p: ProbDist, k: int) -> ProbDist:
 
 
 def uniform(n: int) -> ProbDist:
-    """The uniform distribution on ``n`` outcomes."""
+    """The uniform distribution on an integer ``n >= 2`` outcomes; 0 and 1 raise DimensionError."""
+    n = _check_int("n", n, 0)
     if n < 2:
         raise DimensionError(f"a distribution needs at least 2 outcomes, got {n}")
     return _unchecked(np.full(n, 1.0 / n))

@@ -10,7 +10,7 @@ certified below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,9 +70,8 @@ def self_information(prob: float) -> float:
     return -math.log2(prob) + 0.0
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    """Entropy of a distribution next to the ceiling for its size."""
+class EntropyReport(NamedTuple):
+    """Entropy of a distribution next to the ceiling for its size (an immutable NamedTuple)."""
 
     n: int
     entropy_bits: float
@@ -80,12 +79,7 @@ class EntropyReport:
     gap_bits: float
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "entropy_bits": self.entropy_bits,
-            "max_entropy_bits": self.max_entropy_bits,
-            "gap_bits": self.gap_bits,
-        }
+        return self._asdict()
 
 
 def entropy_report(p: ProbDist) -> EntropyReport:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .certificates import (
     _compare_columns,
     compare,
 )
-from .distribution import DimensionError, DomainError, ProbDist, _screen, _stacked
+from .distribution import DimensionError, DomainError, ProbDist, _check_int, _screen, _stacked
 from .entropy import _cross_entropies, _entropies, _entropy_chains
 from .negation import _double_negation, _negation, negate
 
@@ -276,6 +276,14 @@ def double_negation_mixture_bound(f: FunctionSpec, p: ProbDist) -> Certificate:
     return mixture_bound(f, negate(p), name="double_negation_mixture_bound")
 
 
+def _check_index(i, n: int) -> int:
+    """``i`` as an ``int`` if it is an integer index in [0, n - 1], else :class:`IndexError`."""
+    try:
+        return _check_int("index", i, 0, n - 1)
+    except DomainError as exc:
+        raise IndexError(str(exc)) from None
+
+
 def _pointwise(f_centre: float, f_p: np.ndarray, f_q: np.ndarray, n: int, first: int = 0):
     """Pointwise certificates for the columns of f at p and at its negation
     (m×k each), numbered from ``first``."""
@@ -291,8 +299,7 @@ def pointwise_bound(f: FunctionSpec, p: ProbDist, i: int) -> Certificate:
     """
     _require(f, "convex")
     n = p.n
-    if not 0 <= i < n:
-        raise IndexError(f"index {i} out of range for {n} outcomes")
+    i = _check_index(i, n)
     f_p, f_q = f.values(_pair(p))[:, None, i:i + 1]
     return _pointwise(f(1.0 / n), f_p, f_q, n, first=i)[0].row(0)
 
@@ -343,9 +350,8 @@ def self_information_bound(p: ProbDist) -> Certificate:
     return mixture_bound(NEG_LOG, p, name="self_information_bound")
 
 
-@dataclass(frozen=True)
-class PartialMeanChain:
-    """Peeled partial means and the bound sequence they generate.
+class PartialMeanChain(NamedTuple):
+    """Peeled partial means and the bound sequence they generate (an immutable NamedTuple).
 
     With outcome ``excluded_index`` removed, ``zetas[t]`` is the mean of
     the remaining entries after the ``t`` highest-indexed ones have been
@@ -361,11 +367,7 @@ class PartialMeanChain:
     bounds: tuple[float, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "excluded_index": self.excluded_index,
-            "zetas": list(self.zetas),
-            "bounds": list(self.bounds),
-        }
+        return {**self._asdict(), "zetas": list(self.zetas), "bounds": list(self.bounds)}
 
 
 def _chains(
@@ -436,8 +438,7 @@ def partial_mean_chain(
     nothing to peel, so n = 2 raises :class:`ChainUndefinedError`.
     """
     _require_chain(f, p)
-    if not 0 <= i < p.n:
-        raise IndexError(f"index {i} out of range for {p.n} outcomes")
+    i = _check_index(i, p.n)
     probs = p.probs[None]
     ((zetas, bounds, lhs, holds),) = _chains(f, probs, f.values(probs), np.array([i]))
     chain = PartialMeanChain(

@@ -11,7 +11,6 @@ two entries forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -87,9 +86,8 @@ def _iterates(probs: np.ndarray, ks) -> np.ndarray:
     return np.where(powers == 1.0, probs, center + (probs - center) * powers)
 
 
-@dataclass(frozen=True)
-class ConvergenceTrace:
-    """Record of repeated negation.
+class ConvergenceTrace(NamedTuple):
+    """Record of repeated negation (an immutable NamedTuple).
 
     ``iterates[0]`` is the starting distribution; ``distances[k]`` is the
     max-norm distance of ``iterates[k]`` from uniform and ``entropies[k]``
@@ -106,20 +104,8 @@ class ConvergenceTrace:
     oscillating: bool = False
 
     def as_dict(self) -> dict:
-        return _trace_dict([q.tolist() for q in self.iterates], list(self.entropies),
-                           list(self.distances), self.converged, self.steps, self.oscillating)
-
-
-def _trace_dict(iterates, entropies, distances, converged, steps, oscillating) -> dict:
-    """The plain-data form of one trace, given its fields."""
-    return {
-        "iterates": iterates,
-        "entropies": entropies,
-        "distances": distances,
-        "converged": converged,
-        "steps": steps,
-        "oscillating": oscillating,
-    }
+        return {**self._asdict(), "iterates": [q.tolist() for q in self.iterates],
+                "entropies": list(self.entropies), "distances": list(self.distances)}
 
 
 class ConvergenceTraces(NamedTuple):
@@ -152,7 +138,8 @@ class ConvergenceTraces(NamedTuple):
         flat = self.iterates.tolist(), self.entropies.tolist(), self.distances.tolist()
         ends = np.cumsum(self.steps + 1).tolist()
         return [
-            _trace_dict(*(f[end - steps - 1:end] for f in flat), converged, steps, oscillating)
+            dict(zip(ConvergenceTrace._fields,
+                     (*(f[end - steps - 1:end] for f in flat), converged, steps, oscillating)))
             for end, converged, steps, oscillating in zip(
                 ends, self.converged.tolist(), self.steps.tolist(), self.oscillating.tolist()
             )

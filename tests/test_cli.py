@@ -8,9 +8,10 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -33,6 +34,8 @@ from neglab.cli import (
     MAX_UNIFORM_N,
     main,
 )
+
+from conftest import assert_identical
 
 
 def run(capsys, *argv):
@@ -86,6 +89,41 @@ def test_unparseable_value_exits_4(capsys):
     code, _, err = run(capsys, "negate", "--dist", "abc,0.5")
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+_BIG = 2**1100
+_NUMERATORS = st.integers() | st.just(0) | st.integers(min_value=-_BIG * 4, max_value=_BIG * 4)
+_DENOMINATORS = (st.integers() | st.integers(min_value=-_BIG * 4, max_value=_BIG * 4)).filter(bool)
+
+
+@given(_NUMERATORS, _DENOMINATORS)
+@example(0, -3)
+@example(-1, _BIG)
+@example(1, -_BIG)
+@example(_BIG, 1)
+@example(-_BIG, 3)
+def test_a_rational_rounds_once_as_fraction_does(num, den):
+    # int / int is correctly rounded, as Fraction's float; 0/-n is 0.0 there,
+    # and a rational beyond the largest double raises OverflowError
+    token = f"{num}/{den}"
+    try:
+        want = float(Fraction(num, den))
+    except OverflowError as exc:
+        with pytest.raises(cli._UsageError, match=f"{token!r}: {exc}$"):
+            cli._parse_scalar(token)
+        return
+    assert_identical(cli._parse_scalar(token), want)
+
+
+@pytest.mark.parametrize("token, why", [
+    (f"{_BIG}/1", "integer division result too large for a float"),
+    (f"-{_BIG}/3", "integer division result too large for a float"),
+    ("1/0", "division by zero"),
+], ids=["2**1100/1", "-2**1100/3", "1/0"])
+def test_an_unrepresentable_rational_exits_4(capsys, token, why):
+    code, out, err = run(capsys, "negate", "--dist", f"0.5,{token}")
+    assert code == EXIT_USAGE and out == ""
+    assert err.endswith(f"{token!r}: {why}\n"), err
 
 
 def test_missing_input_exits_4(capsys):

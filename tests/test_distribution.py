@@ -1,5 +1,6 @@
 """Simplex validation, padding, and distance utilities."""
 
+import json
 import math
 import warnings
 
@@ -12,25 +13,31 @@ from neglab import (
     DEFAULT_TOLERANCE,
     MAX_ALPHA,
     MAX_DEPTH,
+    NEG_LOG,
     DimensionError,
     DomainError,
     ProbDist,
     ValidationReport,
+    converge_to_uniform,
     converge_traces,
     dissimilarity,
+    entropy_report,
     is_uniform,
+    iterated_negation_dissimilarity,
     l1_distance,
     make_dist,
     negate,
     negate_iterated,
     negate_twice,
+    negation_profile,
     negation_profiles,
     pad_with_zeros,
+    partial_mean_chain,
     uniform,
     zero_padding_entropy_check,
 )
 
-from conftest import distribution_pairs, distributions
+from conftest import assert_identical, distribution_pairs, distributions
 
 
 def test_make_dist_accepts_rationals():
@@ -256,6 +263,27 @@ def test_every_scalar_parameter_takes_its_rule(name, call, value, inside, plain)
             call(p, value)
 
 
+#: each result record from its public producer, at _P3
+_RECORDS = {
+    "ValidationReport": lambda p: make_dist([0.7, 0.5, -0.2]),
+    "EntropyReport": entropy_report,
+    "PartialMeanChain": lambda p: partial_mean_chain(NEG_LOG, p, 1)[0],
+    "DissimResult": lambda p: dissimilarity(p, negate(p), 2),
+    "IteratedDissimReport": lambda p: iterated_negation_dissimilarity(p, 1, 3),
+    "NegationProfile": lambda p: negation_profile(p, [0, 2], 3),
+    "ConvergenceTrace": lambda p: converge_to_uniform(p, max_steps=5),
+}
+
+
+@pytest.mark.parametrize("record", list(_RECORDS), ids=list(_RECORDS))
+def test_every_record_plain_data_is_json_native(record):
+    # no tuple, ProbDist or numpy scalar may leak through a record's fields
+    r = _RECORDS[record](make_dist(_P3))
+    assert type(r).__name__ == record
+    d = r.as_dict()
+    assert_identical(d, json.loads(json.dumps(d)))
+
+
 def test_pad_with_zeros():
     p = make_dist([2 / 3, 1 / 6, 1 / 6])
     padded = pad_with_zeros(p, 2)
@@ -278,8 +306,13 @@ def test_uniform():
     u = uniform(5)
     assert u.n == 5
     assert np.all(u.probs == 0.2)
-    with pytest.raises(DimensionError):
-        uniform(1)
+    assert uniform(np.int64(3)).n == 3
+    for n in (0, 1):
+        with pytest.raises(DimensionError, match=f"at least 2 outcomes, got {n}$"):
+            uniform(n)
+    for n in (True, 2.5, 3.0, np.float64(3.0), math.nan, -1):
+        with pytest.raises(DomainError, match="^n must be an integer"):
+            uniform(n)
 
 
 def test_is_uniform_tolerance():

@@ -85,12 +85,13 @@ def test_spot_check_rejects_mislabeled_curvature():
         FunctionSpec("mislabeled", "concave", lambda x: math.exp(x))
 
 
-def test_building_the_builtins_leaves_numpy_random_unloaded():
-    # the spot check runs on a fixed grid; numpy.random would add its import
-    # time to every start of the CLI
+@pytest.mark.parametrize("module", ["numpy.random", "fractions"])
+def test_importing_the_cli_leaves_module_unloaded(module):
+    # the spot check runs on a fixed grid and the CLI parses a/b with int
+    # division; either module would add its import time to every start of the CLI
     src = os.path.dirname(os.path.dirname(os.path.abspath(neglab.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, neglab.cli; print('numpy.random' in sys.modules)"
+    code = f"import sys, neglab.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
@@ -254,10 +255,10 @@ def test_pointwise_bound_zero_entry_diverges(q5):
 
 
 def test_pointwise_bound_index_range(p4):
-    with pytest.raises(IndexError):
-        pointwise_bound(NEG_LOG, p4, 4)
-    with pytest.raises(IndexError):
-        pointwise_bound(NEG_LOG, p4, -1)
+    for i in (4, -1, True, 1.0, 1.5, math.nan):
+        with pytest.raises(IndexError):
+            pointwise_bound(NEG_LOG, p4, i)
+    assert pointwise_bound(NEG_LOG, p4, np.int64(1)).name == "pointwise_bound[i=1]"
 
 
 def test_concave_mixture_bound_golden(p4):
@@ -369,8 +370,11 @@ def test_chain_needs_three_outcomes():
 
 
 def test_chain_index_and_curvature(p4):
-    with pytest.raises(IndexError):
-        partial_mean_chain(NEG_LOG, p4, 7)
+    for i in (7, 4, -1, True, 1.0, 1.5, math.nan):
+        with pytest.raises(IndexError):
+            partial_mean_chain(NEG_LOG, p4, i)
+    chain, cert = partial_mean_chain(NEG_LOG, p4, np.int64(1))
+    assert cert.name == "partial_mean_chain[i=1]" and type(chain.excluded_index) is int
     with pytest.raises(CurvatureError):
         partial_mean_chain(X_LOG_X, p4, 0)
 
