@@ -66,16 +66,14 @@ class CrossCheckError(ArithmeticError):
 class DissimResult(NamedTuple):
     """One dissimilarity evaluation with its audit trail (an immutable NamedTuple).
 
-    ``value`` is the measure, from the closed form, and
-    ``closed_form_value`` carries the same number; ``sum_of_min_pairs`` is
-    the literal overlap sum it was cross-checked against; ``l1`` the
+    ``value`` is the measure, from the closed form; ``sum_of_min_pairs``
+    is the literal overlap sum it was cross-checked against; ``l1`` the
     distance feeding the closed form.
     """
 
     alpha: int
     value: float
     sum_of_min_pairs: float
-    closed_form_value: float
     l1: float
 
     def as_dict(self) -> dict:
@@ -130,10 +128,7 @@ def _evaluate(A: np.ndarray, B: np.ndarray, levels: np.ndarray) -> tuple[np.ndar
 
 
 def _results(alphas, values: np.ndarray, sums: np.ndarray, l1s: np.ndarray) -> tuple[DissimResult, ...]:
-    return tuple(
-        DissimResult(alpha=a, value=v, sum_of_min_pairs=s, closed_form_value=v, l1=d)
-        for a, v, s, d in zip(alphas, values.tolist(), sums.tolist(), l1s.tolist())
-    )
+    return tuple(map(DissimResult, alphas, values.tolist(), sums.tolist(), l1s.tolist()))
 
 
 def dissimilarity(p: ProbDist, q: ProbDist, alpha: int = 0) -> DissimResult:
@@ -292,8 +287,7 @@ class NegationProfiles(NamedTuple):
             self.negations.tolist(), self.value.tolist(), self.sum_of_min_pairs.tolist(),
             self.l1.tolist(), _input_dicts([self.properties]), self.non_decreasing.tolist(),
         ):
-            # closed_form_value repeats value
-            results = [dict(zip(DissimResult._fields, r)) for r in zip(at, value, sums, value, l1)]
+            results = [dict(zip(DissimResult._fields, r)) for r in zip(at, value, sums, l1)]
             iterated = dict(zip(IteratedDissimReport._fields, (at[0], results[levels:], flag)))
             records.append(dict(zip(NegationProfile._fields,
                                     (q, results[:levels], properties, iterated))))

@@ -258,22 +258,27 @@ def _mixture_value(sum_p, sum_q, n: int):
     return (sum_p + (n - 1) * sum_q) / n**2
 
 
-def mixture_bound(f: FunctionSpec, p: ProbDist, *, name: str = "mixture_bound") -> Certificate:
+def _mixture_bound(name: str, f: FunctionSpec, p: ProbDist) -> Certificate:
+    """The mixture bound of ``f`` at ``p``, as the certificate ``name``."""
+    _require(f, "convex")
+    return compare(name, f(1.0 / p.n), _mixture_value(*_fsums(f.values(_pair(p))), p.n))
+
+
+def mixture_bound(f: FunctionSpec, p: ProbDist) -> Certificate:
     """Certify f(1/n) <= mean of f over p and its negation, f convex.
 
     The right side weights each f(p_i) by 1/n^2 and each f of the negated
     entry by (n - 1)/n^2; those 2n weights sum to 1, so this is Jensen at
     a mixture whose barycenter is exactly 1/n.  Equality holds exactly at
-    the uniform distribution.
+    the uniform distribution.  :func:`double_negation_mixture_bound` and
+    :func:`self_information_bound` are the same bound under their own names.
     """
-    _require(f, "convex")
-    return compare(name, f(1.0 / p.n), _mixture_value(*_fsums(f.values(_pair(p))), p.n))
+    return _mixture_bound("mixture_bound", f, p)
 
 
 def double_negation_mixture_bound(f: FunctionSpec, p: ProbDist) -> Certificate:
     """The same bound one negation deeper: mixture of negate(p) and its negation."""
-    _require(f, "convex")
-    return mixture_bound(f, negate(p), name="double_negation_mixture_bound")
+    return _mixture_bound("double_negation_mixture_bound", f, negate(p))
 
 
 def _check_index(i, n: int) -> int:
@@ -347,7 +352,7 @@ def self_information_bound(p: ProbDist) -> Certificate:
     the left side is log2(n); equality pins down the uniform distribution,
     e.g. 3 bits exactly on eight equally likely outcomes.
     """
-    return mixture_bound(NEG_LOG, p, name="self_information_bound")
+    return _mixture_bound("self_information_bound", NEG_LOG, p)
 
 
 class PartialMeanChain(NamedTuple):
@@ -370,6 +375,26 @@ class PartialMeanChain(NamedTuple):
         return {**self._asdict(), "zetas": list(self.zetas), "bounds": list(self.bounds)}
 
 
+def _running_sums(x: np.ndarray) -> np.ndarray:
+    """Prefix sums along each row of ``x``, each within about one rounding of exact.
+
+    ``np.cumsum`` rounds at every step.  TwoSum recovers each step's error
+    exactly, as one vector expression, and a second cumsum adds the errors
+    back: the cascaded summation of Ogita, Rump and Oishi, "Accurate sum
+    and dot product", SIAM J. Sci. Comput. 26(6), 2005.  A step whose sum
+    is infinite gets an error of 0, where TwoSum would give inf - inf.
+    """
+    sums = np.cumsum(x, axis=1)
+    before, after = sums[:, :-1], sums[:, 1:]
+    with np.errstate(invalid="ignore"):  # inf - inf, zeroed below
+        added = after - before  # x as the step added it
+        error = before - (after - added)
+        error += np.subtract(x[:, 1:], added, out=added)
+    error[np.isinf(after)] = 0.0
+    after += np.cumsum(error, axis=1)
+    return sums
+
+
 def _chains(
     f: FunctionSpec, probs: np.ndarray, f_probs: np.ndarray, pairs: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -384,9 +409,10 @@ def _chains(
     A block holds at most ``_CHAIN_BLOCK_ELEMENTS`` kept entries (or one
     pair, if n - 1 is more), so peak memory does not grow with m n^2.  The
     pair (r, i) keeps ``p_r[j + (j >= i)]`` for j < n - 1.  Both running
-    sums are ``np.cumsum`` along the row, which adds in the same order as
-    a scalar loop; differences of prefix sums would turn an infinite f(0)
-    into inf - inf.
+    sums are :func:`_running_sums` along the row, each within about one
+    rounding of the exact sum, so a chain whose bounds equal ``lhs`` in
+    exact arithmetic does not fail at large n; differences of prefix sums
+    would turn an infinite f(0) into inf - inf.
     """
     n = probs.shape[1]
     j = np.arange(n - 1)
@@ -395,13 +421,14 @@ def _chains(
     step = max(1, _CHAIN_BLOCK_ELEMENTS // (n - 1))
     for start in range(0, pairs.size, step):
         rows, excluded = np.divmod(pairs[start:start + step, None], n)
-        src = j + (j >= excluded)
-        zetas = np.cumsum(probs[rows, src], axis=1)[:, ::-1] / m_zeta
+        kept = rows * n + j + (j >= excluded)  # flat indices into probs
+        zetas = _running_sums(probs.take(kept))[:, ::-1] / m_zeta
         f_zetas = f.values(zetas)
-        peeled = np.cumsum(f_probs[rows, src][:, :0:-1], axis=1)
+        peeled = _running_sums(f_probs.take(kept)[:, :0:-1])
         bounds = (peeled + m_bound * f_zetas[:, 1:]) / (n - 1)
         lhs = f_zetas[:, 0]
-        holds = np.all(lhs[:, None] <= bounds + HOLDS_TOLERANCE, axis=1) & np.all(
+        # adding the tolerance is monotone, so the smallest bound decides
+        holds = (lhs <= bounds.min(axis=1) + HOLDS_TOLERANCE) & np.all(
             bounds[:, 1:] >= bounds[:, :-1] - HOLDS_TOLERANCE, axis=1
         )
         yield zetas, bounds, lhs, holds
@@ -498,16 +525,13 @@ def _suite(f: FunctionSpec, probs: np.ndarray) -> list[Certificate]:
     f_p, f_q, f_qq = f_rows = convex.values(np.stack([probs, q, qq]))
     sum_p, sum_q, sum_qq = _fsums(f_rows)
     f_centre = convex(1.0 / n)
-    if convex is NEG_LOG:
-        log_centre, log_sums = f_centre, (sum_p, sum_q)
-    else:
-        log_centre, log_sums = NEG_LOG(1.0 / n), _fsums(NEG_LOG.values(np.stack([probs, q])))
+    log_sums = _fsums(NEG_LOG.values(np.stack([probs, q])))
     entropies = [_entropies(rows) for rows in (probs, q, _double_negation(probs))]
     suite = [
         *_compare_columns(["mixture_bound"], f_centre, _mixture_value(sum_p, sum_q, n)[:, None]),
         *_pointwise(f_centre, f_p, f_q, n),
         *_compare_columns(
-            ["self_information_bound"], log_centre, _mixture_value(*log_sums, n)[:, None]
+            ["self_information_bound"], NEG_LOG(1.0 / n), _mixture_value(*log_sums, n)[:, None]
         ),
         *_compare_columns(
             ["double_negation_mixture_bound"], f_centre, _mixture_value(sum_q, sum_qq, n)[:, None]

@@ -213,8 +213,9 @@ def _pair_corpus():
 def test_criterion_07_dissimilarity_oracle():
     for p, q, profile in _pair_corpus():
         for a, res in enumerate(profile):
-            assert abs(res.value - res.closed_form_value) <= 1e-12, (
-                f"closed-form drift at n={p.n} alpha={a}: {res.value} vs {res.closed_form_value}"
+            closed = -math.log2(1.0 - res.l1 / 2.0 ** (a + 2))
+            assert abs(res.value - closed) <= 1e-12, (
+                f"closed-form drift at n={p.n} alpha={a}: {res.value} vs {closed}"
             )
             assert 0.0 <= res.value <= 1.0
             assert res.l1 > 1e-6 and res.value > 1e-12, (

@@ -239,6 +239,17 @@ def test_dissim_profile(capsys):
     assert len(rec["iterated"]["results"]) == 3  # default depth
 
 
+def test_dissim_json_results_carry_each_number_once(capsys, tmp_path):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([[0.5, 0.3, 0.2], [0.25] * 4]))
+    code, doc = run_json(capsys, "dissim", "--file", str(path), "--alpha", "0,3", "--depth", "2")
+    assert code == EXIT_OK
+    results = [r for rec in doc["results"] for r in rec["profile"] + rec["iterated"]["results"]]
+    assert len(results) == 8
+    for r in results:
+        assert list(r) == ["alpha", "value", "sum_of_min_pairs", "l1"]
+
+
 def test_dissim_flag_validation(capsys):
     code, _, _ = run(capsys, "dissim", "--dist", "uniform:3", "--alpha", "2,1")
     assert code == EXIT_USAGE
@@ -724,7 +735,7 @@ def _oracle_dissim(d_idx, rec):
             "kind": kind,
             "level": level,
             "value": r["value"],
-            "closed_form_value": r["closed_form_value"],
+            "closed_form_value": r["value"],
             "l1": r["l1"],
             "properties_hold": rec["properties"]["holds"],
         }
