@@ -28,7 +28,7 @@ from .certificates import Certificate, _flat, _gathered, _input_dicts, _input_fa
 from .distribution import (DEFAULT_TOLERANCE, DimensionError, DomainError, ValidationReport,
                            _check_int, _check_tolerance, make_dist, make_dists)
 from .dissimilarity import MAX_DEPTH, CrossCheckError, _check_alphas, negation_profile, negation_profiles
-from .entropy import entropy_report, shannon_entropy
+from .entropy import entropy_chain_check, entropy_report, zero_padding_entropy_check
 from .jensen import (
     NEG_LOG,
     BUILTIN_FUNCTIONS,
@@ -112,17 +112,17 @@ def _load_file(path: str) -> list[list[float]]:
     other JSON shape is a usage error.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
     stripped = text.lstrip()
     if not (stripped.startswith("[") or stripped.startswith("{")):
-        try:
-            rows = [[c.strip() for c in row if c.strip()] for row in csv.reader(io.StringIO(text))]
+        try:  # each cell as a --dist item; a line with no value in any cell is skipped
+            return [[_parse_scalar(c) for c in row]
+                    for row in csv.reader(io.StringIO(text)) if any(map(str.strip, row))]
         except csv.Error as exc:
             raise _UsageError(f"invalid CSV in {path}: {exc}") from None
-        return [[_parse_scalar(c) for c in cells] for cells in rows if cells]
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -346,7 +346,7 @@ def _lines_converge(group, result):
 
 def _step_dissim(args, inp):
     try:
-        alphas = [int(a) for a in args.alpha.split(",") if a.strip()]
+        alphas = [int(a) for a in args.alpha.split(",")]
     except ValueError:
         raise _UsageError(f"--alpha must be comma-separated integers, got {args.alpha!r}") from None
     _flag(_check_alphas, alphas, "--alpha")
@@ -427,8 +427,10 @@ def _lines_verify(group, result):
 
 # ---------------------------------------------------------------------------
 # the golden fixture report: one certificate per worked example.  A fixture
-# decides ``holds`` by its own thresholds and never claims equality, because
-# compare()'s 1e-9 equality band would pass any two sides that close.
+# that restates a library certificate keeps it as its detail and holds only
+# if it holds, under thresholds of the fixture's own.  A fixture never claims
+# equality, because compare()'s 1e-9 equality band would pass any two sides
+# that close.
 
 def _frac(text: str) -> tuple[float, ...]:
     """Space-separated exact fractions, each rounded once to a float."""
@@ -466,22 +468,18 @@ def _golden_fixtures(_) -> tuple[list[Certificate], bool]:
         for name, subs in golden.items()
     ]
 
-    p4, p3, q5 = make_dist(_P4), make_dist(_P3), make_dist(_Q5)
-    h3, h5 = shannon_entropy(p3), shannon_entropy(q5)
-    g3, g5 = shannon_entropy(negate(p3)), shannon_entropy(negate(q5))
-    padding = _claim("entropy_unchanged_by_padding", h3, h5, abs(h3 - h5) <= 1e-12)
+    padding = zero_padding_entropy_check(make_dist(_P3), 2)
+    _, raised = padding.detail
     fixtures.append(_claim(
-        "entropy_padding_ordering", g3, g5, padding.holds and g5 - g3 > 1e-6, padding
+        "entropy_padding_ordering", raised.lhs, raised.rhs,
+        padding.holds and raised.slack > 1e-6, padding,
     ))
 
-    h0, h1, h2 = (shannon_entropy(d) for d in (p4, negate(p4), negate_twice(p4)))
-    steps = (
-        _claim("negation_raises_entropy", h0, h1, h1 - h0 > 1e-6),
-        _claim("double_negation_raises_entropy", h1, h2, h2 - h1 > 1e-6),
-        _claim("below_ceiling", h2, 2.0, h2 <= 2.0 and 2.0 - h2 > 1e-6),
-    )
+    p4 = make_dist(_P4)
+    chain = entropy_chain_check(p4)
     fixtures.append(_claim(
-        "entropy_chain_four_outcomes", h0, 2.0, all(c.holds for c in steps), *steps
+        "entropy_chain_four_outcomes", chain.lhs, chain.rhs,
+        chain.holds and all(link.slack > 1e-6 for link in chain.detail), chain,
     ))
 
     peak_raw = _frac("1/8 1/8 1/2 1/8 1/8")
@@ -498,24 +496,19 @@ def _golden_fixtures(_) -> tuple[list[Certificate], bool]:
 
     # the closed form shrinks as alpha grows; the once-claimed non-decreasing
     # direction fails and is recorded in the properties' detail, not asserted.
-    # Each level's literal value, from its min-pair sum, is set against it.
+    # The kernel sets each level's literal min-pair value against the closed
+    # form, and raises CrossCheckError when they disagree.
     expected0 = -math.log2(8.0 / 9.0)
     profile = negation_profile(p4, [0, 1, 2, 3], 1)
-    res, props = profile.profile, profile.properties
-    literal = [-math.log2((1.0 + 0.5 * r.sum_of_min_pairs) / 2.0) + 0.0 for r in res]
-    closed_form = [
-        _claim(f"closed_form[alpha={r.alpha}]", v, r.value, abs(v - r.value) <= 1e-12)
-        for r, v in zip(res, literal)
-    ]
+    value0, props = profile.profile[0].value, profile.properties
     direction = {c.name: c.holds for c in props.detail}
     fixtures.append(_claim(
-        "dissimilarity_golden", res[0].value, expected0,
-        abs(res[0].value - expected0) <= 1e-12
-        and all(c.holds for c in closed_form)
+        "dissimilarity_golden", value0, expected0,
+        abs(value0 - expected0) <= 1e-12
         and props.holds
         and direction["value_non_increasing_in_alpha"]
         and not direction["value_non_decreasing_in_alpha"],
-        *closed_form, props,
+        props,
     ))
     return fixtures, all(c.holds for c in fixtures)
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+import neglab
 from neglab import (
     MAX_DEPTH,
     SQUARE,
@@ -322,6 +323,28 @@ def test_report_fails_closed(capsys, monkeypatch):
     assert all(holds.values())
 
 
+@pytest.mark.parametrize("certificate, fixture", [
+    ("zero_padding_entropy_check", "entropy_padding_ordering"),
+    ("entropy_chain_check", "entropy_chain_four_outcomes"),
+])
+def test_report_fails_when_the_library_certificate_it_restates_fails(
+    capsys, monkeypatch, certificate, fixture
+):
+    # the fixture's own thresholds still pass; only the library's verdict fails
+    library = getattr(neglab, certificate)
+
+    def failing(*args):
+        return dataclasses.replace(library(*args), holds=False, equality=False)
+
+    monkeypatch.setattr(cli, certificate, failing, raising=False)
+    code, doc = run_json(capsys, "report")
+    assert code == EXIT_FAILURE
+    assert doc["all_hold"] is False
+    fixtures = {f["name"]: f for f in doc["results"]}
+    assert fixtures.pop(fixture)["detail"][0]["holds"] is False
+    assert all(f["holds"] for f in fixtures.values())
+
+
 def test_report_text_one_line_per_fixture(capsys):
     code, out, _ = run(capsys, "report", "--format", "text")
     assert code == EXIT_OK
@@ -430,6 +453,43 @@ def test_csv_file_input(capsys, tmp_path):
     assert len(doc["results"]) == 2
 
 
+@pytest.mark.parametrize("content", ["0.2,,0.3,0.5\n", "0.5,0.5\n0.5,0.5,\n", "0.5,0.5\n,0.5,0.5\n"],
+                         ids=["middle", "trailing", "leading"])
+def test_csv_empty_cell_exits_4_as_in_dist(capsys, tmp_path, content):
+    path = tmp_path / "batch.csv"
+    path.write_text(content)
+    code, out, err = run(capsys, "entropy", "--file", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err == "neglab: error: empty value in distribution\n"
+
+
+def test_csv_lines_without_a_value_are_skipped(capsys, tmp_path):
+    path = tmp_path / "batch.csv"
+    path.write_text("\n1/2,1/2\n  \n , ,\n1/4,1/4,1/4,1/4\n\n")
+    code, doc = run_json(capsys, "entropy", "--file", str(path))
+    assert code == EXIT_OK
+    assert doc["input"]["distributions"] == [[0.5, 0.5], [0.25] * 4]
+
+
+@pytest.mark.parametrize("name, text", [
+    ("batch.csv", "0.2,0.3,0.5\n1/4,1/4,1/4,1/4\n"),
+    ("batch.json", "[[0.2, 0.3, 0.5], [0.25, 0.25, 0.25, 0.25]]"),
+], ids=["csv", "json"])
+def test_a_utf8_bom_is_dropped(capsys, tmp_path, name, text):
+    # spreadsheet exports and some editors start a UTF-8 file with U+FEFF
+    plain, marked = tmp_path / name, tmp_path / f"bom_{name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, want = run_json(capsys, "negate", "--file", str(plain))
+    assert code == EXIT_OK
+    code, got = run_json(capsys, "negate", "--file", str(marked))
+    assert code == EXIT_OK
+    assert got["input"]["distributions"] == want["input"]["distributions"] == [
+        [0.2, 0.3, 0.5], [0.25] * 4]
+    assert got["results"] == want["results"]
+
+
 def test_file_with_bad_row_exits_2(capsys, tmp_path):
     path = tmp_path / "batch.json"
     path.write_text(json.dumps([[0.5, 0.5], [0.9, 0.3]]))
@@ -495,6 +555,9 @@ def test_verify_certifies_rows_accepted_under_tol_without_a_second_check(capsys,
     '{"input": {"distributions": 5}}',
     '{"input": [1, 2]}',
     '[true, false]',
+    pytest.param('[[0.5, 0.5]', id="unclosed"),
+    pytest.param(f"[[1{'0' * 400}, 0.5]]", id="401_digit_integer"),
+    pytest.param(f"0.5,{'1' * (csv.field_size_limit() + 1)}\n", id="csv_cell_over_field_size_limit"),
 ])
 def test_malformed_json_file_exits_4(capsys, tmp_path, content):
     path = tmp_path / "bad.json"
@@ -514,6 +577,22 @@ def test_dissim_alpha_upper_limit(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert "1021" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["--dist", "0.5,,0.5"], "empty value in distribution"),
+    (["--dist", "0.5,0.5,"], "empty value in distribution"),
+    (["--dist", "uniform:abc"], "uniform:n needs an integer, got 'abc'"),
+    (["--alpha", "0,,1"], "--alpha must be comma-separated integers, got '0,,1'"),
+    (["--alpha", "0,1,"], "--alpha must be comma-separated integers, got '0,1,'"),
+    (["--alpha", ""], "--alpha must be comma-separated integers, got ''"),
+], ids=["dist_middle", "dist_trailing", "uniform_not_int", "alpha_middle", "alpha_trailing",
+        "alpha_empty"])
+def test_an_empty_or_malformed_list_item_exits_4(capsys, argv, why):
+    argv = argv if argv[0] == "--dist" else ["--dist", "0.5,0.5", *argv]
+    code, out, err = run(capsys, "dissim", *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"neglab: error: {why}\n"
 
 
 def test_uniform_size_limit(capsys):

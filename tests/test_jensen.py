@@ -169,6 +169,10 @@ def test_jensen_scalar_only_specs():
 def test_jensen_validation():
     with pytest.raises(DimensionError):
         jensen_check(SQUARE, [0.5], [0.5, 0.5])
+    with pytest.raises(DimensionError, match="one-dimensional"):
+        jensen_check(SQUARE, [[0.5, 0.5]], [0.5, 0.5])
+    with pytest.raises(DimensionError, match="at least one point"):
+        jensen_check(SQUARE, [], [])
     with pytest.raises(DomainError):
         jensen_check(SQUARE, [0.5, 0.5], [0.9, 0.2])
     with pytest.raises(DomainError):
