@@ -182,7 +182,7 @@ def _gathered(columns: list[Certificate], field: str) -> np.ndarray:
 
     One-input certificates count as columns of m = 1.
     """
-    return np.reshape([getattr(c, field) for c in columns], (len(columns), -1)).T
+    return np.array([getattr(c, field) for c in columns]).reshape(len(columns), -1).T
 
 
 def _input_dicts(columns: list[Certificate]) -> list[list[dict]]:

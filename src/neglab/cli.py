@@ -20,13 +20,14 @@ import json
 import math
 import os
 import sys
+from itertools import chain, compress
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .certificates import Certificate, _flat, _gathered, _input_dicts, _input_failures, compare
+from .certificates import Certificate, _flat, _gathered, compare
 from .distribution import (DEFAULT_TOLERANCE, DimensionError, DomainError, ValidationReport,
-                           _check_int, _check_tolerance, make_dist, make_dists)
+                           _check_int, _check_tolerance, _stacked, make_dist, make_dists)
 from .dissimilarity import MAX_DEPTH, CrossCheckError, _check_alphas, negation_profile, negation_profiles
 from .entropy import entropy_chain_check, entropy_report, zero_padding_entropy_check
 from .jensen import (
@@ -85,6 +86,22 @@ def _parse_scalar(token: str) -> float:
         raise _UsageError(f"cannot parse value {token!r}: {exc}") from None
 
 
+def _finite(rows: list[list[float]], cells: list[list[str]] | None = None) -> list[list[float]]:
+    """``rows`` if every item is a finite number, checked in one pass over the
+    whole block; else a usage error naming the first item that is not, as
+    its cell of ``cells`` spells it when given."""
+    finite = np.isfinite(np.fromiter(chain.from_iterable(rows), float, sum(map(len, rows))))
+    if finite.all():
+        return rows
+    k = int(finite.argmin())
+    for i, row in enumerate(rows):
+        if k < len(row):
+            break
+        k -= len(row)
+    item = cells[i][k].strip() if cells else rows[i][k]
+    raise _UsageError(f"value {item!r} (item {k} of distribution {i}) is not a finite number")
+
+
 def _parse_dist_text(text: str) -> list[float]:
     text = text.strip()
     if text.startswith("uniform:"):
@@ -96,7 +113,8 @@ def _parse_dist_text(text: str) -> list[float]:
         if not 2 <= n <= MAX_UNIFORM_N:
             raise _UsageError(f"uniform:n needs 2 <= n <= {MAX_UNIFORM_N}, got {n}")
         return [1.0 / n] * n
-    return [_parse_scalar(tok) for tok in text.split(",")]
+    tokens = text.split(",")
+    return _finite([[_parse_scalar(tok) for tok in tokens]], [tokens])[0]
 
 
 def _is_number(v) -> bool:
@@ -119,10 +137,10 @@ def _load_file(path: str) -> list[list[float]]:
     stripped = text.lstrip()
     if not (stripped.startswith("[") or stripped.startswith("{")):
         try:  # each cell as a --dist item; a line with no value in any cell is skipped
-            return [[_parse_scalar(c) for c in row]
-                    for row in csv.reader(io.StringIO(text)) if any(map(str.strip, row))]
+            cells = [row for row in csv.reader(io.StringIO(text)) if any(map(str.strip, row))]
         except csv.Error as exc:
             raise _UsageError(f"invalid CSV in {path}: {exc}") from None
+        return _finite([[_parse_scalar(c) for c in row] for row in cells], cells)
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -139,9 +157,10 @@ def _load_file(path: str) -> list[list[float]]:
     ):
         raise _UsageError(f"{path}: expected a list of number lists or one flat number list")
     try:
-        return [[float(v) for v in row] for row in data]
+        rows = [[float(v) for v in row] for row in data]
     except OverflowError:
         raise _UsageError(f"{path}: a number is too large for a float") from None
+    return _finite(rows)
 
 
 def _gather_inputs(args) -> list[list[float]]:
@@ -233,32 +252,35 @@ def _by_group(groups, count: int, step, render) -> tuple[list, bool]:
 # subcommands.  A command's step(args, inp) checks its own flags, may record
 # them in the document's ``input`` block ``inp``, and returns the function
 # from a same-n group to its (result, all_hold).  Its json, csv and text
-# entries (the _dicts_*, _rows_* and _lines_* functions) turn a group and its
-# result into one record per input: the input's dict, its CSV rows after the
-# ``dist`` cell, or the input with its text lines.
+# entries (the _json_*, _rows_* and _lines_* functions) turn a group and its
+# result into one record per input: the JSON text of the input's record, its
+# CSV rows after the ``dist`` cell, or the input with its text lines.
 
 _CERT_HEADER = ("dist", "name", "lhs", "rhs", "slack", "holds", "equality", "infinite")
 _CERT_FIELDS = _CERT_HEADER[2:]
+
+
+def _each(fmt: Callable) -> Callable:
+    """The format of a whole array that is ``fmt`` of each of its values, in row-major order."""
+    return lambda a: map(fmt, a.ravel().tolist())
 
 
 def _certificate_fields(columns: list[Certificate], formats) -> tuple[list, list[list[tuple]]]:
     """``_flat(columns)`` and, per input, one tuple per certificate of its
     fields ``_CERT_FIELDS``, each through its function of ``formats``.
 
-    Each field is gathered once across the certificates and formatted once.
+    Each field is gathered once across the certificates, as an m×K array,
+    and its function formats the whole array.
     """
     flat = _flat(columns)
     certs = [c for _, _, c in flat]
-    fields = list(zip(*(
-        map(fmt, _gathered(certs, name).ravel().tolist())
-        for name, fmt in zip(_CERT_FIELDS, formats)
-    )))
+    fields = list(zip(*(fmt(_gathered(certs, name)) for name, fmt in zip(_CERT_FIELDS, formats))))
     return flat, [fields[start:start + len(certs)] for start in range(0, len(fields), len(certs))]
 
 
 def _certificate_rows(columns: list[Certificate]) -> list[list[tuple]]:
     """Per input, the CSV rows of ``columns`` and, at any depth, their detail, named by path."""
-    flat, inputs = _certificate_fields(columns, [_fmt] * 6)
+    flat, inputs = _certificate_fields(columns, [_each(_fmt)] * 6)
     paths = [path for _, path, _ in flat]
     return [[(path, *fields) for path, fields in zip(paths, rows)] for rows in inputs]
 
@@ -271,7 +293,8 @@ _INFINITE = {True: " (infinite)", False: ""}
 def _certificate_lines(columns: list[Certificate], indent: str) -> list[list[str]]:
     """Per input, one text line per certificate of ``columns`` at ``indent``,
     its detail below it two spaces deeper at each level."""
-    flat, inputs = _certificate_fields(columns, [_fmt] * 3 + [_MARK.get, _EQUALITY.get, _INFINITE.get])
+    flat, inputs = _certificate_fields(
+        columns, list(map(_each, [_fmt] * 3 + [_MARK.get, _EQUALITY.get, _INFINITE.get])))
     heads = [(indent + "  " * depth, c.name) for depth, _, c in flat]
     return [
         [f"{head}{mark} {name}: lhs={lhs} rhs={rhs} slack={slack}{eq}{inf}"
@@ -280,28 +303,73 @@ def _certificate_lines(columns: list[Certificate], indent: str) -> list[list[str
     ]
 
 
+# A JSON record is written as text in json.dumps's compact form: a group's
+# names and keys are escaped once into a %-template, whose holes take each
+# input's numbers, each written once by float.__repr__, and its flags.
+
+_JSON_BOOL = {True: "true", False: "false"}
+_JSON_CONSTANT = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_numbers(a: np.ndarray) -> list[str]:
+    """The JSON text of each float of ``a``, in row-major order: its repr, or
+    ``Infinity``, ``-Infinity`` or ``NaN`` as json.dumps writes them."""
+    texts = list(map(float.__repr__, a.ravel().tolist()))
+    finite = np.isfinite(a)
+    if not finite.all():
+        for i in np.flatnonzero(~finite).tolist():
+            texts[i] = _JSON_CONSTANT[texts[i]]
+    return texts
+
+
+def _json_rows(block: np.ndarray) -> list[str]:
+    """Per row of the m×n ``block``, the JSON text of its items without the brackets."""
+    texts, n = _json_numbers(block), block.shape[1]
+    return [", ".join(texts[start:start + n]) for start in range(0, len(texts), n)]
+
+
+def _literal(obj) -> str:
+    """The JSON text of ``obj`` as literal text of a %-template."""
+    return json.dumps(obj).replace("%", "%%")
+
+
+def _template(c: Certificate) -> str:
+    """The JSON text of ``c`` and its detail as a %-template, with a hole for
+    each field ``_CERT_FIELDS`` of each certificate, in ``_flat`` order."""
+    return ('{"name": ' + _literal(c.name) + ', "lhs": %s, "rhs": %s, "slack": %s, "holds": %s, '
+            '"equality": %s, "infinite": %s, "detail": [' + ", ".join(map(_template, c.detail)) + "]}")
+
+
+_JSON_FIELDS = [_json_numbers] * 3 + [_each(_JSON_BOOL.get)] * 3
+
+
+def _certificate_json(columns: list[Certificate]) -> tuple[list, str, list[tuple]]:
+    """``_flat(columns)``, the %-template of ``columns`` as the items of a
+    JSON list and, per input, the texts that fill its holes."""
+    flat, inputs = _certificate_fields(columns, _JSON_FIELDS)
+    return flat, ", ".join(map(_template, columns)), [tuple(chain.from_iterable(rows)) for rows in inputs]
+
+
 def _vec(values) -> str:
     return ", ".join(map(_fmt, values))
 
 
-def _dicts_negate(group, pairs):
-    return [
-        {"distribution": p.tolist(), "negation": q, "double_negation": qq}
-        for p, q, qq in zip(group, *pairs)
-    ]
+def _json_negate(group, pairs):
+    return ['{"distribution": [%s], "negation": [%s], "double_negation": [%s]}' % texts
+            for texts in zip(*map(_json_rows, (_stacked(group), *pairs)))]
 
 
 def _rows_negate(group, pairs):
     return [
         [_cells(i, v, nb, nbb) for i, (v, nb, nbb) in enumerate(zip(p, q, qq))]
-        for p, q, qq in zip(group, *pairs)
+        for p, q, qq in zip(group, *(block.tolist() for block in pairs))
     ]
 
 
 def _lines_negate(group, pairs):
     return [
         (p, [f"  negation:        {_vec(q)}", f"  double negation: {_vec(qq)}"])
-        for p, q, qq in zip(group, *pairs)
+        for p, q, qq in zip(group, *(block.tolist() for block in pairs))
     ]
 
 
@@ -310,9 +378,9 @@ def _step_converge(args, inp):
     return lambda group: ((args.tolerance, converge_traces(group, args.tolerance, args.max_steps)), True)
 
 
-def _dicts_converge(group, result):
+def _json_converge(group, result):
     tolerance, traces = result
-    return [{"distribution": p.tolist(), "tolerance": tolerance, **trace}
+    return [json.dumps({"distribution": p.tolist(), "tolerance": tolerance, **trace})
             for p, trace in zip(group, traces.as_dicts())]
 
 
@@ -405,18 +473,22 @@ def _step_verify(args, inp):
     def step(group):
         # the rows were validated under --tol and are not checked again
         suite = certificate_suites(f, group)
-        failing = _input_failures(suite)
-        return (f.name, suite, failing), not any(failing)
+        failing = ~_gathered([c for _, _, c in _flat(suite)], "holds")
+        return (f.name, suite, failing), not failing.any()
     return step
 
 
-def _dicts_verify(group, result):
+def _json_verify(group, result):
     fn, suite, failing = result
-    notes = {"notes": [_SKIPPED_CHAIN]} if group[0].n < 3 else {}
+    flat, certificates, holes = _certificate_json(suite)
+    notes = ', "notes": ' + _literal([_SKIPPED_CHAIN]) if group[0].n < 3 else ""
+    template = ('{"distribution": [%s], "function": ' + _literal(fn) + ', "certificates": ['
+                + certificates + '], "all_hold": %s, "failing": [%s]' + notes + "}")
+    # each path is encoded once; a group in which every claim holds needs none
+    paths = [json.dumps(path) for _, path, _ in flat] if failing.any() else []
     return [
-        {"distribution": p.tolist(), "function": fn, "certificates": certs,
-         "all_hold": not fails, "failing": fails, **notes}
-        for p, certs, fails in zip(group, _input_dicts(suite), failing)
+        template % (p, *fields, _JSON_BOOL[not any(fails)], ", ".join(compress(paths, fails)))
+        for p, fields, fails in zip(_json_rows(_stacked(group)), holes, failing.tolist())
     ]
 
 
@@ -517,9 +589,14 @@ def _golden_fixtures(_) -> tuple[list[Certificate], bool]:
 # rendering
 
 def _render_json(doc: dict) -> str:
+    """``doc`` as ``json.dumps`` writes it, its ``results`` being the JSON
+    texts of the records and ``results`` and ``all_hold`` its last keys."""
     # one-shot dumps without indent runs CPython's C encoder; the documents
     # are acyclic, so the encoder need not track the containers it is in
-    return json.dumps(doc, check_circular=False) + "\n"
+    head = json.dumps({key: value for key, value in doc.items() if key not in ("results", "all_hold")},
+                      check_circular=False)
+    results = ", ".join(doc["results"])
+    return f'{head[:-1]}, "results": [{results}], "all_hold": {_JSON_BOOL[doc["all_hold"]]}}}\n'
 
 
 _ERROR_HEADER = ("dist", "error", "sum_error", "bad_indices")
@@ -576,7 +653,7 @@ class _Command(NamedTuple):
     """One subcommand: its step, its record of each format, and what it adds to the parser."""
 
     step: Callable  # (args, inp) -> (group -> (result, all_hold))
-    json: Callable  # (group, result) -> per input, its dict
+    json: Callable  # (group, result) -> per input, the JSON text of its record
     csv: Callable  # (group, result) -> per input, its CSV rows after the dist cell
     text: Callable  # (group, result) -> per input, (the input, its text lines)
     header: tuple  # the CSV header row
@@ -587,15 +664,15 @@ class _Command(NamedTuple):
 
 _COMMANDS = {
     "negate": _Command(
-        # each input's negation and double negation, as lists
-        lambda args, inp: lambda group: ([block.tolist() for block in negation_pairs(group)], True),
-        _dicts_negate, _rows_negate, _lines_negate,
+        # the group's negations and double negations, as two m×n blocks
+        lambda args, inp: lambda group: (negation_pairs(group), True),
+        _json_negate, _rows_negate, _lines_negate,
         ("dist", "index", "p", "negation", "double_negation"),
         "emit a distribution, its negation, and its double negation",
     ),
     "entropy": _Command(
         lambda args, inp: lambda group: ([entropy_report(p) for p in group], True),
-        lambda group, reports: [{"distribution": p.tolist(), **r.as_dict()}
+        lambda group, reports: [json.dumps({"distribution": p.tolist(), **r.as_dict()})
                                 for p, r in zip(group, reports)],
         lambda group, reports: [[_cells(r.n, r.entropy_bits, r.max_entropy_bits, r.gap_bits)]
                                 for r in reports],
@@ -606,13 +683,13 @@ _COMMANDS = {
         "entropy in bits against the log2(n) ceiling",
     ),
     "converge": _Command(
-        _step_converge, _dicts_converge, _rows_converge, _lines_converge,
+        _step_converge, _json_converge, _rows_converge, _lines_converge,
         ("dist", "step", "distance", "entropy_bits", "converged", "oscillating"),
         "iterate negation toward uniform and trace the path",
         flags=(("--max-steps", {"type": int, "default": 1000}),),
     ),
     "verify": _Command(
-        _step_verify, _dicts_verify, lambda group, result: _certificate_rows(result[1]), _lines_verify,
+        _step_verify, _json_verify, lambda group, result: _certificate_rows(result[1]), _lines_verify,
         _CERT_HEADER,
         "run the full certificate suite",
         flags=(("--fn", {"default": "neg_log",
@@ -620,7 +697,7 @@ _COMMANDS = {
     ),
     "dissim": _Command(
         _step_dissim,
-        lambda group, profiles: [{"distribution": p.tolist(), **profile}
+        lambda group, profiles: [json.dumps({"distribution": p.tolist(), **profile})
                                  for p, profile in zip(group, profiles.as_dicts())],
         _rows_dissim, _lines_dissim,
         ("dist", "kind", "level", "value", "closed_form_value", "l1", "properties_hold"),
@@ -633,7 +710,8 @@ _COMMANDS = {
     ),
     "report": _Command(
         lambda args, inp: _golden_fixtures,  # report reads no distributions
-        lambda _, fixtures: _input_dicts(fixtures)[0],
+        lambda _, fixtures: [template % fields
+                             for _, template, (fields,) in map(_certificate_json, [[c] for c in fixtures])],
         lambda _, fixtures: [_certificate_rows([c])[0] for c in fixtures],
         lambda _, fixtures: [(None, _certificate_lines([c], "")[0]) for c in fixtures],
         _CERT_HEADER,

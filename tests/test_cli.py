@@ -127,6 +127,42 @@ def test_an_unrepresentable_rational_exits_4(capsys, token, why):
     assert err.endswith(f"{token!r}: {why}\n"), err
 
 
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("source, text, named", [
+    ("dist", "0.5,1e400", "'1e400' (item 1 of distribution 0)"),
+    ("dist", f"{_HUGE},0.5", f"'{_HUGE}' (item 0 of distribution 0)"),
+    ("dist", " inf ,0.5", "'inf' (item 0 of distribution 0)"),
+    ("dist", "0.5,-inf", "'-inf' (item 1 of distribution 0)"),
+    ("dist", "nan,0.5", "'nan' (item 0 of distribution 0)"),
+    ("csv", "0.5,0.5\n0.25,1e400,nan\n", "'1e400' (item 1 of distribution 1)"),
+    ("json", "[[0.5, 0.5], [1e400, 0.5]]", "inf (item 0 of distribution 1)"),
+    ("json", "[[0.5, -Infinity]]", "-inf (item 1 of distribution 0)"),
+    ("json", "[0.5, NaN]", "nan (item 1 of distribution 0)"),
+], ids=["dist_1e400", "dist_401_digits", "dist_inf", "dist_minus_inf", "dist_nan", "csv_1e400",
+        "json_1e400", "json_minus_infinity", "json_nan"])
+def test_a_non_finite_item_exits_4_naming_it(capsys, tmp_path, source, text, named):
+    # every reader rejects a number a double cannot carry, as a JSON integer
+    # of 401 digits and a rational beyond the largest double already are
+    if source == "dist":
+        argv = ["--dist", text]
+    else:
+        path = tmp_path / f"batch.{source}"
+        path.write_text(text)
+        argv = ["--file", str(path)]
+    code, out, err = run(capsys, "entropy", *argv, "--format", "json")
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"neglab: error: value {named} is not a finite number\n"
+
+
+@pytest.mark.parametrize("argv", [["--dist", "1e308,1e308"], ["--dist", "1.5e308,-1.5e308"]])
+def test_a_finite_row_whose_total_overflows_fails_validation(capsys, argv):
+    code, doc = run_json(capsys, "entropy", *argv)
+    assert code == EXIT_VALIDATION
+    assert doc["error"]["kind"] == "validation"
+
+
 def test_missing_input_exits_4(capsys):
     code, _, err = run(capsys, "entropy")
     assert code == EXIT_USAGE
@@ -1012,6 +1048,65 @@ def test_text_equals_the_dict_lines_of_the_json_document(capsys, tmp_path, argv,
     path.write_text(json.dumps(rows))
     code, doc = run_json(capsys, *argv, "--file", str(path))
     assert run(capsys, *argv, "--file", str(path), "--format", "text")[:2] == (code, _oracle_text(doc))
+
+
+@_BATCH_ARGV
+@_BATCH_ROWS
+def test_json_documents_are_the_bytes_json_dumps_writes(capsys, tmp_path, argv, rows):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(rows))
+    code, out, err = run(capsys, *argv, "--file", str(path), "--format", "json")
+    assert (code, err) == (EXIT_VALIDATION if [0.6, 0.6] in rows else EXIT_OK, "")
+    assert out == json.dumps(json.loads(out)) + "\n"
+
+
+def test_json_verify_writes_infinite_sides_nan_slacks_and_notes_as_json_dumps(capsys, tmp_path):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(_csv_batch()))
+    code, out, _ = run(capsys, "verify", "--file", str(path), "--format", "json")
+    assert code == EXIT_OK
+    assert out == json.dumps(json.loads(out)) + "\n"
+    assert "Infinity" in out and "NaN" in out
+    assert out.count('"notes": ["partial_mean_chain skipped: needs n >= 3"]') == 2
+
+
+@pytest.mark.parametrize("bump", [False, True])
+def test_json_report_is_the_bytes_json_dumps_writes(capsys, monkeypatch, bump):
+    if bump:
+        _bump_golden(monkeypatch)
+    code, out, _ = run(capsys, "report", "--format", "json")
+    assert code == (EXIT_FAILURE if bump else EXIT_OK)
+    assert out == json.dumps(json.loads(out)) + "\n"
+
+
+def test_json_verify_with_failing_certificates_is_the_bytes_json_dumps_writes(
+    capsys, monkeypatch, tmp_path
+):
+    # no valid input fails a certificate, so fail a top-level column and a
+    # detail column for every other input of each group
+    def failing(column):
+        holds = column.holds.copy()
+        holds[::2] = False
+        return dataclasses.replace(column, holds=holds, equality=column.equality & holds)
+
+    def failing_suites(f, dists):
+        suite = cli_certificate_suites(f, dists)
+        chain = suite[-1]
+        return [failing(suite[0]), *suite[1:-1],
+                dataclasses.replace(chain, detail=(failing(chain.detail[0]), *chain.detail[1:]))]
+
+    cli_certificate_suites = cli.certificate_suites
+    monkeypatch.setattr(cli, "certificate_suites", failing_suites)
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(_csv_batch()))
+    code, out, _ = run(capsys, "verify", "--file", str(path), "--format", "json")
+    assert code == EXIT_FAILURE
+    assert out == json.dumps(json.loads(out)) + "\n"
+    doc = json.loads(out)
+    assert doc["all_hold"] is False
+    failing_paths = ["mixture_bound", "entropy_chain/entropy_le_negation_entropy"]
+    assert {tuple(rec["failing"]) for rec in doc["results"]} == {(), tuple(failing_paths)}
+    assert all(rec["all_hold"] is (not rec["failing"]) for rec in doc["results"])
 
 
 def test_dissim_csv_reads_a_failing_properties_column(capsys, monkeypatch, tmp_path):
