@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -79,11 +78,13 @@ class Certificate:
 
     def as_dict(self) -> dict:
         """Plain-data form of a one-input certificate, suitable for JSON output."""
-        return _input_dicts([self])[0][0]
+        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "slack": self.slack,
+                "holds": self.holds, "equality": self.equality, "infinite": self.infinite,
+                "detail": [d.as_dict() for d in self.detail]}
 
     def failures(self) -> list[str]:
         """Of a one-input certificate: the paths of it and its sub-certificates that fail."""
-        return _input_failures([self])[0]
+        return [path for _, path, c in _flat([self]) if not c.holds]
 
     def row(self, r: int) -> "Certificate":
         """Of a column certificate: input ``r``'s certificate, read off the decided columns."""
@@ -184,29 +185,3 @@ def _gathered(columns: list[Certificate], field: str) -> np.ndarray:
     """
     return np.array([getattr(c, field) for c in columns]).reshape(len(columns), -1).T
 
-
-def _input_dicts(columns: list[Certificate]) -> list[list[dict]]:
-    """Per input r, ``[c.row(r).as_dict() for c in columns]``.
-
-    ``columns`` are column certificates of the same m inputs; each field
-    is gathered across them once, so no per-input certificate is built.
-    """
-    fields = [
-        _gathered(columns, name).tolist()
-        for name in ("lhs", "rhs", "slack", "holds", "equality", "infinite")
-    ]
-    details = [_input_dicts(c.detail) if c.detail else None for c in columns]
-    return [
-        [{"name": c.name, "lhs": lhs, "rhs": rhs, "slack": slack, "holds": holds,
-          "equality": equality, "infinite": infinite, "detail": detail[r] if detail else []}
-         for c, lhs, rhs, slack, holds, equality, infinite, detail in zip(columns, *values, details)]
-        for r, values in enumerate(zip(*fields))
-    ]
-
-
-def _input_failures(columns: list[Certificate]) -> list[list[str]]:
-    """Per input r, ``[path for c in columns for path in c.row(r).failures()]``."""
-    flat = _flat(columns)
-    paths = [path for _, path, _ in flat]
-    failing = ~_gathered([c for _, _, c in flat], "holds")
-    return [list(compress(paths, row)) for row in failing.tolist()]

@@ -117,10 +117,6 @@ def _parse_dist_text(text: str) -> list[float]:
     return _finite([[_parse_scalar(tok) for tok in tokens]], [tokens])[0]
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _load_file(path: str) -> list[list[float]]:
     """JSON array of distributions, or CSV with one distribution per row.
 
@@ -150,14 +146,15 @@ def _load_file(path: str) -> list[list[float]]:
         data = inp.get("distributions") if isinstance(inp, dict) else None
         if data is None:
             raise _UsageError(f"{path}: JSON object lacks input.distributions")
-    if isinstance(data, list) and data and all(map(_is_number, data)):
+    # json.loads builds no subclasses, so each number's type is int or float
+    # itself, and a bool's is bool
+    if isinstance(data, list) and data and set(map(type, data)) <= {int, float}:
         data = [data]
-    if not isinstance(data, list) or not all(
-        isinstance(row, list) and all(map(_is_number, row)) for row in data
-    ):
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)
+            and set(map(type, chain.from_iterable(data))) <= {int, float}):
         raise _UsageError(f"{path}: expected a list of number lists or one flat number list")
     try:
-        rows = [[float(v) for v in row] for row in data]
+        rows = [list(map(float, row)) for row in data]
     except OverflowError:
         raise _UsageError(f"{path}: a number is too large for a float") from None
     return _finite(rows)
@@ -322,10 +319,14 @@ def _json_numbers(a: np.ndarray) -> list[str]:
     return texts
 
 
+def _json_inputs(block: np.ndarray) -> list[tuple[str, ...]]:
+    """Per entry of the first axis of ``block``, the JSON texts of its floats, in row-major order."""
+    return list(zip(*[iter(_json_numbers(block))] * math.prod(block.shape[1:])))
+
+
 def _json_rows(block: np.ndarray) -> list[str]:
     """Per row of the m×n ``block``, the JSON text of its items without the brackets."""
-    texts, n = _json_numbers(block), block.shape[1]
-    return [", ".join(texts[start:start + n]) for start in range(0, len(texts), n)]
+    return list(map(", ".join, _json_inputs(block)))
 
 
 def _literal(obj) -> str:
@@ -348,6 +349,10 @@ def _certificate_json(columns: list[Certificate]) -> tuple[list, str, list[tuple
     JSON list and, per input, the texts that fill its holes."""
     flat, inputs = _certificate_fields(columns, _JSON_FIELDS)
     return flat, ", ".join(map(_template, columns)), [tuple(chain.from_iterable(rows)) for rows in inputs]
+
+
+_ENTROPY_JSON = ('{"distribution": [%s], "n": %d, "entropy_bits": %s, "max_entropy_bits": %s, '
+                 '"gap_bits": %s}')
 
 
 def _vec(values) -> str:
@@ -379,9 +384,22 @@ def _step_converge(args, inp):
 
 
 def _json_converge(group, result):
+    """Input r's iterates, entropies and distances are its ``steps[r] + 1`` entries of each."""
     tolerance, traces = result
-    return [json.dumps({"distribution": p.tolist(), "tolerance": tolerance, **trace})
-            for p, trace in zip(group, traces.as_dicts())]
+    template = ('{"distribution": [%s], "tolerance": ' + _literal(tolerance) + ', "iterates": [[%s]], '
+                '"entropies": [%s], "distances": [%s], "converged": %s, "steps": %d, "oscillating": %s}')
+    iterates = _json_rows(traces.iterates)
+    entropies, distances = _json_numbers(traces.entropies), _json_numbers(traces.distances)
+    records = []
+    for p, end, steps, converged, oscillating in zip(
+        _json_rows(_stacked(group)), np.cumsum(traces.steps + 1).tolist(), traces.steps.tolist(),
+        traces.converged.tolist(), traces.oscillating.tolist(),
+    ):
+        at = slice(end - steps - 1, end)
+        records.append(template % (p, "], [".join(iterates[at]), ", ".join(entropies[at]),
+                                   ", ".join(distances[at]), _JSON_BOOL[converged], steps,
+                                   _JSON_BOOL[oscillating]))
+    return records
 
 
 def _rows_converge(group, result):
@@ -433,6 +451,25 @@ def _dissim_fields(profiles):
     at each level, then against each iterate."""
     return [(_cells(*value), _cells(*l1))
             for value, l1 in zip(profiles.value.tolist(), profiles.l1.tolist())]
+
+
+def _json_dissim(group, profiles):
+    """Per input: its L + depth results, its properties and its iterated flag
+    fill the template's holes in that order; each result's level is literal."""
+    levels, at = profiles._columns()
+    results = ['{"alpha": %d, "value": %%s, "sum_of_min_pairs": %%s, "l1": %%s}' % a for a in at]
+    _, properties, holes = _certificate_json([profiles.properties])
+    template = ('{"distribution": [%s], "negation": [%s], "profile": [' + ", ".join(results[:levels])
+                + '], "properties": ' + properties + ', "iterated": {"alpha": ' + str(at[0])
+                + ', "results": [' + ", ".join(results[levels:]) + '], "non_decreasing": %s}}')
+    split = 3 * levels  # the profile's texts of an input's results
+    return [
+        template % (p, q, *texts[:split], *fields, *texts[split:], _JSON_BOOL[flag])
+        for p, q, texts, fields, flag in zip(
+            _json_rows(_stacked(group)), _json_rows(profiles.negations),
+            _json_inputs(np.stack([profiles.value, profiles.sum_of_min_pairs, profiles.l1], axis=-1)),
+            holes, profiles.non_decreasing.tolist())
+    ]
 
 
 def _rows_dissim(group, profiles):
@@ -672,8 +709,8 @@ _COMMANDS = {
     ),
     "entropy": _Command(
         lambda args, inp: lambda group: ([entropy_report(p) for p in group], True),
-        lambda group, reports: [json.dumps({"distribution": p.tolist(), **r.as_dict()})
-                                for p, r in zip(group, reports)],
+        lambda group, reports: [_ENTROPY_JSON % (p, r.n, *texts) for p, r, texts in zip(
+            _json_rows(_stacked(group)), reports, _json_inputs(np.array([r[1:] for r in reports])))],
         lambda group, reports: [[_cells(r.n, r.entropy_bits, r.max_entropy_bits, r.gap_bits)]
                                 for r in reports],
         lambda group, reports: [(p, [f"  entropy {_fmt(r.entropy_bits)} bits of "
@@ -696,10 +733,7 @@ _COMMANDS = {
                          "help": f"built-in function ({', '.join(BUILTIN_FUNCTIONS)})"}),),
     ),
     "dissim": _Command(
-        _step_dissim,
-        lambda group, profiles: [json.dumps({"distribution": p.tolist(), **profile})
-                                 for p, profile in zip(group, profiles.as_dicts())],
-        _rows_dissim, _lines_dissim,
+        _step_dissim, _json_dissim, _rows_dissim, _lines_dissim,
         ("dist", "kind", "level", "value", "closed_form_value", "l1", "properties_hold"),
         "dissimilarity profile against the negation",
         flags=(

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .certificates import Certificate, HOLDS_TOLERANCE, _compare_columns, _input_dicts
+from .certificates import Certificate, HOLDS_TOLERANCE, _compare_columns
 from .distribution import DimensionError, DomainError, ProbDist, _check_int, _stacked, _unchecked
 from .jensen import _CHAIN_BLOCK_ELEMENTS
 from .negation import _iterates, _negation, negate
@@ -278,20 +278,6 @@ class NegationProfiles(NamedTuple):
             properties=self.properties.row(r),
             iterated=IteratedDissimReport(at[0], results[levels:], self.non_decreasing[r].item()),
         )
-
-    def as_dicts(self) -> list[dict]:
-        """Per input r, ``self.row(r).as_dict()``; each field is converted once."""
-        levels, at = self._columns()
-        records = []
-        for q, value, sums, l1, (properties,), flag in zip(
-            self.negations.tolist(), self.value.tolist(), self.sum_of_min_pairs.tolist(),
-            self.l1.tolist(), _input_dicts([self.properties]), self.non_decreasing.tolist(),
-        ):
-            results = [dict(zip(DissimResult._fields, r)) for r in zip(at, value, sums, l1)]
-            iterated = dict(zip(IteratedDissimReport._fields, (at[0], results[levels:], flag)))
-            records.append(dict(zip(NegationProfile._fields,
-                                    (q, results[:levels], properties, iterated))))
-        return records
 
 
 def negation_profile(p: ProbDist, alphas: Sequence[int], depth: int = 3) -> NegationProfile:

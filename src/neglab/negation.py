@@ -133,18 +133,6 @@ class ConvergenceTraces(NamedTuple):
             self.oscillating[r].item(),
         )
 
-    def as_dicts(self) -> list[dict]:
-        """Per input r, ``self.row(r).as_dict()``; each field is converted once."""
-        flat = self.iterates.tolist(), self.entropies.tolist(), self.distances.tolist()
-        ends = np.cumsum(self.steps + 1).tolist()
-        return [
-            dict(zip(ConvergenceTrace._fields,
-                     (*(f[end - steps - 1:end] for f in flat), converged, steps, oscillating)))
-            for end, converged, steps, oscillating in zip(
-                ends, self.converged.tolist(), self.steps.tolist(), self.oscillating.tolist()
-            )
-        ]
-
 
 def converge_to_uniform(
     p: ProbDist, tolerance: float = 1e-9, max_steps: int = 1000

@@ -24,6 +24,7 @@ from neglab import (
     cli,
     converge_to_uniform,
     distribution,
+    entropy_report,
     make_dist,
     negation_profile,
 )
@@ -591,6 +592,8 @@ def test_verify_certifies_rows_accepted_under_tol_without_a_second_check(capsys,
     '{"input": {"distributions": 5}}',
     '{"input": [1, 2]}',
     '[true, false]',
+    '[[0.5, true]]',
+    '[[0.5, "0.5"]]',
     pytest.param('[[0.5, 0.5]', id="unclosed"),
     pytest.param(f"[[1{'0' * 400}, 0.5]]", id="401_digit_integer"),
     pytest.param(f"0.5,{'1' * (csv.field_size_limit() + 1)}\n", id="csv_cell_over_field_size_limit"),
@@ -672,12 +675,15 @@ def test_grouped_records_equal_the_one_row_calls(capsys, tmp_path):
     rows = _mixed_batch(3)
     path = tmp_path / "batch.json"
     path.write_text(json.dumps(rows))
+    code, entropy = run_json(capsys, "entropy", "--file", str(path))
+    assert code == EXIT_OK
     code, converge = run_json(capsys, "converge", "--file", str(path), "--max-steps", "40")
     assert code == EXIT_OK
     code, dissim = run_json(capsys, "dissim", "--file", str(path), "--alpha", "0,2,5", "--depth", "4")
     assert code == EXIT_OK
-    for row, c, d in zip(rows, converge["results"], dissim["results"], strict=True):
+    for row, e, c, d in zip(rows, entropy["results"], converge["results"], dissim["results"], strict=True):
         p = make_dist(row)
+        assert e == json.loads(json.dumps({"distribution": p.tolist(), **entropy_report(p).as_dict()}))
         trace = converge_to_uniform(p, tolerance=1e-9, max_steps=40).as_dict()
         assert c == json.loads(json.dumps({"distribution": p.tolist(), "tolerance": 1e-9, **trace}))
         profile = negation_profile(p, [0, 2, 5], 4).as_dict()

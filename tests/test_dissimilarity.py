@@ -464,12 +464,9 @@ def _assert_profiles_match(group, alphas, depth):
     # column j is the j-th value dissim reports: each level, then each iterate
     assert profiles.value.shape == (len(group), len(alphas) + depth)
     assert profiles.sum_of_min_pairs.shape == profiles.l1.shape == profiles.value.shape
-    dicts = profiles.as_dicts()
-    assert len(dicts) == len(group)
     for r, p in enumerate(group):
         want = _oracle_profile(p, alphas, depth).as_dict()
         assert_identical(profiles.row(r).as_dict(), want)
-        assert_identical(dicts[r], want)
         assert_identical(negation_profile(p, alphas, depth).as_dict(), want)
 
 

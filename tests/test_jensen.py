@@ -41,7 +41,7 @@ from neglab import (
     shannon_entropy,
     uniform,
 )
-from neglab.certificates import HOLDS_TOLERANCE, _input_dicts, _input_failures, compare
+from neglab.certificates import HOLDS_TOLERANCE, compare
 from neglab.jensen import _CHAIN_BLOCK_ELEMENTS
 
 from conftest import assert_identical, distributions, oracle_as_dict, oracle_failures
@@ -610,12 +610,10 @@ CUBE = FunctionSpec("cube", "convex", lambda x: math.pow(x, 3))  # scalar-only
 def _assert_batch_matches_rows(f, rows):
     dists = [ProbDist(row) for row in rows]
     suite = certificate_suites(f, dists)
-    dicts, failures = _input_dicts(suite), _input_failures(suite)
-    assert len(dicts) == len(failures) == len(dists)
+    assert {len(c.holds) for c in suite} == {len(dists)}
     for r, p in enumerate(dists):
         certs = certificate_suite(f, p)
-        assert_identical(dicts[r], [oracle_as_dict(c) for c in certs])
-        assert failures[r] == [name for c in certs for name in oracle_failures(c)]
+        assert [c.row(r).failures() for c in suite] == list(map(oracle_failures, certs))
         assert_identical([c.row(r).as_dict() for c in suite], [oracle_as_dict(c) for c in certs])
 
 

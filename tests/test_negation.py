@@ -263,12 +263,10 @@ def _oracle_converge(p, tolerance=1e-9, max_steps=1000):
 def test_converge_traces_match_the_per_input_loop(batch, tolerance, max_steps):
     for group in by_length(batch):
         traces = converge_traces(group, tolerance, max_steps)
-        dicts = traces.as_dicts()
-        assert len(dicts) == len(group)
+        assert len(traces.steps) == len(group)
         for r, p in enumerate(group):
             want = _oracle_converge(p, tolerance, max_steps).as_dict()
             assert_identical(traces.row(r).as_dict(), want)
-            assert_identical(dicts[r], want)
             assert_identical(converge_to_uniform(p, tolerance, max_steps).as_dict(), want)
 
 
