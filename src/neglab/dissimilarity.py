@@ -29,7 +29,6 @@ import numpy as np
 
 from .certificates import Certificate, HOLDS_TOLERANCE, _compare_columns
 from .distribution import DimensionError, DomainError, ProbDist, _check_int, _stacked, _unchecked
-from .jensen import _CHAIN_BLOCK_ELEMENTS
 from .negation import _iterates, _negation, negate
 
 __all__ = [
@@ -50,6 +49,9 @@ __all__ = [
 
 _CROSS_CHECK_TOL = 1e-12
 _LN2 = math.log(2.0)
+
+#: doubles per temporary array of the profile kernel; bounds its peak memory
+_BLOCK_ELEMENTS = 1 << 15
 
 #: largest level whose closed-form scale 2**(alpha + 2) is a finite double
 MAX_ALPHA = 1021
@@ -300,7 +302,7 @@ def negation_profiles(
     Each input stacks L + depth row pairs, one level each: (p, q) at each
     of the L ``alphas``, then (p, Tᵏp) at ``alphas[0]`` for k = 1..depth.
     The row pairs go through the kernel in blocks of at most
-    ``_CHAIN_BLOCK_ELEMENTS`` (row pairs × n) entries, or of one row pair
+    ``_BLOCK_ELEMENTS`` (row pairs × n) entries, or of one row pair
     if n is more, so one input may span several blocks; the properties
     certificates are built as one column.  ``.row(r)`` equals
     ``negation_profile(dists[r], alphas, depth)`` bit for bit.  An
@@ -314,7 +316,7 @@ def negation_profiles(
     (m, n), levels = probs.shape, len(alphas)
     at = np.array(alphas + alphas[:1] * depth)  # the level of each row pair of an input
     per = at.size
-    step = max(1, _CHAIN_BLOCK_ELEMENTS // n)  # row pairs per kernel call
+    step = max(1, _BLOCK_ELEMENTS // n)  # row pairs per kernel call
     parts = []
     for start in range(0, m * per, step):
         inputs, pair = np.divmod(np.arange(start, min(start + step, m * per)), per)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,8 +63,8 @@ _SPOT_CHECK_TOL = 1e-12
 _SPOT_CHECK_TRIPLES = np.nonzero(
     np.fromfunction(lambda i, j, k: (i < j) & (j < k), (_SPOT_CHECK_POINTS,) * 3))
 
-#: doubles per temporary array of the chain kernel; bounds its peak memory
-_CHAIN_BLOCK_ELEMENTS = 1 << 15
+#: cells per pass of the chain kernel (or one index's, if more): its peak memory is O(m n)
+_PASS_CELLS = 1 << 16
 
 
 class CurvatureError(ValueError):
@@ -375,77 +375,113 @@ class PartialMeanChain(NamedTuple):
         return {**self._asdict(), "zetas": list(self.zetas), "bounds": list(self.bounds)}
 
 
-def _running_sums(x: np.ndarray) -> np.ndarray:
-    """Prefix sums along each row of ``x``, each within about one rounding of exact.
-
-    ``np.cumsum`` rounds at every step.  TwoSum recovers each step's error
-    exactly, as one vector expression, and a second cumsum adds the errors
-    back: the cascaded summation of Ogita, Rump and Oishi, "Accurate sum
-    and dot product", SIAM J. Sci. Comput. 26(6), 2005.  A step whose sum
-    is infinite gets an error of 0, where TwoSum would give inf - inf.
-    """
-    sums = np.cumsum(x, axis=1)
-    before, after = sums[:, :-1], sums[:, 1:]
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """Hi and lo of the sums of each row's first j entries, j = 0..n: hi is
+    ``np.cumsum``, lo the sum of its steps' errors by TwoSum (Ogita, Rump and
+    Oishi, SIAM J. Sci. Comput. 26(6), 2005), so hi + lo is within about one
+    rounding of exact.  An infinite step's error is 0, not inf - inf."""
+    hi, lo = sums = np.zeros((2, x.shape[0], x.shape[1] + 1))
+    np.cumsum(x, axis=1, out=hi[:, 1:])
+    before, after = hi[:, :-1], hi[:, 1:]
     with np.errstate(invalid="ignore"):  # inf - inf, zeroed below
         added = after - before  # x as the step added it
-        error = before - (after - added)
-        error += np.subtract(x[:, 1:], added, out=added)
+        error = (before - (after - added)) + np.subtract(x, added, out=added)
     error[np.isinf(after)] = 0.0
-    after += np.cumsum(error, axis=1)
+    np.cumsum(error, axis=1, out=lo[:, 1:])
     return sums
 
 
-def _chains(
-    f: FunctionSpec, probs: np.ndarray, f_probs: np.ndarray, pairs: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The one chain kernel: blocks of ``(zetas, bounds, lhs, holds)``.
-
-    ``probs`` is an m×n block of distributions and ``f_probs`` is
-    ``f.values(probs)``; ``pairs`` lists (row, excluded index) pairs as
-    flat indices ``row * n + i``.  Block rows follow ``pairs``; ``lhs`` is
-    f(zetas[:, 0]) and ``holds`` whether it lies below every bound and the
-    bounds never decrease.
-
-    A block holds at most ``_CHAIN_BLOCK_ELEMENTS`` kept entries (or one
-    pair, if n - 1 is more), so peak memory does not grow with m n^2.  The
-    pair (r, i) keeps ``p_r[j + (j >= i)]`` for j < n - 1.  Both running
-    sums are :func:`_running_sums` along the row, each within about one
-    rounding of the exact sum, so a chain whose bounds equal ``lhs`` in
-    exact arithmetic does not fail at large n; differences of prefix sums
-    would turn an infinite f(0) into inf - inf.
+def _chain_sums(probs: np.ndarray, f_probs: np.ndarray) -> tuple:
+    """What every chain of the rows of ``probs`` is computed from: p, f(p)'s
+    finite values and where it is infinite, and in column j of m×(n + 1)
+    arrays p's prefix sums S_j (hi, lo, rounded) over the entries before j
+    and the suffix sums G_j of f's finite values (hi, lo, rounded, inf where
+    ``count``, of infinite values, is positive) over the entries from j on.
     """
-    n = probs.shape[1]
-    j = np.arange(n - 1)
-    m_zeta = np.arange(n - 1, 0, -1)  # entries averaged by zetas[t]
-    m_bound = m_zeta[1:]  # entries still averaged in bounds[t - 1]
-    step = max(1, _CHAIN_BLOCK_ELEMENTS // (n - 1))
-    for start in range(0, pairs.size, step):
-        rows, excluded = np.divmod(pairs[start:start + step, None], n)
-        kept = rows * n + j + (j >= excluded)  # flat indices into probs
-        zetas = _running_sums(probs.take(kept))[:, ::-1] / m_zeta
-        f_zetas = f.values(zetas)
-        peeled = _running_sums(f_probs.take(kept)[:, :0:-1])
-        bounds = (peeled + m_bound * f_zetas[:, 1:]) / (n - 1)
-        lhs = f_zetas[:, 0]
-        # adding the tolerance is monotone, so the smallest bound decides
-        holds = (lhs <= bounds.min(axis=1) + HOLDS_TOLERANCE) & np.all(
-            bounds[:, 1:] >= bounds[:, :-1] - HOLDS_TOLERANCE, axis=1
-        )
-        yield zetas, bounds, lhs, holds
+    infinite = np.isinf(f_probs)
+    f_p = np.where(infinite, 0.0, f_probs)
+    sums = _prefix_sums(np.concatenate([probs, f_p[:, ::-1], infinite[:, ::-1]]))
+    (s_hi, g_hi, count), (s_lo, g_lo, _) = sums.reshape(2, 3, len(probs), -1)
+    g_hi, g_lo, count = g_hi[:, ::-1], g_lo[:, ::-1], count[:, ::-1]
+    g = np.where(count > 0, np.inf, g_hi + g_lo)
+    return probs, f_p, infinite, s_hi, s_lo, s_hi + s_lo, g_hi, g_lo, g, count
+
+
+def _kept(f: FunctionSpec, sums: tuple, k: np.ndarray, i: np.ndarray):
+    """``(zetas, f(zetas), bounds)`` of the chains without index ``i`` at ``k``
+    kept entries averaged, for index arrays of one ndim that broadcast.
+
+    For k < i the first k kept entries are p's own and sum to S_k; the rest
+    sum f to G_k - f(p_i).  For k >= i they sum to S_{k+1} - p_i, exact
+    (Sterbenz) from S's hi wherever p_i dominates, then clamped at 0; the
+    rest sum f to G_{k+1}.  A bound is (that sum of f + k f(zeta))/(n - 1).
+    """
+    p, f_p, infinite, s_hi, s_lo, s, g_hi, g_lo, g, count = sums
+    right, k1 = k >= i, k + 1
+    kept = np.where(right, (s_hi[:, k1] - p[:, i]) + s_lo[:, k1], s[:, k])
+    rest = (g_hi[:, k] - f_p[:, i]) + g_lo[:, k]
+    rest = np.where(right, g[:, k1], np.where(count[:, k] > infinite[:, i], np.inf, rest))
+    zetas = np.maximum(kept, 0.0) / k
+    f_zetas = f.values(zetas)
+    return zetas, f_zetas, (rest + k * f_zetas) / (p.shape[1] - 1)
+
+
+def _chains(f: FunctionSpec, sums: tuple, excluded: np.ndarray):
+    """The one chain kernel: m×e ``(lhs, rhs, holds)`` of the chains without
+    each index i in ``excluded`` (ascending), by the rule of :func:`_kept`.
+
+    ``lhs`` is f(zeta) at k = n - 1, ``rhs`` bound_1; ``holds``: ``lhs`` is
+    below every bound_k (k = 1..n - 2) and bound_k below bound_{k-1}, within
+    ``HOLDS_TOLERANCE``.  The chains go in passes over blocks of indices
+    from i0 on, about ``_PASS_CELLS`` cells each, that evaluate k = i0 - 1..n - 2
+    in place.  Below that every bound_k of the pass is a_k - f(p_i)/(n - 1),
+    with a_k shared by every i > k (``a[1]`` if f(p_i) is infinite), so
+    a's smallest value and steps decide them.
+    """
+    p, f_p, infinite, s_hi, s_lo, s, g_hi, g_lo, g, count = sums
+    (m, n), tol, a = p.shape, HOLDS_TOLERANCE, None
+    lowest, holds = np.full((m, excluded.size), np.inf), np.ones((m, excluded.size), dtype=bool)
+    ks, start = np.arange(n - 1.0), 0
+    while start < excluded.size:
+        first = max(excluded[start] - 1, 1)
+        part = slice(start, start + max(1, _PASS_CELLS // (m * (n - 1 - first))))
+        i, k, start = excluded[part], ks[first:], part.stop
+        if first > 1:  # bounds 1..first: a_k - f(p_i)/(n - 1)
+            if a is None:
+                a = (g_hi[:, 1:-2] + g_lo[:, 1:-2]) + ks[1:] * f.values(s[:, 1:-2] / ks[1:])
+                a = np.where(count[:, 1:-2] > np.arange(2)[:, None, None], np.inf, a / (n - 1))
+            least = a[..., :first].min(axis=-1)[..., None]
+            rising = (a[..., :first - 1] >= a[..., 1:first] - tol).all(axis=-1)[..., None]
+            t = infinite[:, i]
+            lowest[:, part] = np.where(t, least[1], least[0]) - f_p[:, i] / (n - 1)
+            holds[:, part] = np.where(t, rising[1], rising[0])
+        bounds = s_hi[:, None, first + 1:n] - p[:, i, None]
+        bounds += s_lo[:, None, first + 1:n]
+        left = k[:max(i[-1] - first, 0)] < i[:, None]  # the cells at k < i, all at the start
+        w = left.shape[1]
+        np.copyto(bounds[..., :w], s[:, None, first:first + w], where=left)
+        np.maximum(bounds, 0.0, out=bounds)
+        bounds /= k
+        bounds = f.values(bounds)
+        bounds *= k
+        rest = (g_hi[:, None, first:first + w] - f_p[:, i, None]) + g_lo[:, None, first:first + w]
+        rest[count[:, None, first:first + w] > infinite[:, i, None]] = np.inf
+        rest += bounds[..., :w]
+        bounds += g[:, None, first + 1:n]
+        np.copyto(bounds[..., :w], rest, where=left)
+        bounds /= n - 1
+        np.minimum(lowest[:, part], bounds.min(axis=-1), out=lowest[:, part])
+        holds[:, part] &= (bounds[..., :-1] >= bounds[..., 1:] - tol).all(axis=-1)
+    _, f_zetas, bounds = _kept(f, sums, np.array([[n - 1], [1]]), excluded[None])
+    lhs = f_zetas[:, 0]
+    return lhs, bounds[:, 1], holds & (lhs <= lowest + tol)
 
 
 def _chain_columns(f: FunctionSpec, probs: np.ndarray, f_probs: np.ndarray) -> list[Certificate]:
     """The partial-mean chain certificates of every row of ``probs``, one column per index."""
-    m, n = probs.shape
-    lhs, rhs, holds = np.empty(m * n), np.empty(m * n), np.empty(m * n, dtype=bool)
-    at = 0
-    for _, bounds, lhs_b, holds_b in _chains(f, probs, f_probs, np.arange(m * n)):
-        to = at + holds_b.size
-        # copies: a view would keep the whole block alive
-        lhs[at:to], rhs[at:to], holds[at:to] = lhs_b, bounds[:, -1], holds_b
-        at = to
-    names = [f"partial_mean_chain[i={i}]" for i in range(n)]
-    return _compare_columns(names, lhs.reshape(m, n), rhs.reshape(m, n), holds=holds.reshape(m, n))
+    lhs, rhs, holds = _chains(f, _chain_sums(probs, f_probs), np.arange(probs.shape[1]))
+    names = [f"partial_mean_chain[i={i}]" for i in range(probs.shape[1])]
+    return _compare_columns(names, lhs, rhs, holds=holds)
 
 
 def _require_chain(f: FunctionSpec, p: ProbDist) -> None:
@@ -467,11 +503,13 @@ def partial_mean_chain(
     _require_chain(f, p)
     i = _check_index(i, p.n)
     probs = p.probs[None]
-    ((zetas, bounds, lhs, holds),) = _chains(f, probs, f.values(probs), np.array([i]))
+    sums = _chain_sums(probs, f.values(probs))
+    zetas, _, bounds = _kept(f, sums, np.arange(p.n - 1, 0, -1), np.array([i]))
+    lhs, rhs, holds = _chains(f, sums, np.array([i]))
     chain = PartialMeanChain(
-        excluded_index=i, zetas=tuple(zetas[0].tolist()), bounds=tuple(bounds[0].tolist())
+        excluded_index=i, zetas=tuple(zetas[0].tolist()), bounds=tuple(bounds[0, 1:].tolist())
     )
-    return chain, compare(f"partial_mean_chain[i={i}]", lhs[0], bounds[0, -1], holds=holds[0])
+    return chain, compare(f"partial_mean_chain[i={i}]", lhs[0, 0], rhs[0, 0], holds=holds[0, 0])
 
 
 def partial_mean_chains(f: FunctionSpec, p: ProbDist) -> list[Certificate]:

@@ -29,9 +29,14 @@ from neglab import (
 
 from neglab.certificates import HOLDS_TOLERANCE, compare
 from neglab.cli import EXIT_VALIDATION, main
-from neglab.dissimilarity import MAX_ALPHA, MAX_DEPTH, IteratedDissimReport, _evaluate
+from neglab.dissimilarity import (
+    _BLOCK_ELEMENTS,
+    MAX_ALPHA,
+    MAX_DEPTH,
+    IteratedDissimReport,
+    _evaluate,
+)
 from neglab.distribution import _unchecked
-from neglab.jensen import _CHAIN_BLOCK_ELEMENTS
 from neglab.negation import _iterates
 
 from conftest import assert_identical, by_length, distribution_pairs, distributions, mixed_batches
@@ -492,7 +497,7 @@ def test_negation_profiles_chunk_seams(monkeypatch):
     group[150] = uniform(16)
     profiles = negation_profiles(group, list(range(8)), 8)
     assert [a[0] for a, _ in shapes] == [2048, 2048, 704]
-    assert all(lv == (a[0],) and a[0] * a[1] <= _CHAIN_BLOCK_ELEMENTS for a, lv in shapes)
+    assert all(lv == (a[0],) and a[0] * a[1] <= _BLOCK_ELEMENTS for a, lv in shapes)
     monkeypatch.undo()
     for r in (0, 127, 128, 150, 255, 256, 299):
         assert_identical(profiles.row(r).as_dict(),
@@ -520,7 +525,7 @@ def test_negation_profiles_split_inputs_by_row_pair(monkeypatch, n, m, alphas, d
     group = [ProbDist(rng.dirichlet(np.ones(n))) for _ in range(m)]
     profiles = negation_profiles(group, alphas, depth)
     assert [a[0] for a in shapes] == calls
-    assert all(a[0] * a[1] <= max(_CHAIN_BLOCK_ELEMENTS, n) for a in shapes)
+    assert all(a[0] * a[1] <= max(_BLOCK_ELEMENTS, n) for a in shapes)
     monkeypatch.undo()
     for r in sorted({0, 2048 // (len(alphas) + depth), m - 1} & set(range(m))):
         assert_identical(profiles.row(r).as_dict(), _oracle_profile(group[r], alphas, depth).as_dict())

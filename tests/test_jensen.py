@@ -42,9 +42,11 @@ from neglab import (
     uniform,
 )
 from neglab.certificates import HOLDS_TOLERANCE, compare
-from neglab.jensen import _CHAIN_BLOCK_ELEMENTS
+from neglab.dissimilarity import _BLOCK_ELEMENTS
+from neglab.jensen import _chain_sums, _chains
 
 from conftest import assert_identical, distributions, oracle_as_dict, oracle_failures
+from test_theorems_at_scale import _peeled_ones, _point_mass_with_dust
 
 # frozen high-precision sides for the four-outcome worked example
 MIXTURE_RHS_P4 = 2.0279613406792624
@@ -477,13 +479,91 @@ def test_chain_kernel_matches_scalar_loop(p, f):
 
 
 def test_chain_kernel_across_block_seam():
-    # n rows of n - 1 kept entries: a full block of n - 1 rows plus one more
-    n = next(n for n in range(3, 4096) if _CHAIN_BLOCK_ELEMENTS // (n - 1) == n - 1)
+    # n = 182 with zeros: a size whose pairs an earlier kernel split into blocks
+    n = next(n for n in range(3, 4096) if _BLOCK_ELEMENTS // (n - 1) == n - 1)
     raw = np.random.default_rng(2024).dirichlet(np.ones(n))
     raw[::17] = 0.0
     p = make_dist(raw / raw.sum())
     for f in (NEG_LOG, SQUARE):
         _assert_matches_oracle(f, p, partial_mean_chains(f, p))
+
+
+def _edge_rows(n=9):
+    """One block of rows that stress the chain kernel's shared sums."""
+    dust = np.full(n, 1e-12)
+    dust[0] = 1.0 - (n - 1) * 1e-12
+    return np.array([
+        [0.0, 0.0, 0.1, 0.2, 0.3, 0.1, 0.1, 0.1, 0.1],  # leading zeros: S_k = 0, f(0) = inf
+        [0.2, 0.0, 0.1, 0.3, 0.0, 0.1, 0.1, 0.1, 0.1],  # two zeros, each excluded in turn
+        [0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05, 0.0],  # a zero at the last index
+        dust,  # a point mass with dust: S_{k+1} - p_0 cancels at i = 0
+        np.full(n, 1.0 / n),  # uniform: every chain is an equality
+    ])
+
+
+@pytest.mark.parametrize("f", [NEG_LOG, SQUARE], ids=lambda f: f.name)
+def test_chain_kernel_on_edge_rows(f):
+    rows = _edge_rows()
+    _assert_batch_matches_rows(f, rows)  # each row's columns equal its one-row call
+    for row in rows:
+        p = make_dist(row)
+        _assert_matches_oracle(f, p, partial_mean_chains(f, p))
+
+
+def _dip(base, height, j):
+    """``base`` less a bump of ``height`` between the spot-check grid's points
+    j and j + 1: it registers as convex, but chains through the bump fail."""
+    x0, x1 = np.linspace(0.0 if base.zero_ok else 1e-6, 1.0, 32)[j:j + 2]
+
+    def fn(x):
+        bump = np.where((x > x0) & (x < x1), np.sin(np.pi * (x - x0) / (x1 - x0)) ** 2, 0.0)
+        return base.values(x) - height * bump
+
+    return FunctionSpec(f"{base.name}_dip", "convex", fn, zero_ok=base.zero_ok)
+
+
+@pytest.mark.parametrize(
+    "f", [_dip(SQUARE, 1e-2, 3), _dip(SQUARE, 1e-3, 1), _dip(NEG_LOG, 3e-2, 3)],
+    ids=["square-3", "square-1", "neg_log-3"],
+)
+def test_chain_decisions_where_f_is_not_convex(f):
+    # chains that fail exercise the decision: the smallest bound and the
+    # steps, on both sides of each excluded index
+    rng = np.random.default_rng(5)
+    held = []
+    for n in (6, 9, 17, 40):
+        rows = rng.dirichlet(np.ones(n), size=3)
+        rows[1, 1::4] = rows[2, :2] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        _assert_batch_matches_rows(f, rows)
+        for row in rows:
+            p = make_dist(row)
+            certs = partial_mean_chains(f, p)
+            _assert_matches_oracle(f, p, certs)
+            held += [c.holds for c in certs]
+    assert any(held) and not all(held)
+
+
+@pytest.mark.parametrize("f, row", [
+    (_dip(SQUARE, 0.1, 0), [0.393, 0.168, 0.018, 0.421]),
+    (_dip(NEG_LOG, 0.1, 1), [0.104, 0.025, 0.063, 0.006, 0.141, 0.039, 0.558, 0.0, 0.064]),
+], ids=["square", "neg_log-excluded-zero"])
+def test_chain_decided_at_a_shared_bound(f, row):
+    # a chain whose failing bound lies at k < i, where every chain excluding
+    # a later index shares it less f(p_i)/(n - 1); the second excludes the
+    # zero at i = 7, whose f is infinite
+    p = make_dist(row)
+    _assert_matches_oracle(f, p, partial_mean_chains(f, p))
+
+
+@pytest.mark.parametrize("make", [_peeled_ones, _point_mass_with_dust], ids=["peeled", "dust"])
+def test_chain_kernel_decides_exact_equalities(make):
+    # these chains equal their lhs in exact arithmetic, so compare's equality
+    # rule would pass them whatever the bounds; the kernel's own decision
+    # must hold too, which plain prefix sums of the dust do not give
+    probs = make(3001)[0][None]
+    for f in (NEG_LOG, SQUARE):
+        assert _chains(f, _chain_sums(probs, f.values(probs)), np.arange(3001))[2].all()
 
 
 def test_partial_mean_chains_needs_convex_and_three_outcomes(p4):
@@ -495,7 +575,8 @@ def test_partial_mean_chains_needs_convex_and_three_outcomes(p4):
 
 def test_scalar_only_specs_match_the_loop():
     # math-only functions reject arrays; values() then calls them per entry,
-    # with the same floats and sums as the scalar code
+    # with the same floats as the array code
+    twin = FunctionSpec("square", "convex", lambda x: float(x) * float(x))
     exp = FunctionSpec("exp", "convex", lambda x: math.exp(x))
     cube = FunctionSpec("cube", "convex", lambda x: math.pow(x, 3))
     root = FunctionSpec("root", "concave", lambda x: math.sqrt(x))
@@ -505,13 +586,13 @@ def test_scalar_only_specs_match_the_loop():
     def mixture(f):
         return (math.fsum(f(v) for v in p) + (n - 1) * math.fsum(f(v) for v in negate(p))) / n**2
 
+    assert not twin._maps_arrays and SQUARE._maps_arrays
+    assert partial_mean_chains(twin, p) == partial_mean_chains(SQUARE, p)
+    assert certificate_suite(twin, p) == certificate_suite(SQUARE, p)
+    for i in range(n):
+        assert partial_mean_chain(twin, p, i) == partial_mean_chain(SQUARE, p, i)
     for f in (exp, cube):
-        certs = partial_mean_chains(f, p)
-        for i in range(n):
-            zetas, bounds, expected = _oracle_chain(f, p, i)
-            chain, cert = partial_mean_chain(f, p, i)
-            assert (chain.zetas, chain.bounds) == (zetas, bounds)
-            assert cert == expected and certs[i] == expected
+        _assert_matches_oracle(f, p, partial_mean_chains(f, p))
         assert mixture_bound(f, p).rhs == mixture(f)
     assert concave_mixture_bound(root, p).lhs == mixture(root)
 
@@ -643,19 +724,30 @@ def _dirichlet_rows(m, n, seed):
 
 def test_certificate_suites_chain_block_seam_across_rows():
     n = 8
-    step = _CHAIN_BLOCK_ELEMENTS // (n - 1)  # (row, excluded index) pairs per block
-    assert step % n  # the first seam falls inside a row
-    m = step // n + 2
+    m = _BLOCK_ELEMENTS // (n - 1) // n + 2
     _assert_batch_matches_rows(NEG_LOG, _dirichlet_rows(m, n, 11))
 
 
 def test_certificate_suites_chain_block_seam_inside_a_row():
     n = 512
-    assert _CHAIN_BLOCK_ELEMENTS // (n - 1) < n  # one row spans several blocks
     rows = _dirichlet_rows(2, n, 12)
     _assert_batch_matches_rows(NEG_LOG, rows)
     _assert_same_certificates(certificate_suite(NEG_LOG, make_dist(rows[0])),
                               _oracle_suite(NEG_LOG, make_dist(rows[0])))
+
+
+@pytest.mark.parametrize("f", [NEG_LOG, _dip(SQUARE, 0.1, 0)], ids=["neg_log", "square_dip"])
+@pytest.mark.parametrize("n", [8, 40])
+def test_chain_kernel_pass_and_chunk_seams(monkeypatch, n, f):
+    # passes of 3n cells take the indices one at a time, and their bounds
+    # below each block are the shared ones; no value or flag may move (some
+    # chains fail for the dip)
+    rows = _dirichlet_rows(7, n, 13)
+    expected = [certificate_suite(f, make_dist(row)) for row in rows]
+    monkeypatch.setattr("neglab.jensen._PASS_CELLS", 3 * n)
+    suite = certificate_suites(f, [ProbDist(row) for row in rows])
+    for r, certs in enumerate(expected):
+        assert_identical([c.row(r).as_dict() for c in suite], [oracle_as_dict(c) for c in certs])
 
 
 def test_certificate_suites_needs_one_length():

@@ -3,7 +3,9 @@
 Rounding in a kernel can grow with n, which the small-n tests cannot see:
 running sums rounded at every step make the partial-mean chain of the
 peeled-ones input fail from n = 16,000 on, while its first bounds equal
-``lhs`` in exact arithmetic.  Each input goes through the O(n) one-row calls.
+``lhs`` in exact arithmetic.  Each input goes through the O(n) one-row calls;
+at n = 16,000 the two chain-sensitive inputs also go through the O(n^2)
+chain family, every excluded index at once.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from neglab import (
     negate,
     negation_profile,
     partial_mean_chain,
+    partial_mean_chains,
     pointwise_bound,
     self_information_bound,
     uniform,
@@ -92,4 +95,13 @@ def test_no_theorem_fails_at_large_n(make, n):
     entropies = converge_to_uniform(p).entropies
     assert np.all(np.diff(entropies) >= -HOLDS_TOLERANCE), "entropy fell along the trace"
     failing = [c.name for c in certs if not c.holds]
+    assert failing == []
+
+
+@pytest.mark.parametrize("f", [NEG_LOG, SQUARE], ids=lambda f: f.name)
+@pytest.mark.parametrize("make", [_peeled_ones, _point_mass_with_dust],
+                         ids=lambda make: make.__name__.lstrip("_"))
+def test_no_chain_fails_at_every_index(make, f):
+    p = ProbDist(make(SIZES[0])[0])
+    failing = [c.name for c in partial_mean_chains(f, p) if not c.holds]
     assert failing == []
