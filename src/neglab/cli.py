@@ -29,7 +29,7 @@ from .certificates import Certificate, _flat, _gathered, compare
 from .distribution import (DEFAULT_TOLERANCE, DimensionError, DomainError, ValidationReport,
                            _check_int, _check_tolerance, _stacked, make_dist, make_dists)
 from .dissimilarity import MAX_DEPTH, CrossCheckError, _check_alphas, negation_profile, negation_profiles
-from .entropy import entropy_chain_check, entropy_report, zero_padding_entropy_check
+from .entropy import _entropies, entropy_chain_check, zero_padding_entropy_check
 from .jensen import (
     NEG_LOG,
     BUILTIN_FUNCTIONS,
@@ -57,20 +57,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for validation
         raise _UsageError(message)
-
-
-def _fmt(x) -> str:
-    """15 significant digits for text and CSV output."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return f"{x:.15g}"
-    return str(x)
-
-
-def _cells(*values) -> list[str]:
-    """One CSV row: ``_fmt`` of each value."""
-    return list(map(_fmt, values))
 
 
 def _parse_scalar(token: str) -> float:
@@ -225,10 +211,11 @@ def _by_group(groups, count: int, step, render) -> tuple[list, bool]:
     """The records of ``count`` inputs in input order, and whether every claim held.
 
     ``step(group)`` gives the ``(result, all_hold)`` of each of
-    :func:`_validate`'s ``groups`` and ``render(group, result)`` its inputs'
-    records.  A group that raises :class:`DomainError` is charged to its
-    input ``index``, the first if the error names none; the error raised is
-    that of the first input in input order, whichever group it sits in.
+    :func:`_validate`'s ``groups`` and ``render(positions, group, result)``
+    the records of its inputs, at ``positions`` in input order.  A group
+    that raises :class:`DomainError` is charged to its input ``index``, the
+    first if the error names none; the error raised is that of the first
+    input in input order, whichever group it sits in.
     """
     records, holds, failures = [None] * count, [], []
     for idxs, group in groups:
@@ -238,7 +225,7 @@ def _by_group(groups, count: int, step, render) -> tuple[list, bool]:
             failures.append((idxs[getattr(exc, "index", 0)], exc))
             continue
         holds.append(group_holds)
-        for i, record in zip(idxs, render(group, result)):
+        for i, record in zip(idxs, render(idxs, group, result)):
             records[i] = record
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
@@ -249,69 +236,36 @@ def _by_group(groups, count: int, step, render) -> tuple[list, bool]:
 # subcommands.  A command's step(args, inp) checks its own flags, may record
 # them in the document's ``input`` block ``inp``, and returns the function
 # from a same-n group to its (result, all_hold).  Its json, csv and text
-# entries (the _json_*, _rows_* and _lines_* functions) turn a group and its
-# result into one record per input: the JSON text of the input's record, its
-# CSV rows after the ``dist`` cell, or the input with its text lines.
+# entries turn the group's input positions, the group and its result into
+# the text of each input's record.  Each format fills one %-template per
+# group, with names, paths, levels and indices written into it once; its
+# holes take each input's numbers, as JSON texts or through %.15g for CSV
+# and text, and its flags through lookup tables.
 
 _CERT_HEADER = ("dist", "name", "lhs", "rhs", "slack", "holds", "equality", "infinite")
-_CERT_FIELDS = _CERT_HEADER[2:]
-
-
-def _each(fmt: Callable) -> Callable:
-    """The format of a whole array that is ``fmt`` of each of its values, in row-major order."""
-    return lambda a: map(fmt, a.ravel().tolist())
-
-
-def _certificate_fields(columns: list[Certificate], formats) -> tuple[list, list[list[tuple]]]:
-    """``_flat(columns)`` and, per input, one tuple per certificate of its
-    fields ``_CERT_FIELDS``, each through its function of ``formats``.
-
-    Each field is gathered once across the certificates, as an m×K array,
-    and its function formats the whole array.
-    """
-    flat = _flat(columns)
-    certs = [c for _, _, c in flat]
-    fields = list(zip(*(fmt(_gathered(certs, name)) for name, fmt in zip(_CERT_FIELDS, formats))))
-    return flat, [fields[start:start + len(certs)] for start in range(0, len(fields), len(certs))]
-
-
-def _certificate_rows(columns: list[Certificate]) -> list[list[tuple]]:
-    """Per input, the CSV rows of ``columns`` and, at any depth, their detail, named by path."""
-    flat, inputs = _certificate_fields(columns, [_each(_fmt)] * 6)
-    paths = [path for _, path, _ in flat]
-    return [[(path, *fields) for path, fields in zip(paths, rows)] for rows in inputs]
-
-
-_MARK = {True: "[ok]", False: "[FAIL]"}
-_EQUALITY = {True: " (equality)", False: ""}
-_INFINITE = {True: " (infinite)", False: ""}
-
-
-def _certificate_lines(columns: list[Certificate], indent: str) -> list[list[str]]:
-    """Per input, one text line per certificate of ``columns`` at ``indent``,
-    its detail below it two spaces deeper at each level."""
-    flat, inputs = _certificate_fields(
-        columns, list(map(_each, [_fmt] * 3 + [_MARK.get, _EQUALITY.get, _INFINITE.get])))
-    heads = [(indent + "  " * depth, c.name) for depth, _, c in flat]
-    return [
-        [f"{head}{mark} {name}: lhs={lhs} rhs={rhs} slack={slack}{eq}{inf}"
-         for (head, name), (lhs, rhs, slack, mark, eq, inf) in zip(heads, rows)]
-        for rows in inputs
-    ]
-
-
-# A JSON record is written as text in json.dumps's compact form: a group's
-# names and keys are escaped once into a %-template, whose holes take each
-# input's numbers, each written once by float.__repr__, and its flags.
-
 _JSON_BOOL = {True: "true", False: "false"}
 _JSON_CONSTANT = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _values(a: np.ndarray) -> list:
+    """The values of ``a`` in row-major order."""
+    return a.ravel().tolist()
+
+
+def _each(table: dict) -> Callable:
+    """The format of a whole array that is ``table``'s entry for each of its values, in row-major order."""
+    return lambda a: map(table.__getitem__, _values(a))
+
+
+def _interleaved(width: int, *columns) -> list[tuple]:
+    """One value of each of ``columns`` in turn, in tuples of ``width`` values."""
+    return list(zip(*[chain.from_iterable(zip(*columns))] * width))
 
 
 def _json_numbers(a: np.ndarray) -> list[str]:
     """The JSON text of each float of ``a``, in row-major order: its repr, or
     ``Infinity``, ``-Infinity`` or ``NaN`` as json.dumps writes them."""
-    texts = list(map(float.__repr__, a.ravel().tolist()))
+    texts = list(map(float.__repr__, _values(a)))
     finite = np.isfinite(a)
     if not finite.all():
         for i in np.flatnonzero(~finite).tolist():
@@ -334,48 +288,100 @@ def _literal(obj) -> str:
     return json.dumps(obj).replace("%", "%%")
 
 
+def _csv_literal(cell: str) -> str:
+    """``cell`` as literal text of a %-template, quoted where csv.writer quotes it."""
+    if any(c in cell for c in ',"\r\n'):
+        cell = '"' + cell.replace('"', '""') + '"'
+    return cell.replace("%", "%%")
+
+
+def _numbers(n: int) -> str:
+    """A %-template of ``n`` comma-separated numbers at 15 significant digits."""
+    return ", ".join(["%.15g"] * n)
+
+
+def _csv(rows: list[str], positions, *columns) -> list[str]:
+    """Per input, its CSV records: each of ``rows``, the %-template of a
+    row's cells after ``dist``, filled with the input's position and then one
+    value of each of ``columns``, m×len(rows) values in row-major order."""
+    template = "".join(f"%d,{row}\r\n" for row in rows)
+    return [template % holes for holes in _interleaved(
+        len(rows) * (1 + len(columns)), np.repeat(positions, len(rows)).tolist(), *columns)]
+
+
+def _text(tail: str, positions, group, holes) -> list[str]:
+    """Per input, its line ``distribution i: p``, then the %-template ``tail`` filled with its ``holes``."""
+    template = "distribution %d: " + _numbers(group[0].n) + "\n" + tail
+    return [template % (i, *p, *h) for i, p, h in zip(positions, _stacked(group).tolist(), holes)]
+
+
+_MARK = {True: "[ok]", False: "[FAIL]"}
+_EQUALITY = {True: " (equality)", False: ""}
+_INFINITE = {True: " (infinite)", False: ""}
+_SIDES = ("lhs", "rhs", "slack")
+
+# per format, each certificate's fields in the order of its holes, with their formats
+_JSON_CERT = [(side, _json_numbers) for side in _SIDES] + [
+    (flag, _each(_JSON_BOOL)) for flag in ("holds", "equality", "infinite")]
+_CSV_CERT = [(side, _values) for side in _SIDES] + _JSON_CERT[3:]
+_TEXT_CERT = [("holds", _each(_MARK)), *_CSV_CERT[:3],
+              ("equality", _each(_EQUALITY)), ("infinite", _each(_INFINITE))]
+
+
+def _certificate_holes(columns: list[Certificate], fields) -> tuple[list, list]:
+    """``_flat(columns)`` and, per field of ``fields`` (a name and its
+    format), the name's field of every certificate, gathered once as an m×K
+    array, through its format."""
+    flat = _flat(columns)
+    certs = [c for _, _, c in flat]
+    return flat, [fmt(_gathered(certs, name)) for name, fmt in fields]
+
+
 def _template(c: Certificate) -> str:
     """The JSON text of ``c`` and its detail as a %-template, with a hole for
-    each field ``_CERT_FIELDS`` of each certificate, in ``_flat`` order."""
+    each field of each certificate, in ``_flat`` order."""
     return ('{"name": ' + _literal(c.name) + ', "lhs": %s, "rhs": %s, "slack": %s, "holds": %s, '
             '"equality": %s, "infinite": %s, "detail": [' + ", ".join(map(_template, c.detail)) + "]}")
-
-
-_JSON_FIELDS = [_json_numbers] * 3 + [_each(_JSON_BOOL.get)] * 3
 
 
 def _certificate_json(columns: list[Certificate]) -> tuple[list, str, list[tuple]]:
     """``_flat(columns)``, the %-template of ``columns`` as the items of a
     JSON list and, per input, the texts that fill its holes."""
-    flat, inputs = _certificate_fields(columns, _JSON_FIELDS)
-    return flat, ", ".join(map(_template, columns)), [tuple(chain.from_iterable(rows)) for rows in inputs]
+    flat, values = _certificate_holes(columns, _JSON_CERT)
+    return flat, ", ".join(map(_template, columns)), _interleaved(6 * len(flat), *values)
+
+
+def _certificate_csv(positions, columns: list[Certificate]) -> list[str]:
+    """Per input, the CSV rows of ``columns`` and, at any depth, their detail, named by path."""
+    flat, values = _certificate_holes(columns, _CSV_CERT)
+    return _csv([_csv_literal(path) + ",%.15g,%.15g,%.15g,%s,%s,%s" for _, path, _ in flat],
+                positions, *values)
+
+
+def _certificate_text(columns: list[Certificate], indent: str) -> tuple[str, list[tuple]]:
+    """The %-template of one text line per certificate of ``columns`` at
+    ``indent``, its detail below it two spaces deeper at each level, and per
+    input the values that fill its holes."""
+    flat, values = _certificate_holes(columns, _TEXT_CERT)
+    template = "".join(f"{indent}{'  ' * depth}%s {c.name.replace('%', '%%')}: "
+                       "lhs=%.15g rhs=%.15g slack=%.15g%s%s\n" for depth, _, c in flat)
+    return template, _interleaved(6 * len(flat), *values)
+
+
+def _json_negate(_, group, pairs):
+    return ['{"distribution": [%s], "negation": [%s], "double_negation": [%s]}' % texts
+            for texts in zip(*map(_json_rows, (_stacked(group), *pairs)))]
 
 
 _ENTROPY_JSON = ('{"distribution": [%s], "n": %d, "entropy_bits": %s, "max_entropy_bits": %s, '
                  '"gap_bits": %s}')
 
 
-def _vec(values) -> str:
-    return ", ".join(map(_fmt, values))
-
-
-def _json_negate(group, pairs):
-    return ['{"distribution": [%s], "negation": [%s], "double_negation": [%s]}' % texts
-            for texts in zip(*map(_json_rows, (_stacked(group), *pairs)))]
-
-
-def _rows_negate(group, pairs):
-    return [
-        [_cells(i, v, nb, nbb) for i, (v, nb, nbb) in enumerate(zip(p, q, qq))]
-        for p, q, qq in zip(group, *(block.tolist() for block in pairs))
-    ]
-
-
-def _lines_negate(group, pairs):
-    return [
-        (p, [f"  negation:        {_vec(q)}", f"  double negation: {_vec(qq)}"])
-        for p, q, qq in zip(group, *(block.tolist() for block in pairs))
-    ]
+def _entropy_columns(group):
+    """The step of ``entropy``: H, log2 n and the gap of each input, as an m×3 block."""
+    h = _entropies(_stacked(group))
+    ceiling = math.log2(group[0].n)
+    return np.stack([h, np.full_like(h, ceiling), ceiling - h], axis=1), True
 
 
 def _step_converge(args, inp):
@@ -383,7 +389,7 @@ def _step_converge(args, inp):
     return lambda group: ((args.tolerance, converge_traces(group, args.tolerance, args.max_steps)), True)
 
 
-def _json_converge(group, result):
+def _json_converge(_, group, result):
     """Input r's iterates, entropies and distances are its ``steps[r] + 1`` entries of each."""
     tolerance, traces = result
     template = ('{"distribution": [%s], "tolerance": ' + _literal(tolerance) + ', "iterates": [[%s]], '
@@ -402,32 +408,30 @@ def _json_converge(group, result):
     return records
 
 
-def _rows_converge(group, result):
+def _csv_converge(positions, group, result):
+    """Input r's rows are its ``steps[r] + 1`` steps, each filled as a record of its own."""
     traces = result[1]
-    steps = list(zip(_cells(*traces.distances.tolist()), _cells(*traces.entropies.tolist())))
-    return [
-        [(str(k), distance, entropy, converged, oscillating)
-         for k, (distance, entropy) in enumerate(steps[end - n - 1:end])]
-        for end, n, converged, oscillating in zip(
-            np.cumsum(traces.steps + 1).tolist(), traces.steps.tolist(),
-            _cells(*traces.converged.tolist()), _cells(*traces.oscillating.tolist()))
-    ]
+    counts = traces.steps + 1
+    ends = np.cumsum(counts)
+    rows = _csv(["%d,%.15g,%.15g,%s,%s"], np.repeat(positions, counts),
+                _values(np.arange(ends[-1]) - np.repeat(ends - counts, counts)),
+                _values(traces.distances), _values(traces.entropies),
+                *(_each(_JSON_BOOL)(np.repeat(flag, counts))
+                  for flag in (traces.converged, traces.oscillating)))
+    return ["".join(rows[end - count:end]) for end, count in zip(ends.tolist(), counts.tolist())]
 
 
-def _lines_converge(group, result):
+_STOPPED = {True: "oscillating (period 2, never converges)", False: "stopped at max_steps"}
+
+
+def _text_converge(positions, group, result):
     traces = result[1]
     last = np.cumsum(traces.steps + 1) - 1
-    records = []
-    for p, steps, converged, oscillating, distance, entropy in zip(
-        group, traces.steps.tolist(), traces.converged.tolist(), traces.oscillating.tolist(),
-        _cells(*traces.distances[last].tolist()), _cells(*traces.entropies[last].tolist()),
-    ):
-        state = "converged" if converged else (
-            "oscillating (period 2, never converges)" if oscillating else "stopped at max_steps"
-        )
-        records.append((p, [f"  {state} after {steps} steps",
-                            f"  final distance {distance}, entropy {entropy} bits"]))
-    return records
+    return _text("  %s after %d steps\n  final distance %.15g, entropy %.15g bits\n", positions, group, [
+        ("converged" if converged else _STOPPED[oscillating], *numbers)
+        for converged, oscillating, *numbers in zip(
+            traces.converged.tolist(), traces.oscillating.tolist(), traces.steps.tolist(),
+            traces.distances[last].tolist(), traces.entropies[last].tolist())])
 
 
 def _step_dissim(args, inp):
@@ -446,14 +450,7 @@ def _step_dissim(args, inp):
     return step
 
 
-def _dissim_fields(profiles):
-    """Per input, the cells of its values and of its l1s: against its negation
-    at each level, then against each iterate."""
-    return [(_cells(*value), _cells(*l1))
-            for value, l1 in zip(profiles.value.tolist(), profiles.l1.tolist())]
-
-
-def _json_dissim(group, profiles):
+def _json_dissim(_, group, profiles):
     """Per input: its L + depth results, its properties and its iterated flag
     fill the template's holes in that order; each result's level is literal."""
     levels, at = profiles._columns()
@@ -472,29 +469,26 @@ def _json_dissim(group, profiles):
     ]
 
 
-def _rows_dissim(group, profiles):
+def _csv_dissim(positions, group, profiles):
     """A row's ``value`` is also its ``closed_form_value``."""
-    levels = [("alpha", str(a)) for a in profiles.alphas]
-    levels += [("iterate", str(k)) for k in range(1, profiles.l1.shape[1] - len(profiles.alphas) + 1)]
-    return [
-        [(kind, level, v, v, d, held) for (kind, level), v, d in zip(levels, values, l1)]
-        for (values, l1), held in zip(_dissim_fields(profiles), _cells(*profiles.properties.holds.tolist()))
-    ]
+    depth = profiles.l1.shape[1] - len(profiles.alphas)
+    levels = [f"alpha,{a}" for a in profiles.alphas] + [f"iterate,{k}" for k in range(1, depth + 1)]
+    values = _values(profiles.value)
+    return _csv([level + ",%.15g,%.15g,%.15g,%s" for level in levels], positions, values, values,
+                _values(profiles.l1), _each(_JSON_BOOL)(np.repeat(profiles.properties.holds, len(levels))))
 
 
-def _lines_dissim(group, profiles):
-    alphas, depth = profiles.alphas, profiles.l1.shape[1] - len(profiles.alphas)
-    records = []
-    for p, (values, l1), properties, flag in zip(
-        group, _dissim_fields(profiles), _certificate_lines([profiles.properties], "  "),
-        _cells(*profiles.non_decreasing.tolist()),
-    ):
-        lines = [f"  alpha={a}: value={v} (l1={d})" for a, v, d in zip(alphas, values, l1)]
-        lines += properties
-        lines.append(f"  vs iterates 1..{depth}: {', '.join(values[len(alphas):])} "
-                     f"(non-decreasing: {flag})")
-        records.append((p, lines))
-    return records
+def _text_dissim(positions, group, profiles):
+    levels = len(profiles.alphas)
+    depth = profiles.l1.shape[1] - levels
+    properties, holes = _certificate_text([profiles.properties], "  ")
+    tail = ("".join(f"  alpha={a}: value=%.15g (l1=%.15g)\n" for a in profiles.alphas) + properties
+            + f"  vs iterates 1..{depth}: {_numbers(depth)} (non-decreasing: %s)\n")
+    pairs = np.stack([profiles.value[:, :levels], profiles.l1[:, :levels]], axis=-1)
+    return _text(tail, positions, group, [
+        (*pair, *fields, *iterated, _JSON_BOOL[flag]) for pair, fields, iterated, flag in zip(
+            pairs.reshape(len(group), -1).tolist(), holes, profiles.value[:, levels:].tolist(),
+            profiles.non_decreasing.tolist())])
 
 
 _SKIPPED_CHAIN = "partial_mean_chain skipped: needs n >= 3"
@@ -515,7 +509,7 @@ def _step_verify(args, inp):
     return step
 
 
-def _json_verify(group, result):
+def _json_verify(_, group, result):
     fn, suite, failing = result
     flat, certificates, holes = _certificate_json(suite)
     notes = ', "notes": ' + _literal([_SKIPPED_CHAIN]) if group[0].n < 3 else ""
@@ -529,9 +523,10 @@ def _json_verify(group, result):
     ]
 
 
-def _lines_verify(group, result):
-    notes = [f"  note: {_SKIPPED_CHAIN}"] if group[0].n < 3 else []
-    return [(p, lines + notes) for p, lines in zip(group, _certificate_lines(result[1], "  "))]
+def _text_verify(positions, group, result):
+    certificates, holes = _certificate_text(result[1], "  ")
+    notes = f"  note: {_SKIPPED_CHAIN}\n" if group[0].n < 3 else ""
+    return _text(certificates + notes, positions, group, holes)
 
 
 # ---------------------------------------------------------------------------
@@ -640,38 +635,23 @@ _ERROR_HEADER = ("dist", "error", "sum_error", "bad_indices")
 
 
 def _render_csv(doc: dict) -> str:
-    if "error" in doc:
-        err = doc["error"]
-        header = _ERROR_HEADER
-        rows = [_cells(err["index"], err["why"], err["report"]["sum_error"],
-                       " ".join(map(str, err["report"]["bad_indices"])))]
-    else:
-        header = _COMMANDS[doc["command"]].header
-        records = doc["results"]
-        rows = [(dist, *row) for dist, record in zip(map(str, range(len(records))), records)
-                for row in record]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
+    if "error" not in doc:
+        return ",".join(_COMMANDS[doc["command"]].header) + "\r\n" + "".join(doc["results"])
+    err = doc["error"]
+    buf = io.StringIO()  # the error's why may hold a comma, so csv quotes its row
+    csv.writer(buf).writerows([_ERROR_HEADER, (err["index"], err["why"], "%.15g" % err["report"]["sum_error"],
+                                               " ".join(map(str, err["report"]["bad_indices"])))])
     return buf.getvalue()
 
 
 def _render_text(doc: dict) -> str:
-    out = [f"command: {doc['command']}"]
+    head = f"command: {doc['command']}\n"
     if "error" in doc:
         err = doc["error"]
         rep = err["report"]
-        out.append(
-            f"validation failed for distribution {err['index']}: {err['why']} "
-            f"(sum_error={_fmt(rep['sum_error'])}, bad_indices={rep['bad_indices']})"
-        )
-    for idx, (p, lines) in enumerate(doc["results"]):
-        if p is not None:  # a report fixture has no distribution
-            out.append(f"distribution {idx}: {_vec(p)}")
-        out += lines
-    out.append(f"all_hold: {_fmt(doc['all_hold'])}")
-    return "\n".join(out) + "\n"
+        head += (f"validation failed for distribution {err['index']}: {err['why']} "
+                 f"(sum_error={rep['sum_error']:.15g}, bad_indices={rep['bad_indices']})\n")
+    return f"{head}{''.join(doc['results'])}all_hold: {_JSON_BOOL[doc['all_hold']]}\n"
 
 
 def _emit(doc: dict, fmt: str, out_path: str | None) -> None:
@@ -690,9 +670,9 @@ class _Command(NamedTuple):
     """One subcommand: its step, its record of each format, and what it adds to the parser."""
 
     step: Callable  # (args, inp) -> (group -> (result, all_hold))
-    json: Callable  # (group, result) -> per input, the JSON text of its record
-    csv: Callable  # (group, result) -> per input, its CSV rows after the dist cell
-    text: Callable  # (group, result) -> per input, (the input, its text lines)
+    json: Callable  # (positions, group, result) -> per input, the text of its record in each format
+    csv: Callable
+    text: Callable
     header: tuple  # the CSV header row
     help: str
     flags: tuple = ()  # (flag, add_argument keywords) beyond the common ones
@@ -703,37 +683,42 @@ _COMMANDS = {
     "negate": _Command(
         # the group's negations and double negations, as two m×n blocks
         lambda args, inp: lambda group: (negation_pairs(group), True),
-        _json_negate, _rows_negate, _lines_negate,
+        _json_negate,
+        lambda positions, group, pairs: _csv(
+            [f"{i},%.15g,%.15g,%.15g" for i in range(group[0].n)], positions,
+            *map(_values, (_stacked(group), *pairs))),
+        lambda positions, group, pairs: _text(
+            "  negation:        {0}\n  double negation: {0}\n".format(_numbers(group[0].n)),
+            positions, group, np.hstack(pairs).tolist()),
         ("dist", "index", "p", "negation", "double_negation"),
         "emit a distribution, its negation, and its double negation",
     ),
     "entropy": _Command(
-        lambda args, inp: lambda group: ([entropy_report(p) for p in group], True),
-        lambda group, reports: [_ENTROPY_JSON % (p, r.n, *texts) for p, r, texts in zip(
-            _json_rows(_stacked(group)), reports, _json_inputs(np.array([r[1:] for r in reports])))],
-        lambda group, reports: [[_cells(r.n, r.entropy_bits, r.max_entropy_bits, r.gap_bits)]
-                                for r in reports],
-        lambda group, reports: [(p, [f"  entropy {_fmt(r.entropy_bits)} bits of "
-                                     f"{_fmt(r.max_entropy_bits)} max, gap {_fmt(r.gap_bits)}"])
-                                for p, r in zip(group, reports)],
+        lambda args, inp: _entropy_columns,
+        lambda _, group, columns: [_ENTROPY_JSON % (p, group[0].n, *texts) for p, texts in zip(
+            _json_rows(_stacked(group)), _json_inputs(columns))],
+        lambda positions, group, columns: _csv(
+            [f"{group[0].n},%.15g,%.15g,%.15g"], positions, *map(_values, columns.T)),
+        lambda positions, group, columns: _text(
+            "  entropy %.15g bits of %.15g max, gap %.15g\n", positions, group, columns.tolist()),
         ("dist", "n", "entropy_bits", "max_entropy_bits", "gap_bits"),
         "entropy in bits against the log2(n) ceiling",
     ),
     "converge": _Command(
-        _step_converge, _json_converge, _rows_converge, _lines_converge,
+        _step_converge, _json_converge, _csv_converge, _text_converge,
         ("dist", "step", "distance", "entropy_bits", "converged", "oscillating"),
         "iterate negation toward uniform and trace the path",
         flags=(("--max-steps", {"type": int, "default": 1000}),),
     ),
     "verify": _Command(
-        _step_verify, _json_verify, lambda group, result: _certificate_rows(result[1]), _lines_verify,
-        _CERT_HEADER,
+        _step_verify, _json_verify, lambda positions, _, result: _certificate_csv(positions, result[1]),
+        _text_verify, _CERT_HEADER,
         "run the full certificate suite",
         flags=(("--fn", {"default": "neg_log",
                          "help": f"built-in function ({', '.join(BUILTIN_FUNCTIONS)})"}),),
     ),
     "dissim": _Command(
-        _step_dissim, _json_dissim, _rows_dissim, _lines_dissim,
+        _step_dissim, _json_dissim, _csv_dissim, _text_dissim,
         ("dist", "kind", "level", "value", "closed_form_value", "l1", "properties_hold"),
         "dissimilarity profile against the negation",
         flags=(
@@ -744,10 +729,11 @@ _COMMANDS = {
     ),
     "report": _Command(
         lambda args, inp: _golden_fixtures,  # report reads no distributions
-        lambda _, fixtures: [template % fields
-                             for _, template, (fields,) in map(_certificate_json, [[c] for c in fixtures])],
-        lambda _, fixtures: [_certificate_rows([c])[0] for c in fixtures],
-        lambda _, fixtures: [(None, _certificate_lines([c], "")[0]) for c in fixtures],
+        lambda _, __, fixtures: [
+            template % fields for _, template, (fields,) in map(_certificate_json, [[c] for c in fixtures])],
+        lambda positions, _, fixtures: [_certificate_csv([i], [c])[0] for i, c in zip(positions, fixtures)],
+        lambda _, __, fixtures: [
+            template % fields for template, (fields,) in (_certificate_text([c], "") for c in fixtures)],
         _CERT_HEADER,
         "reproduce the golden fixtures and report pass/fail",
         dist_input=False,
@@ -820,7 +806,7 @@ def main(argv: list[str] | None = None) -> int:
             results, all_hold = _by_group(groups, len(raw), step, render)
         else:  # each fixture is a record
             fixtures, all_hold = step(None)
-            results = render(None, fixtures)
+            results = render(range(len(fixtures)), None, fixtures)
         doc = {"command": args.command, "input": doc_input, "results": results, "all_hold": all_hold}
         _emit(doc, args.format, args.out)
         return EXIT_OK if all_hold else EXIT_FAILURE

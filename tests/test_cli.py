@@ -780,16 +780,16 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, collectin
 def test_records_are_built_and_rendered_with_the_collector_paused(capsys, monkeypatch):
     seen = []
 
-    def entropy_report(p):
+    def entropies(rows):
         seen.append(gc.isenabled())
-        return cli_entropy_report(p)
+        return cli_entropies(rows)
 
     def render_json(doc):
         seen.append(gc.isenabled())
         return cli_render_json(doc)
 
-    cli_entropy_report, cli_render_json = cli.entropy_report, cli._render_json
-    monkeypatch.setattr(cli, "entropy_report", entropy_report)
+    cli_entropies, cli_render_json = cli._entropies, cli._render_json
+    monkeypatch.setattr(cli, "_entropies", entropies)
     monkeypatch.setattr(cli, "_render_json", render_json)
     assert gc.isenabled()
     assert main(["entropy", "--dist", "0.5,0.5", "--format", "json"]) == EXIT_OK
@@ -1113,6 +1113,9 @@ def test_json_verify_with_failing_certificates_is_the_bytes_json_dumps_writes(
     failing_paths = ["mixture_bound", "entropy_chain/entropy_le_negation_entropy"]
     assert {tuple(rec["failing"]) for rec in doc["results"]} == {(), tuple(failing_paths)}
     assert all(rec["all_hold"] is (not rec["failing"]) for rec in doc["results"])
+    # the same failing flags as CSV and text
+    for fmt, oracle in (("csv", _oracle_csv), ("text", _oracle_text)):
+        assert run(capsys, "verify", "--file", str(path), "--format", fmt)[:2] == (EXIT_FAILURE, oracle(doc))
 
 
 def test_dissim_csv_reads_a_failing_properties_column(capsys, monkeypatch, tmp_path):
@@ -1138,15 +1141,39 @@ def test_dissim_csv_reads_a_failing_properties_column(capsys, monkeypatch, tmp_p
     assert out == _oracle_text(doc)
 
 
-def test_report_csv_equals_the_dict_rows_of_the_json_document(capsys):
-    code, doc = run_json(capsys, "report")
+def test_report_csv_equals_the_dict_rows_of_the_json_document(capsys, monkeypatch):
+    # as it stands, then with a failing fixture
+    for expected in (EXIT_OK, EXIT_FAILURE):
+        if expected == EXIT_FAILURE:
+            _bump_golden(monkeypatch)
+        code, doc = run_json(capsys, "report")
+        assert code == expected
+        assert run(capsys, "report", "--format", "csv")[1] == _oracle_csv(doc)
+
+
+def test_report_text_equals_the_dict_lines_of_the_json_document(capsys, monkeypatch):
+    # as it stands, then with a failing fixture
+    for expected in (EXIT_OK, EXIT_FAILURE):
+        if expected == EXIT_FAILURE:
+            _bump_golden(monkeypatch)
+        code, doc = run_json(capsys, "report")
+        assert code == expected
+        assert run(capsys, "report", "--format", "text")[1] == _oracle_text(doc)
+
+
+def test_report_writes_a_name_that_needs_escaping_in_every_format(capsys, monkeypatch):
+    # a quote and a comma need CSV quoting, a quote a JSON escape, and a
+    # percent sign must come through each format's template as itself
+    name = 'golden "4", 100%'
+    first = cli._GOLDEN[0][0]
+    monkeypatch.setattr(cli, "_GOLDEN", tuple((name if fixture == first else fixture, *rest)
+                                               for fixture, *rest in cli._GOLDEN))
+    code, out, _ = run(capsys, "report", "--format", "json")
     assert code == EXIT_OK
+    assert out == json.dumps(json.loads(out)) + "\n"
+    doc = json.loads(out)
+    assert doc["results"][0]["name"] == name
     assert run(capsys, "report", "--format", "csv")[1] == _oracle_csv(doc)
-
-
-def test_report_text_equals_the_dict_lines_of_the_json_document(capsys):
-    code, doc = run_json(capsys, "report")
-    assert code == EXIT_OK
     assert run(capsys, "report", "--format", "text")[1] == _oracle_text(doc)
 
 
