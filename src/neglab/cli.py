@@ -18,7 +18,6 @@ import gc
 import io
 import json
 import math
-import os
 import sys
 from itertools import chain, compress
 from typing import Callable, NamedTuple
@@ -26,8 +25,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .certificates import Certificate, _flat, _gathered, compare
-from .distribution import (DEFAULT_TOLERANCE, DimensionError, DomainError, ValidationReport,
-                           _check_int, _check_tolerance, _stacked, make_dist, make_dists)
+from .distribution import (DEFAULT_TOLERANCE, DimensionError, DomainError, _check_int,
+                           _check_tolerance, _report, _stacked, make_dist, make_dists)
 from .dissimilarity import MAX_DEPTH, CrossCheckError, _check_alphas, negation_profile, negation_profiles
 from .entropy import _entropies, entropy_chain_check, zero_padding_entropy_check
 from .jensen import (
@@ -39,7 +38,8 @@ from .jensen import (
 )
 from .negation import converge_traces, negate, negate_twice, negation_pairs
 
-__all__ = ["main", "EXIT_OK", "EXIT_VALIDATION", "EXIT_FAILURE", "EXIT_USAGE", "MAX_UNIFORM_N"]
+__all__ = ["main", "EXIT_OK", "EXIT_VALIDATION", "EXIT_FAILURE", "EXIT_USAGE", "MAX_UNIFORM_N",
+           "MAX_VERIFY_N"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -48,6 +48,8 @@ EXIT_USAGE = 4
 
 #: largest n accepted by ``--dist uniform:n``; checked before the n values are built
 MAX_UNIFORM_N = 1 << 20
+#: largest n that ``verify`` takes: its n partial-mean chains cost O(n²) per input
+MAX_VERIFY_N = 1 << 15
 
 
 class _UsageError(Exception):
@@ -168,19 +170,6 @@ def _flag(check, *args):
         raise _UsageError(str(exc)) from None
 
 
-def _resolve_tolerance(args) -> float:
-    if args.tol is not None:
-        return _flag(_check_tolerance, "--tol", args.tol)
-    env = os.environ.get("NEGLAB_TOL")
-    if env is None or not env.strip():
-        return DEFAULT_TOLERANCE
-    try:
-        tol = float(env)
-    except ValueError:
-        raise _UsageError(f"NEGLAB_TOL is not a number: {env!r}") from None
-    return _flag(_check_tolerance, "NEGLAB_TOL", tol)
-
-
 def _validate(raw: list[list[float]], tolerance: float):
     """Each same-length group of rows as (its positions, its ProbDists), in
     order of first appearance, or (index, report, why) for the first bad row.
@@ -195,9 +184,8 @@ def _validate(raw: list[list[float]], tolerance: float):
     for idxs in positions.values():
         try:
             result = make_dists([raw[i] for i in idxs], tolerance)
-        except DimensionError as exc:
-            report = ValidationReport(ok=False, sum_error=math.inf, bad_indices=())
-            failures.append((idxs[0], report, str(exc)))
+        except DimensionError as exc:  # fewer than 2 outcomes; the report is the screen's
+            failures.append((idxs[0], _report(raw[idxs[0]], tolerance), str(exc)))
             continue
         if isinstance(result, tuple):
             r, report = result
@@ -502,6 +490,8 @@ def _step_verify(args, inp):
     inp["function"] = args.fn
 
     def step(group):
+        if group[0].n > MAX_VERIFY_N:
+            raise _UsageError(f"verify takes n <= {MAX_VERIFY_N} (MAX_VERIFY_N), got n = {group[0].n}")
         # the rows were validated under --tol and are not checked again
         suite = certificate_suites(f, group)
         failing = ~_gathered([c for _, _, c in _flat(suite)], "holds")
@@ -755,8 +745,8 @@ def _build_parser() -> _Parser:
         if cmd.dist_input:
             p.add_argument("--dist", help="comma-separated values (decimals or a/b rationals), or uniform:n")
             p.add_argument("--file", help="JSON array of distributions, or CSV one distribution per row")
-            p.add_argument("--tol", type=float, default=None,
-                           help="validation/convergence tolerance (default 1e-9, env NEGLAB_TOL)")
+            p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+                           help="validation/convergence tolerance (default 1e-9)")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", help="write output to this path instead of stdout")
         for flag, kwargs in cmd.flags:
@@ -784,7 +774,7 @@ def main(argv: list[str] | None = None) -> int:
         if not cmd.dist_input:
             doc_input = {}
         else:
-            args.tolerance = _resolve_tolerance(args)
+            args.tolerance = _flag(_check_tolerance, "--tol", args.tol)
             raw = _gather_inputs(args)
             doc_input = {"distributions": raw, "tolerance": args.tolerance}
             groups = _validate(raw, args.tolerance)

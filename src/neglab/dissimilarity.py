@@ -36,7 +36,7 @@ __all__ = [
     "MAX_DEPTH",
     "CrossCheckError",
     "DissimResult",
-    "dissimilarity",
+    "dissim",
     "negation_dissimilarity",
     "dissimilarity_properties",
     "IteratedDissimReport",
@@ -133,7 +133,7 @@ def _results(alphas, values: np.ndarray, sums: np.ndarray, l1s: np.ndarray) -> t
     return tuple(map(DissimResult, alphas, values.tolist(), sums.tolist(), l1s.tolist()))
 
 
-def dissimilarity(p: ProbDist, q: ProbDist, alpha: int = 0) -> DissimResult:
+def dissim(p: ProbDist, q: ProbDist, alpha: int = 0) -> DissimResult:
     """Evaluate the level-``alpha`` dissimilarity between ``p`` and ``q``.
 
     The value is the log1p closed form; the literal min-pair sum must
@@ -147,7 +147,7 @@ def dissimilarity(p: ProbDist, q: ProbDist, alpha: int = 0) -> DissimResult:
 
 def negation_dissimilarity(p: ProbDist, alpha: int = 0) -> DissimResult:
     """Dissimilarity between ``p`` and its negation."""
-    return dissimilarity(p, negate(p), alpha)
+    return dissim(p, negate(p), alpha)
 
 
 def _properties(alphas: list[int], values: np.ndarray, l1: np.ndarray) -> Certificate:
@@ -285,7 +285,7 @@ class NegationProfiles(NamedTuple):
 def negation_profile(p: ProbDist, alphas: Sequence[int], depth: int = 3) -> NegationProfile:
     """``p`` against its negation at every level, from one kernel call.
 
-    Returns the negation q, the profile ``dissimilarity(p, q, a)`` for
+    Returns the negation q, the profile ``dissim(p, q, a)`` for
     each ``a`` in ``alphas``, ``dissimilarity_properties(p, alphas)`` and
     ``iterated_negation_dissimilarity(p, alphas[0], depth)``, equal to the
     separate calls; the iterate rows are needed at the lowest level only.

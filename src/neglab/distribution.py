@@ -95,7 +95,6 @@ class ValidationReport(NamedTuple):
     beyond the tolerance (NaN and infinite entries included).
     """
 
-    ok: bool
     sum_error: float
     bad_indices: tuple[int, ...] = ()
 
@@ -171,14 +170,19 @@ def _unchecked(arr: np.ndarray) -> ProbDist:
     return ProbDist(arr, _screened=True)
 
 
+def _report(row, tolerance: float) -> ValidationReport:
+    """The :class:`ValidationReport` of one raw row of any length, from its screen."""
+    _, sum_error, outside = _screen(np.asarray(row, dtype=float)[None], tolerance)
+    return ValidationReport(float(sum_error[0]), tuple(np.flatnonzero(outside[0]).tolist()))
+
+
 def _normalized(rows: np.ndarray, tolerance: float) -> np.ndarray | tuple[int, ValidationReport]:
     """The screened, clamped and renormalized m×n block ``rows``, or the
     position of the first row that fails and its :class:`ValidationReport`."""
-    ok, sum_error, outside = _screen(rows, tolerance)
+    ok = _screen(rows, tolerance)[0]
     if not ok.all():
         r = int(np.argmin(ok))
-        bad = tuple(np.flatnonzero(outside[r]).tolist())
-        return r, ValidationReport(ok=False, sum_error=float(sum_error[r]), bad_indices=bad)
+        return r, _report(rows[r], tolerance)
     # a row that passed has a clamped total in [1 - tolerance, 2n]: above 0, and finite
     arr = np.where(rows < 0.0, 0.0, rows)
     totals = arr.sum(axis=1)

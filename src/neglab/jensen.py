@@ -92,8 +92,6 @@ class FunctionSpec:
         (a numpy expression) is called once per array by :meth:`values`;
         one that takes only scalars (``math.sqrt``, say) is called once
         per entry.  Construction tells the two apart by a probe.
-    domain_note : str
-        Short human-readable caveat about endpoints, if any.
     zero_ok : bool
         Whether evaluating at exactly 0 yields a finite value.
 
@@ -106,7 +104,6 @@ class FunctionSpec:
     name: str
     curvature: str
     fn: Callable[[float], float]
-    domain_note: str = ""
     zero_ok: bool = True
     _maps_arrays: bool = field(init=False, repr=False, compare=False)
 
@@ -151,7 +148,8 @@ class FunctionSpec:
 
 
 # Each built-in is one numpy expression, evaluated alike on a float and on
-# an array; the limits at 0 are taken with the warnings they raise silenced.
+# an array; the limits at 0, neg_log(0) = inf and x_log_x(0) = 0, are taken
+# with the warnings they raise silenced.
 
 def _neg_log(x):
     with np.errstate(divide="ignore"):
@@ -167,14 +165,8 @@ def _square(x):
     return x * x
 
 
-NEG_LOG = FunctionSpec(
-    "neg_log", "convex", _neg_log,
-    domain_note="0 maps to +inf (limit of -log2)", zero_ok=False,
-)
-X_LOG_X = FunctionSpec(
-    "x_log_x", "concave", _x_log_x,
-    domain_note="0 maps to 0 (limit of -x*log2(x))",
-)
+NEG_LOG = FunctionSpec("neg_log", "convex", _neg_log, zero_ok=False)
+X_LOG_X = FunctionSpec("x_log_x", "concave", _x_log_x)
 SQUARE = FunctionSpec("square", "convex", _square)
 
 #: read-only registry of the built-in functions, keyed by name

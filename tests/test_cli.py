@@ -7,7 +7,6 @@ import gc
 import io
 import json
 import math
-import sys
 from fractions import Fraction
 
 import pytest
@@ -404,48 +403,35 @@ def test_report_csv_names_nested_details_by_path(capsys):
     assert rows["dissimilarity_golden"]["holds"] == "true"
 
 
-def test_env_tolerance_override(capsys, monkeypatch):
-    monkeypatch.setenv("NEGLAB_TOL", "1e-2")
-    # off by 1e-3 in mass: passes at the env tolerance
-    code, doc = run_json(capsys, "negate", "--dist", "0.5,0.501")
-    assert code == EXIT_OK
-    assert doc["input"]["tolerance"] == 1e-2
-    # an explicit flag wins over the env var
-    monkeypatch.setenv("NEGLAB_TOL", "1e-12")
-    code, _, _ = run(capsys, "negate", "--dist", "0.5,0.501", "--tol", "1e-2")
-    assert code == EXIT_OK
+def test_tolerance_comes_from_tol_alone(capsys, monkeypatch):
+    # no environment variable sets it, whatever its value; off by 1e-3 in
+    # mass, the row passes at --tol 1e-2 only
+    for env in ("1e-2", "not-a-number", "1"):
+        monkeypatch.setenv("NEGLAB_TOL", env)
+        code, doc = run_json(capsys, "negate", "--dist", "0.5,0.501")
+        assert code == EXIT_VALIDATION
+        assert doc["input"]["tolerance"] == 1e-9
+        code, doc = run_json(capsys, "negate", "--dist", "0.5,0.501", "--tol", "1e-2")
+        assert code == EXIT_OK
+        assert doc["input"]["tolerance"] == 1e-2
 
 
-def test_env_tolerance_invalid_exits_4(capsys, monkeypatch):
-    monkeypatch.setenv("NEGLAB_TOL", "not-a-number")
-    code, _, _ = run(capsys, "negate", "--dist", "0.5,0.5")
-    assert code == EXIT_USAGE
-
-
-def test_non_finite_tolerance_exits_4(capsys, monkeypatch):
+def test_non_finite_tolerance_exits_4(capsys):
     code, _, err = run(capsys, "negate", "--dist", "0.5,0.5", "--tol", "inf")
     assert code == EXIT_USAGE and "finite" in err
-    monkeypatch.setenv("NEGLAB_TOL", "inf")
-    code, _, _ = run(capsys, "negate", "--dist", "0.5,0.5")
-    assert code == EXIT_USAGE
 
 
-def test_tolerance_of_one_or_more_exits_4(capsys, monkeypatch):
+def test_tolerance_of_one_or_more_exits_4(capsys):
     # a tolerance of 1 would read 5,-3 as 1,0
     code, out, err = run(capsys, "negate", "--dist", "5,-3", "--tol", "10")
     assert code == EXIT_USAGE and out == ""
     assert err == "neglab: error: --tol must be finite and in (0, 1), got 10.0\n"
-    monkeypatch.setenv("NEGLAB_TOL", "1")
-    code, out, err = run(capsys, "negate", "--dist", "0.5,0.5")
-    assert code == EXIT_USAGE and out == ""
-    assert err == "neglab: error: NEGLAB_TOL must be finite and in (0, 1), got 1.0\n"
 
 
-def test_report_takes_no_tolerance(capsys, monkeypatch):
+def test_report_takes_no_tolerance(capsys):
     # report reads no distributions, so a tolerance would change nothing
     code, out, err = run(capsys, "report", "--tol", "5")
     assert code == EXIT_USAGE and out == "" and "--tol" in err
-    monkeypatch.setenv("NEGLAB_TOL", "not-a-number")
     code, doc = run_json(capsys, "report")
     assert code == EXIT_OK
     assert doc["input"] == {}
@@ -545,18 +531,27 @@ def test_mixed_lengths_report_the_first_bad_row_in_input_order(capsys, tmp_path)
         assert code == EXIT_VALIDATION
         assert doc["error"]["index"] == 1
         assert doc["error"]["why"] == "values outside [0, 1] or bad total mass"
-        assert doc["error"]["report"] == {"ok": False, "sum_error": pytest.approx(0.1),
-                                          "bad_indices": []}
+        assert doc["error"]["report"] == {"sum_error": pytest.approx(0.1), "bad_indices": []}
 
 
 def test_single_entry_row_after_good_rows_exits_2_at_its_index(capsys, tmp_path):
+    # the report is the screen's, as for any other row: [1] sums to 1, and 2 lies outside [0, 1]
+    why = "a distribution needs at least 2 outcomes, got 1"
     path = tmp_path / "batch.json"
-    path.write_text(json.dumps([[0.2, 0.3, 0.5], [0.5, 0.5], [1.0], [0.9, 0.3]]))
-    code, doc = run_json(capsys, "entropy", "--file", str(path))
-    assert code == EXIT_VALIDATION
-    assert doc["error"]["index"] == 2
-    assert doc["error"]["why"] == "a distribution needs at least 2 outcomes, got 1"
-    assert doc["error"]["report"] == {"ok": False, "sum_error": math.inf, "bad_indices": []}
+    for entry, sum_error, bad_indices in ((1.0, 0.0, []), (2.0, 1.0, [0])):
+        path.write_text(json.dumps([[0.2, 0.3, 0.5], [0.5, 0.5], [entry], [0.9, 0.3]]))
+        code, doc = run_json(capsys, "entropy", "--file", str(path))
+        assert code == EXIT_VALIDATION
+        assert doc["error"]["index"] == 2
+        assert doc["error"]["why"] == why
+        assert doc["error"]["report"] == {"sum_error": sum_error, "bad_indices": bad_indices}
+        code, out, _ = run(capsys, "entropy", "--file", str(path), "--format", "csv")
+        assert code == EXIT_VALIDATION
+        assert list(csv.reader(out.splitlines()))[1] == [
+            "2", why, "%.15g" % sum_error, " ".join(map(str, bad_indices))]
+        code, out, _ = run(capsys, "entropy", "--file", str(path), "--format", "text")
+        assert code == EXIT_VALIDATION
+        assert f"(sum_error={sum_error:.15g}, bad_indices={bad_indices})" in out
 
 
 def test_verify_mixed_lengths_keeps_input_order(capsys, tmp_path):
@@ -641,6 +636,16 @@ def test_uniform_size_limit(capsys):
         assert code == EXIT_USAGE
         assert out == ""
         assert str(MAX_UNIFORM_N) in err and "Traceback" not in err
+
+
+def test_verify_size_limit(capsys, monkeypatch):
+    # the cap is checked per group, before its certificates are computed
+    monkeypatch.setattr(cli, "MAX_VERIFY_N", 8)
+    code, doc = run_json(capsys, "verify", "--dist", "uniform:8")
+    assert code == EXIT_OK and doc["all_hold"] is True
+    code, out, err = run(capsys, "verify", "--dist", "uniform:9")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "neglab: error: verify takes n <= 8 (MAX_VERIFY_N), got n = 9\n"
 
 
 def test_missing_file_exits_4(capsys, tmp_path):
@@ -745,9 +750,8 @@ def test_unwritable_out_exits_4(capsys, tmp_path, target):
     ["report"],
 ])
 def test_failed_cross_check_exits_3(capsys, monkeypatch, argv):
-    # no correct arithmetic fails the cross-check, so fail every one; the
-    # package attribute neglab.dissimilarity is the function, not the module
-    monkeypatch.setattr(sys.modules["neglab.dissimilarity"], "_CROSS_CHECK_TOL", -1.0)
+    # no correct arithmetic fails the cross-check, so fail every one
+    monkeypatch.setattr(neglab.dissimilarity, "_CROSS_CHECK_TOL", -1.0)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_FAILURE
     assert out == ""

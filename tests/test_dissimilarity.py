@@ -1,6 +1,6 @@
 """The dissimilarity family, its closed form, and its stated properties."""
 
-import importlib
+import inspect
 import json
 import math
 
@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import neglab
 from neglab import (
     DimensionError,
     DomainError,
     NegationProfile,
     ProbDist,
-    dissimilarity,
+    dissim,
     dissimilarity_properties,
     iterated_negation_dissimilarity,
     l1_distance,
@@ -58,7 +59,7 @@ def test_golden_profile(p4):
 
 
 def test_golden_alpha0_is_log_ratio(p4):
-    res = dissimilarity(p4, negate(p4), 0)
+    res = dissim(p4, negate(p4), 0)
     assert abs(res.value - (-math.log2(8 / 9))) <= 1e-12
 
 
@@ -66,7 +67,7 @@ def test_self_dissimilarity_is_zero(p4):
     # the literal sum carries the distribution's own rounding noise, so
     # "zero" here means zero to machine precision, not bitwise
     for alpha in (0, 1, 5):
-        assert abs(dissimilarity(p4, p4, alpha).value) <= 1e-15
+        assert abs(dissim(p4, p4, alpha).value) <= 1e-15
 
 
 def test_uniform_negation_dissimilarity_is_zero():
@@ -78,11 +79,11 @@ def test_uniform_negation_dissimilarity_is_zero():
 def test_disjoint_supports_attain_upper_bound():
     p = ProbDist(np.array([1.0, 0.0]))
     q = ProbDist(np.array([0.0, 1.0]))
-    res = dissimilarity(p, q, 0)
+    res = dissim(p, q, 0)
     assert res.value == 1.0
     assert res.l1 == 2.0
     # the bound is only attained at alpha = 0
-    assert dissimilarity(p, q, 1).value < 1.0
+    assert dissim(p, q, 1).value < 1.0
 
 
 def test_two_outcome_example():
@@ -100,11 +101,11 @@ def test_result_carries_audit_fields(p4):
 
 def test_alpha_validation(p4):
     with pytest.raises(DomainError):
-        dissimilarity(p4, p4, -1)
+        dissim(p4, p4, -1)
     with pytest.raises(DomainError):
-        dissimilarity(p4, p4, 1.5)
+        dissim(p4, p4, 1.5)
     with pytest.raises(DomainError):
-        dissimilarity(p4, p4, True)
+        dissim(p4, p4, True)
 
 
 def test_alpha_upper_limit(p4):
@@ -125,13 +126,13 @@ def test_alpha_upper_limit(p4):
 
 def test_size_mismatch(p4, p3):
     with pytest.raises(DimensionError):
-        dissimilarity(p4, p3, 0)
+        dissim(p4, p3, 0)
 
 
 @given(distribution_pairs(), st.integers(min_value=0, max_value=16))
 def test_literal_matches_closed_form(pair, alpha):
     p, q = pair
-    res = dissimilarity(p, q, alpha)
+    res = dissim(p, q, alpha)
     expected = -math.log2(1.0 - l1_distance(p, q) / 2.0 ** (alpha + 2))
     assert abs(res.value - expected) <= 1e-12
 
@@ -139,8 +140,8 @@ def test_literal_matches_closed_form(pair, alpha):
 @given(distribution_pairs(), st.integers(min_value=0, max_value=16))
 def test_range_and_symmetry(pair, alpha):
     p, q = pair
-    forward = dissimilarity(p, q, alpha).value
-    backward = dissimilarity(q, p, alpha).value
+    forward = dissim(p, q, alpha).value
+    backward = dissim(q, p, alpha).value
     assert -1e-12 <= forward <= 1.0 + 1e-12
     assert abs(forward - backward) <= 1e-14
 
@@ -165,7 +166,7 @@ def test_swapped_pair_is_bitwise_the_same(pair, alphas):
     # (q, p) repeats (p, q) to the bit, the literal sum included
     p, q = pair
     for alpha in alphas:
-        assert_identical(dissimilarity(q, p, alpha).as_dict(), dissimilarity(p, q, alpha).as_dict())
+        assert_identical(dissim(q, p, alpha).as_dict(), dissim(p, q, alpha).as_dict())
 
 
 @given(distribution_pairs(), st.integers(min_value=0, max_value=1020))
@@ -174,7 +175,7 @@ def test_strictly_decreasing_in_alpha(pair, alpha):
     if l1_distance(p, q) == 0.0:  # p == q entry for entry
         return
     try:
-        lower, upper = dissimilarity(p, q, alpha), dissimilarity(p, q, alpha + 1)
+        lower, upper = dissim(p, q, alpha), dissim(p, q, alpha + 1)
     except DomainError:  # the value underflows at this level: a double cannot carry it
         return
     assert upper.value < lower.value
@@ -324,7 +325,7 @@ _LEVEL_LISTS = st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_
 def test_kernel_matches_scalar_oracle(pair, alphas):
     p, q = pair
     for alpha in alphas:
-        res = dissimilarity(p, q, alpha)
+        res = dissim(p, q, alpha)
         _, closed, s, l1 = _oracle_dissim(p, q, alpha)
         assert abs(res.l1 - l1) <= 1e-12
         assert abs(res.sum_of_min_pairs - s) <= 1e-12
@@ -337,7 +338,7 @@ def test_value_keeps_relative_precision_at_high_levels(pair, alpha):
     # value = l1 / (2**(alpha + 2) ln 2) to first order once l1 / 2**(alpha + 2) < 2**-60
     p, q = pair
     try:
-        res = dissimilarity(p, q, alpha)
+        res = dissim(p, q, alpha)
     except DomainError:
         return
     if res.l1 == 0.0:
@@ -363,14 +364,14 @@ def test_underflowing_value_is_rejected_with_the_largest_level():
     p = ProbDist(np.array([0.5, 0.5]))
     q = ProbDist(np.array([0.5 + 2.0**-53, 0.5 - 2.0**-53]))  # l1 = 2**-52
     with pytest.raises(DomainError, match="largest usable level is 1020"):
-        dissimilarity(p, q, 1021)
-    assert dissimilarity(p, q, 1020).value > 0.0
-    assert dissimilarity(p, q, 1019).value > dissimilarity(p, q, 1020).value
+        dissim(p, q, 1021)
+    assert dissim(p, q, 1020).value > 0.0
+    assert dissim(p, q, 1019).value > dissim(p, q, 1020).value
     with pytest.raises(DomainError, match="largest usable level is 1020"):
-        dissimilarity(q, p, 1021)
+        dissim(q, p, 1021)
     # an l1 of one subnormal step underflows at every level
     with pytest.raises(DomainError, match="no level is usable"):
-        dissimilarity(ProbDist(np.array([1.0, 0.0])), ProbDist(np.array([1.0, 5e-324])), 0)
+        dissim(ProbDist(np.array([1.0, 0.0])), ProbDist(np.array([1.0, 5e-324])), 0)
 
 
 def test_underflowing_negation_exits_2(capsys):
@@ -387,7 +388,7 @@ def test_underflowing_negation_exits_2(capsys):
 
 def test_zero_law_is_exact():
     p = make_dist([0.5, 0.3, 0.2])
-    assert dissimilarity(p, p, 1021).value == 0.0
+    assert dissim(p, p, 1021).value == 0.0
     props = dissimilarity_properties(uniform(4), [0, 1021])
     assert props.holds and props.equality
 
@@ -397,7 +398,7 @@ def test_negation_profile_equals_the_separate_calls(p, alphas, depth):
     got = negation_profile(p, alphas, depth)
     q = negate(p)
     assert got.negation.tolist() == q.tolist()
-    assert got.profile == tuple(dissimilarity(p, q, a) for a in alphas)
+    assert got.profile == tuple(dissim(p, q, a) for a in alphas)
     assert got.properties == dissimilarity_properties(p, alphas)
     assert got.iterated == iterated_negation_dissimilarity(p, alphas[0], depth)
     for k, res in enumerate(got.iterated.results, start=1):
@@ -448,9 +449,9 @@ def _oracle_profile_properties(alphas, forward, l1):
 def _oracle_profile(p, alphas, depth):
     """negation_profile with each reported value from its own public dissimilarity call."""
     q = negate(p)
-    profile = tuple(dissimilarity(p, q, a) for a in alphas)
+    profile = tuple(dissim(p, q, a) for a in alphas)
     # the unclipped iterate rows, as the kernel compares them
-    iterated = tuple(dissimilarity(p, _unchecked(x), alphas[0])
+    iterated = tuple(dissim(p, _unchecked(x), alphas[0])
                      for x in _iterates(p.probs, range(1, depth + 1)))
     forward, values = (np.array([r.value for r in rs]) for rs in (profile, iterated))
     return NegationProfile(
@@ -484,14 +485,13 @@ def test_negation_profiles_match_the_per_input_profile(batch, alphas, depth):
 def test_negation_profiles_chunk_seams(monkeypatch):
     # 300 inputs of n = 16 at 8 levels and depth 8: 16 row pairs of 16
     # entries each, so 128 inputs per chunk
-    module = importlib.import_module("neglab.dissimilarity")  # the package's name is the function
     shapes = []
 
     def recording(A, B, levels):
         shapes.append((A.shape, np.shape(levels)))
         return _evaluate(A, B, levels)
 
-    monkeypatch.setattr(module, "_evaluate", recording)
+    monkeypatch.setattr(neglab.dissimilarity, "_evaluate", recording)
     rng = np.random.default_rng(5)
     group = [ProbDist(rng.dirichlet(np.ones(16))) for _ in range(300)]
     group[150] = uniform(16)
@@ -513,14 +513,13 @@ def test_negation_profiles_chunk_seams(monkeypatch):
     (40_000, 1, [0], 2, [1, 1, 1]),
 ])
 def test_negation_profiles_split_inputs_by_row_pair(monkeypatch, n, m, alphas, depth, calls):
-    module = importlib.import_module("neglab.dissimilarity")
     shapes = []
 
     def recording(A, B, levels):
         shapes.append(A.shape)
         return _evaluate(A, B, levels)
 
-    monkeypatch.setattr(module, "_evaluate", recording)
+    monkeypatch.setattr(neglab.dissimilarity, "_evaluate", recording)
     rng = np.random.default_rng(n)
     group = [ProbDist(rng.dirichlet(np.ones(n))) for _ in range(m)]
     profiles = negation_profiles(group, alphas, depth)
@@ -580,6 +579,15 @@ def test_depth_bound_is_where_every_iterate_becomes_uniform():
     assert (-0.5) ** (MAX_DEPTH - 1) != 0.0 and (-0.5) ** MAX_DEPTH == 0.0
     p = make_dist([0.5, 0.3, 0.2])
     last = negation_profile(p, [0], MAX_DEPTH).iterated.results[-1]
-    assert last == dissimilarity(p, uniform(3), 0)
+    assert last == dissim(p, uniform(3), 0)
     with pytest.raises(DomainError):
         negation_profile(p, [0], MAX_DEPTH + 1)
+
+
+def test_every_library_module_is_a_package_attribute():
+    # no public name of the package shadows one of its modules
+    for name in ("certificates", "distribution", "dissimilarity", "entropy", "jensen", "negation"):
+        assert inspect.ismodule(getattr(neglab, name)), name
+    assert neglab.dissim is neglab.dissimilarity.dissim
+    assert "dissimilarity" not in neglab.__all__
+    assert not hasattr(neglab.dissimilarity, "dissimilarity")

