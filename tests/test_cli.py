@@ -403,17 +403,27 @@ def test_report_csv_names_nested_details_by_path(capsys):
     assert rows["dissimilarity_golden"]["holds"] == "true"
 
 
-def test_tolerance_comes_from_tol_alone(capsys, monkeypatch):
-    # no environment variable sets it, whatever its value; off by 1e-3 in
-    # mass, the row passes at --tol 1e-2 only
-    for env in ("1e-2", "not-a-number", "1"):
+def test_env_tolerance_override(capsys, monkeypatch):
+    # no environment variable sets the tolerance: off by 1e-3 in mass, the
+    # row passes at --tol 1e-2 only
+    monkeypatch.setenv("NEGLAB_TOL", "1e-2")
+    code, doc = run_json(capsys, "negate", "--dist", "0.5,0.501")
+    assert code == EXIT_VALIDATION
+    assert doc["input"]["tolerance"] == 1e-9
+    code, doc = run_json(capsys, "negate", "--dist", "0.5,0.501", "--tol", "1e-2")
+    assert code == EXIT_OK
+    assert doc["input"]["tolerance"] == 1e-2
+
+
+def test_env_tolerance_invalid_exits_4(capsys, monkeypatch):
+    # an invalid --tol exits 4; the same text in NEGLAB_TOL is not read
+    code, out, err = run(capsys, "negate", "--dist", "0.5,0.5", "--tol", "not-a-number")
+    assert code == EXIT_USAGE and out == "" and "--tol" in err
+    for env in ("not-a-number", "1"):
         monkeypatch.setenv("NEGLAB_TOL", env)
-        code, doc = run_json(capsys, "negate", "--dist", "0.5,0.501")
-        assert code == EXIT_VALIDATION
-        assert doc["input"]["tolerance"] == 1e-9
-        code, doc = run_json(capsys, "negate", "--dist", "0.5,0.501", "--tol", "1e-2")
+        code, doc = run_json(capsys, "negate", "--dist", "0.5,0.5")
         assert code == EXIT_OK
-        assert doc["input"]["tolerance"] == 1e-2
+        assert doc["input"]["tolerance"] == 1e-9
 
 
 def test_non_finite_tolerance_exits_4(capsys):
