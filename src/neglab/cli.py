@@ -7,7 +7,7 @@ full precision, round-trip safe), CSV, or readable text; numeric text is
 printed with 15 significant digits.
 
 Exit codes are a stable contract: 0 success, 2 input validation failure,
-3 certificate or fixture failure (or a failed cross-check), 4 usage error.
+3 certificate or fixture failure, 4 usage error.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .certificates import Certificate, _flat, _gathered, compare
 from .distribution import (DEFAULT_TOLERANCE, DimensionError, DomainError, _check_int,
                            _check_tolerance, _report, _stacked, make_dist, make_dists)
-from .dissimilarity import MAX_DEPTH, CrossCheckError, _check_alphas, negation_profile, negation_profiles
+from .dissimilarity import MAX_DEPTH, _check_alphas, negation_profile, negation_profiles
 from .entropy import _entropies, entropy_chain_check, zero_padding_entropy_check
 from .jensen import (
     NEG_LOG,
@@ -442,17 +442,17 @@ def _json_dissim(_, group, profiles):
     """Per input: its L + depth results, its properties and its iterated flag
     fill the template's holes in that order; each result's level is literal."""
     levels, at = profiles._columns()
-    results = ['{"alpha": %d, "value": %%s, "sum_of_min_pairs": %%s, "l1": %%s}' % a for a in at]
+    results = ['{"alpha": %d, "value": %%s, "l1": %%s}' % a for a in at]
     _, properties, holes = _certificate_json([profiles.properties])
     template = ('{"distribution": [%s], "negation": [%s], "profile": [' + ", ".join(results[:levels])
                 + '], "properties": ' + properties + ', "iterated": {"alpha": ' + str(at[0])
                 + ', "results": [' + ", ".join(results[levels:]) + '], "non_decreasing": %s}}')
-    split = 3 * levels  # the profile's texts of an input's results
+    split = 2 * levels  # the profile's texts of an input's results
     return [
         template % (p, q, *texts[:split], *fields, *texts[split:], _JSON_BOOL[flag])
         for p, q, texts, fields, flag in zip(
             _json_rows(_stacked(group)), _json_rows(profiles.negations),
-            _json_inputs(np.stack([profiles.value, profiles.sum_of_min_pairs, profiles.l1], axis=-1)),
+            _json_inputs(np.stack([profiles.value, profiles.l1], axis=-1)),
             holes, profiles.non_decreasing.tolist())
     ]
 
@@ -522,9 +522,10 @@ def _text_verify(positions, group, result):
 # ---------------------------------------------------------------------------
 # the golden fixture report: one certificate per worked example.  A fixture
 # that restates a library certificate keeps it as its detail and holds only
-# if it holds, under thresholds of the fixture's own.  A fixture never claims
-# equality, because compare()'s 1e-9 equality band would pass any two sides
-# that close.
+# if it holds, under thresholds of the fixture's own.  Those thresholds
+# (1e-14, 1e-12, 1e-6 and 1e-4) are pass conditions of worked examples, not
+# decision tolerances of the library.  A fixture never claims equality,
+# because compare()'s 1e-9 equality band would pass any two sides that close.
 
 def _frac(text: str) -> tuple[float, ...]:
     """Space-separated exact fractions, each rounded once to a float."""
@@ -590,8 +591,8 @@ def _golden_fixtures(_) -> tuple[list[Certificate], bool]:
 
     # the closed form shrinks as alpha grows; the once-claimed non-decreasing
     # direction fails and is recorded in the properties' detail, not asserted.
-    # The kernel sets each level's literal min-pair value against the closed
-    # form, and raises CrossCheckError when they disagree.
+    # The literal min-pair form is checked against the closed form exactly,
+    # at every level, in tests/test_exact_oracle.py, not here.
     expected0 = -math.log2(8.0 / 9.0)
     profile = negation_profile(p4, [0, 1, 2, 3], 1)
     value0, props = profile.profile[0].value, profile.properties
@@ -806,9 +807,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, DimensionError) as exc:
         print(f"neglab: invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except CrossCheckError as exc:
-        print(f"neglab: cross-check failed: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     finally:
         if collecting:
             gc.enable()

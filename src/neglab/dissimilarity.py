@@ -13,11 +13,13 @@ that 1 - x is never rounded before the log (Goldberg, "What Every Computer
 Scientist Should Know About Floating-Point Arithmetic", 1991).  Values lie in
 [0, 1], are 0 exactly when l1 is, are symmetric, and halve with each level;
 a value that would underflow to 0 while l1 > 0 raises :class:`DomainError`
-naming the largest usable level.  The literal min-pair sum cross-checks it at
-1e-12 absolute (:class:`CrossCheckError`); from about alpha = 53 the blend
-(scale - 1)·a + b no longer carries b, so there the check is only coarse.
-Each public function stacks its row pairs, one level each, and calls one
-array kernel once.
+naming the largest usable level.  Only the closed form is evaluated.  The
+literal min-pair sum is exactly s = Σp + Σq - l1/2**alpha, which gives the
+closed form when both rows sum to 1; ``tests/test_exact_oracle.py`` checks
+that identity in exact arithmetic at every level, where in floats the blend
+(scale - 1)·a + b stops carrying b from about alpha = 53.  Each public
+function stacks its row pairs, one level each, and calls one array kernel
+once.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .negation import _iterates, _negation, negate
 __all__ = [
     "MAX_ALPHA",
     "MAX_DEPTH",
-    "CrossCheckError",
     "DissimResult",
     "dissim",
     "negation_dissimilarity",
@@ -47,7 +48,6 @@ __all__ = [
     "negation_profiles",
 ]
 
-_CROSS_CHECK_TOL = 1e-12
 _LN2 = math.log(2.0)
 
 #: doubles per temporary array of the profile kernel; bounds its peak memory
@@ -61,21 +61,15 @@ MAX_ALPHA = 1021
 MAX_DEPTH = 1075
 
 
-class CrossCheckError(ArithmeticError):
-    """Literal evaluation and closed form disagreed beyond 1e-12."""
-
-
 class DissimResult(NamedTuple):
-    """One dissimilarity evaluation with its audit trail (an immutable NamedTuple).
+    """One dissimilarity evaluation (an immutable NamedTuple).
 
-    ``value`` is the measure, from the closed form; ``sum_of_min_pairs``
-    is the literal overlap sum it was cross-checked against; ``l1`` the
-    distance feeding the closed form.
+    ``value`` is the measure at level ``alpha``, from the closed form, and
+    ``l1`` the distance feeding it.
     """
 
     alpha: int
     value: float
-    sum_of_min_pairs: float
     l1: float
 
     def as_dict(self) -> dict:
@@ -99,16 +93,12 @@ def _evaluate(A: np.ndarray, B: np.ndarray, levels: np.ndarray) -> tuple[np.ndar
     """Row ``A[i]`` against row ``B[i]`` at level ``levels[i]``, in one pass.
 
     ``A`` and ``B`` are (k, n) and ``levels`` the k checked levels.  Returns
-    ``value``, the literal ``sum_of_min_pairs`` and ``l1``, each (k,).  An
+    ``value``, from the closed form alone, and ``l1``, each (k,).  An
     underflowed value raises :class:`DomainError` for the first row pair
     that has one, its position in ``index``.
     """
-    scale = np.ldexp(1.0, levels)[:, None]
-    toward_b, toward_a = ((scale - 1.0) * A + B) / scale, (A + (scale - 1.0) * B) / scale
-    s = (np.minimum(A, toward_b) + np.minimum(toward_a, B)).sum(axis=-1)
     l1 = np.abs(A - B).sum(axis=-1)
     value = -np.log1p(-np.ldexp(l1, -(levels + 2))) / _LN2
-    literal = -np.log2((1.0 + 0.5 * s) / 2.0)
 
     lost = (value == 0.0) & (l1 > 0.0)
     if lost.any():
@@ -121,23 +111,19 @@ def _evaluate(A: np.ndarray, B: np.ndarray, levels: np.ndarray) -> tuple[np.ndar
                             f"the value at alpha={levels[i]}: {usable}")
         error.index = int(i)  # the first failing row pair
         raise error
-    bad = np.abs(literal - value) > _CROSS_CHECK_TOL
-    if bad.any():
-        i = np.argmax(bad)
-        raise CrossCheckError(f"literal value {float(literal[i])!r} and closed form "
-                              f"{float(value[i])!r} disagree at alpha={levels[i]}")
-    return value, s, l1
+    return value, l1
 
 
-def _results(alphas, values: np.ndarray, sums: np.ndarray, l1s: np.ndarray) -> tuple[DissimResult, ...]:
-    return tuple(map(DissimResult, alphas, values.tolist(), sums.tolist(), l1s.tolist()))
+def _results(alphas, values: np.ndarray, l1s: np.ndarray) -> tuple[DissimResult, ...]:
+    return tuple(map(DissimResult, alphas, values.tolist(), l1s.tolist()))
 
 
 def dissim(p: ProbDist, q: ProbDist, alpha: int = 0) -> DissimResult:
     """Evaluate the level-``alpha`` dissimilarity between ``p`` and ``q``.
 
-    The value is the log1p closed form; the literal min-pair sum must
-    agree with it within 1e-12 or :class:`CrossCheckError` is raised.
+    The value is the log1p closed form of the L1 distance; a value that
+    would underflow to 0 while the distance is positive raises
+    :class:`DomainError`.
     """
     alpha = _check_alpha(alpha)
     if p.n != q.n:
@@ -250,10 +236,10 @@ class NegationProfile(NamedTuple):
 class NegationProfiles(NamedTuple):
     """The :class:`NegationProfile` of m inputs of one length, as arrays.
 
-    ``value``, ``sum_of_min_pairs`` and ``l1`` are m×(L + depth): for input
-    r, column j < L compares p with its negation q at ``alphas[j]``, and
-    column L + k - 1 p with its k-fold negation at ``alphas[0]``, the order
-    in which ``dissim`` reports them.  ``properties`` is the properties
+    ``value`` and ``l1`` are m×(L + depth): for input r, column j < L
+    compares p with its negation q at ``alphas[j]``, and column L + k - 1
+    p with its k-fold negation at ``alphas[0]``, the order in which
+    ``dissim`` reports them.  ``properties`` is the properties
     certificate as a column, and ``non_decreasing`` the iterated report's
     flag of each input.
     """
@@ -261,7 +247,6 @@ class NegationProfiles(NamedTuple):
     alphas: tuple[int, ...]
     negations: np.ndarray
     value: np.ndarray
-    sum_of_min_pairs: np.ndarray
     l1: np.ndarray
     properties: Certificate
     non_decreasing: np.ndarray
@@ -274,7 +259,7 @@ class NegationProfiles(NamedTuple):
     def row(self, r: int) -> NegationProfile:
         """Input ``r``'s profile."""
         levels, at = self._columns()
-        results = _results(at, self.value[r], self.sum_of_min_pairs[r], self.l1[r])
+        results = _results(at, self.value[r], self.l1[r])
         return NegationProfile(
             negation=_unchecked(self.negations[r]), profile=results[:levels],
             properties=self.properties.row(r),
@@ -328,10 +313,10 @@ def negation_profiles(
         except DomainError as exc:
             exc.index = int(inputs[exc.index])  # the row pair's input
             raise
-    value, s, l1 = (np.concatenate(part).reshape(m, per) for part in zip(*parts))
+    value, l1 = (np.concatenate(part).reshape(m, per) for part in zip(*parts))
     iterated = value[:, levels:]
     return NegationProfiles(
-        tuple(alphas), negations, value, s, l1,
+        tuple(alphas), negations, value, l1,
         _properties(alphas, value[:, :levels], l1[:, 0]),
         np.all(iterated[:, 1:] >= iterated[:, :-1] - HOLDS_TOLERANCE, axis=1),
     )

@@ -15,12 +15,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .certificates import Certificate, _compare_columns, compare
-from .distribution import DimensionError, DomainError, ProbDist, _check_int, pad_with_zeros, is_uniform
+from .distribution import DimensionError, ProbDist, _check_int, pad_with_zeros, is_uniform
 from .negation import _double_negation, _negation, negate
 
 __all__ = [
     "shannon_entropy",
-    "self_information",
     "EntropyReport",
     "entropy_report",
     "cross_entropy_check",
@@ -54,20 +53,6 @@ def _entropies(rows: np.ndarray) -> np.ndarray:
     """The entropy in bits of each row of an m×n block."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return -_support_sums(rows * np.log2(rows), rows > 0) + 0.0
-
-
-def self_information(prob: float) -> float:
-    """-log2 of a single probability, in bits.
-
-    An impossible outcome carries infinite information, so 0 maps to
-    ``inf`` rather than raising.  Values outside [0, 1] raise
-    :class:`DomainError`.
-    """
-    if not 0.0 <= prob <= 1.0:
-        raise DomainError(f"probability must lie in [0, 1], got {prob!r}")
-    if prob == 0.0:
-        return math.inf
-    return -math.log2(prob) + 0.0
 
 
 class EntropyReport(NamedTuple):

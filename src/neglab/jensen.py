@@ -23,14 +23,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .certificates import (
-    Certificate,
-    EQUALITY_TOLERANCE,
-    HOLDS_TOLERANCE,
-    _compare_columns,
-    compare,
-)
-from .distribution import DimensionError, DomainError, ProbDist, _check_int, _screen, _stacked
+from .certificates import Certificate, HOLDS_TOLERANCE, _compare_columns, compare
+from .distribution import DomainError, ProbDist, _check_int, _stacked
 from .entropy import _cross_entropies, _entropies, _entropy_chains
 from .negation import _double_negation, _negation, negate
 
@@ -43,7 +37,6 @@ __all__ = [
     "SQUARE",
     "BUILTIN_FUNCTIONS",
     "get_function",
-    "jensen_check",
     "mixture_bound",
     "double_negation_mixture_bound",
     "pointwise_bound",
@@ -187,51 +180,6 @@ def get_function(name: str) -> FunctionSpec:
 def _require(f: FunctionSpec, curvature: str) -> None:
     if f.curvature != curvature:
         raise CurvatureError(f"{f.name!r} is {f.curvature}, this check needs a {curvature} function")
-
-
-def jensen_check(
-    f: FunctionSpec,
-    points: "np.ndarray | list[float]",
-    weights: "np.ndarray | list[float]",
-) -> Certificate:
-    """Certify Jensen's inequality for ``f`` at a weighted point set.
-
-    For convex f the claim is f(mean) <= weighted mean of f; concave f
-    flips it.  Weights and points must lie in [0, 1] and the weights sum to
-    1, all within 1e-12; NaN and infinite ones raise :class:`DomainError`.
-    Points where f diverges are fine as long as their weight is zero;
-    with positive weight the function side becomes infinite and the bound
-    holds trivially.  Equality is flagged when every point carrying
-    weight agrees with the others within 1e-9.
-    """
-    x = np.asarray(points, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if x.ndim != 1 or w.ndim != 1:
-        raise DimensionError("points and weights must be one-dimensional")
-    if x.size != w.size:
-        raise DimensionError(f"size mismatch: {x.size} points vs {w.size} weights")
-    if x.size == 0:
-        raise DimensionError("need at least one point")
-    # dust is clamped first, so the screen checks the mass of the weights used
-    w = np.where((w < 0.0) & (w >= -HOLDS_TOLERANCE), 0.0, w)
-    ok, _, outside = _screen(np.stack([w, x]), HOLDS_TOLERANCE)
-    if not ok[0]:
-        raise DomainError(f"weights must lie in [0, 1] and sum to 1, got sum {float(w.sum())!r}")
-    if outside[1].any():
-        raise DomainError("points must lie in [0, 1]")
-    x = np.clip(x, 0.0, 1.0)
-
-    mean = float(np.dot(w, x))
-    m = w > 0
-    active = x[m]
-    f_side = math.fsum((w[m] * f.values(active)).tolist())
-    equality = bool(active.size == 0 or np.max(active) - np.min(active) <= EQUALITY_TOLERANCE)
-
-    if f.curvature == "convex":
-        lhs, rhs = f(mean), f_side
-    else:
-        lhs, rhs = f_side, f(mean)
-    return compare(f"jensen[{f.name}]", lhs, rhs, equality=equality)
 
 
 def _pair(p: ProbDist) -> np.ndarray:

@@ -96,7 +96,6 @@ def test_result_carries_audit_fields(p4):
     res = negation_dissimilarity(p4, 1)
     assert res.alpha == 1
     assert abs(res.value - -math.log2(1.0 - res.l1 / 2.0 ** 3)) <= 1e-12
-    assert 0.0 <= res.sum_of_min_pairs <= 2.0
 
 
 def test_alpha_validation(p4):
@@ -326,9 +325,8 @@ def test_kernel_matches_scalar_oracle(pair, alphas):
     p, q = pair
     for alpha in alphas:
         res = dissim(p, q, alpha)
-        _, closed, s, l1 = _oracle_dissim(p, q, alpha)
+        _, closed, _, l1 = _oracle_dissim(p, q, alpha)
         assert abs(res.l1 - l1) <= 1e-12
-        assert abs(res.sum_of_min_pairs - s) <= 1e-12
         assert abs(res.value - closed) <= 1e-12
     assert _flags(dissimilarity_properties(p, alphas)) == _flags(_oracle_properties(p, alphas))
 
@@ -469,7 +467,7 @@ def _assert_profiles_match(group, alphas, depth):
     profiles = negation_profiles(group, alphas, depth)
     # column j is the j-th value dissim reports: each level, then each iterate
     assert profiles.value.shape == (len(group), len(alphas) + depth)
-    assert profiles.sum_of_min_pairs.shape == profiles.l1.shape == profiles.value.shape
+    assert profiles.l1.shape == profiles.value.shape
     for r, p in enumerate(group):
         want = _oracle_profile(p, alphas, depth).as_dict()
         assert_identical(profiles.row(r).as_dict(), want)

@@ -17,7 +17,6 @@ from neglab import (
     make_dist,
     negate,
     pad_with_zeros,
-    self_information,
     shannon_entropy,
     uniform,
     zero_padding_entropy_check,
@@ -57,20 +56,6 @@ def test_zero_times_log_zero_is_zero():
 
 def test_padding_leaves_entropy_unchanged(p3, q5):
     assert shannon_entropy(p3) == shannon_entropy(q5)
-
-
-def test_self_information():
-    assert self_information(1.0) == 0.0
-    assert self_information(0.5) == 1.0
-    assert self_information(0.125) == 3.0
-    assert self_information(0.0) == math.inf
-
-
-def test_self_information_domain():
-    with pytest.raises(DomainError):
-        self_information(-0.1)
-    with pytest.raises(DomainError):
-        self_information(1.1)
 
 
 def test_entropy_report(p4):

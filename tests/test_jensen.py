@@ -15,7 +15,6 @@ from neglab import (
     BUILTIN_FUNCTIONS,
     ChainUndefinedError,
     CurvatureError,
-    DomainError,
     DimensionError,
     FunctionSpec,
     NEG_LOG,
@@ -28,7 +27,6 @@ from neglab import (
     double_negation_mixture_bound,
     get_function,
     is_uniform,
-    jensen_check,
     make_dist,
     mixture_bound,
     negate,
@@ -118,81 +116,6 @@ def test_values_matches_scalar_calls():
 def test_functionspec_rejects_unknown_tag():
     with pytest.raises(ValueError):
         FunctionSpec("bad", "wavy", lambda x: x)
-
-
-# --- generic jensen -------------------------------------------------------
-
-def test_jensen_square_example():
-    cert = jensen_check(SQUARE, [0.2, 0.4], [0.5, 0.5])
-    assert abs(cert.lhs - 0.09) <= 1e-15
-    assert abs(cert.rhs - 0.10) <= 1e-15
-    assert cert.holds and not cert.equality
-
-
-def test_jensen_concave_flips_sides():
-    cert = jensen_check(X_LOG_X, [0.25, 0.75], [0.5, 0.5])
-    assert cert.rhs == X_LOG_X(0.5)
-    assert cert.holds
-
-
-def test_jensen_equality_when_points_coincide():
-    cert = jensen_check(NEG_LOG, [0.3, 0.3, 0.3], [0.2, 0.3, 0.5])
-    assert cert.equality and cert.holds
-    assert abs(cert.slack) <= 1e-12
-
-
-def test_jensen_ignores_zero_weight_divergence():
-    cert = jensen_check(NEG_LOG, [0.0, 0.5, 0.25], [0.0, 0.5, 0.5])
-    assert not cert.infinite
-    assert cert.holds
-
-
-def test_jensen_infinite_with_weighted_zero():
-    cert = jensen_check(NEG_LOG, [0.0, 0.5], [0.5, 0.5])
-    assert cert.infinite and cert.holds and not cert.equality
-    assert cert.rhs == math.inf
-
-
-def test_jensen_scalar_only_specs():
-    # a user fn that takes only scalars goes through FunctionSpec.values entry by entry
-    cube = FunctionSpec("cube", "convex", lambda x: math.pow(x, 3))
-    x, w = [0.2, 0.4, 0.9], [0.5, 0.5, 0.0]
-    cert = jensen_check(cube, x, w)
-    assert cert.lhs == math.pow(float(np.dot(w, x)), 3)
-    assert cert.rhs == math.fsum([0.5 * math.pow(0.2, 3), 0.5 * math.pow(0.4, 3)])
-    assert cert.holds and not cert.equality
-
-    root = FunctionSpec("root", "concave", lambda x: math.sqrt(x))
-    cert = jensen_check(root, [0.0, 0.64], [0.5, 0.5])
-    assert cert.lhs == 0.4 and cert.rhs == math.sqrt(0.32)
-    assert cert.holds
-
-
-def test_jensen_validation():
-    with pytest.raises(DimensionError):
-        jensen_check(SQUARE, [0.5], [0.5, 0.5])
-    with pytest.raises(DimensionError, match="one-dimensional"):
-        jensen_check(SQUARE, [[0.5, 0.5]], [0.5, 0.5])
-    with pytest.raises(DimensionError, match="at least one point"):
-        jensen_check(SQUARE, [], [])
-    with pytest.raises(DomainError):
-        jensen_check(SQUARE, [0.5, 0.5], [0.9, 0.2])
-    with pytest.raises(DomainError):
-        jensen_check(SQUARE, [0.5, 0.5], [-0.5, 1.5])
-    with pytest.raises(DomainError):
-        jensen_check(SQUARE, [0.5, 1.5], [0.5, 0.5])
-    # NaN fails every comparison, so "raise if bad" checks let it through
-    for points, weights in [([0.2, 0.6], [math.nan, 1.0]), ([math.nan, 0.6], [0.5, 0.5]),
-                            ([0.2, 0.6], [math.inf, 1.0])]:
-        with pytest.raises(DomainError):
-            jensen_check(SQUARE, points, weights)
-
-
-@given(distributions())
-def test_jensen_on_random_weights(p):
-    # use the distribution itself as both points and weights
-    cert = jensen_check(SQUARE, p.probs, p.probs)
-    assert cert.holds
 
 
 # --- mixture bounds -------------------------------------------------------
@@ -594,6 +517,9 @@ def test_scalar_only_specs_match_the_loop():
     for f in (exp, cube):
         _assert_matches_oracle(f, p, partial_mean_chains(f, p))
         assert mixture_bound(f, p).rhs == mixture(f)
+    concave = concave_mixture_bound(root, p)
+    assert concave.lhs == mixture(root) and concave.rhs == root(1.0 / n)
+    assert concave.holds and not concave.equality
     assert concave_mixture_bound(root, p).lhs == mixture(root)
 
 
