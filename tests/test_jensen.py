@@ -118,6 +118,27 @@ def test_functionspec_rejects_unknown_tag():
         FunctionSpec("bad", "wavy", lambda x: x)
 
 
+def test_jensen_scalar_only_specs():
+    # a user fn that takes only scalars goes through FunctionSpec.values entry by entry
+    cube = FunctionSpec("cube", "convex", lambda x: math.pow(x, 3))
+    assert not cube._maps_arrays
+    assert cube.values([0.2, 0.4, 0.9]).tolist() == [math.pow(v, 3) for v in (0.2, 0.4, 0.9)]
+    p = make_dist([0.5, 0.5, 0.0])
+    cert = mixture_bound(cube, p)
+    assert cert.lhs == math.pow(1.0 / 3, 3)
+    assert cert.rhs == (
+        math.fsum([math.pow(0.5, 3), math.pow(0.5, 3), 0.0])
+        + 2 * math.fsum([math.pow(0.25, 3), math.pow(0.25, 3), math.pow(0.5, 3)])
+    ) / 9
+    assert cert.holds and not cert.equality
+
+    root = FunctionSpec("root", "concave", lambda x: math.sqrt(x))
+    assert not root._maps_arrays
+    cert = concave_mixture_bound(root, make_dist([0.0, 1.0]))
+    assert cert.lhs == 0.5 and cert.rhs == math.sqrt(0.5)
+    assert cert.holds and not cert.equality
+
+
 # --- mixture bounds -------------------------------------------------------
 
 def test_mixture_bound_uniform_equality():
@@ -517,9 +538,6 @@ def test_scalar_only_specs_match_the_loop():
     for f in (exp, cube):
         _assert_matches_oracle(f, p, partial_mean_chains(f, p))
         assert mixture_bound(f, p).rhs == mixture(f)
-    concave = concave_mixture_bound(root, p)
-    assert concave.lhs == mixture(root) and concave.rhs == root(1.0 / n)
-    assert concave.holds and not concave.equality
     assert concave_mixture_bound(root, p).lhs == mixture(root)
 
 
