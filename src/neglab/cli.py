@@ -7,7 +7,10 @@ full precision, round-trip safe), CSV, or readable text; numeric text is
 printed with 15 significant digits.
 
 Exit codes are a stable contract: 0 success, 2 input validation failure,
-3 certificate or fixture failure, 4 usage error.
+3 certificate or fixture failure, 4 usage error (an ``--out`` path or a
+stdout that cannot be written among them).  The process entry, for
+``python -m neglab`` and the ``neglab`` script, is ``run`` in
+``neglab.__main__``.
 """
 
 from __future__ import annotations
@@ -654,7 +657,11 @@ def _emit(doc: dict, fmt: str, out_path: str | None) -> None:
         except OSError as exc:
             raise _UsageError(f"cannot write {out_path}: {exc}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe, a full disk
+            raise _UsageError(f"cannot write stdout: {exc}") from None
 
 
 class _Command(NamedTuple):
@@ -757,19 +764,12 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"neglab: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help lands here; argparse uses 0 for it
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-
     # the inputs, records and documents built below form no reference
     # cycles, so the cyclic collector would only spend time scanning them
     collecting = gc.isenabled()
     gc.disable()
     try:
+        args = parser.parse_args(argv)
         cmd = _COMMANDS[args.command]
         render = getattr(cmd, args.format)
         if not cmd.dist_input:
@@ -804,6 +804,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"neglab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit as exc:  # --help lands here; argparse uses 0 for it
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except (DomainError, DimensionError) as exc:
         print(f"neglab: invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -811,6 +813,3 @@ def main(argv: list[str] | None = None) -> int:
         if collecting:
             gc.enable()
 
-
-if __name__ == "__main__":
-    sys.exit(main())

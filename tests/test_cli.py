@@ -7,7 +7,11 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -768,10 +772,12 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, collectin
     if expected == EXIT_FAILURE:
         _bump_golden(monkeypatch)
     before = gc.isenabled()
+    frozen = gc.get_freeze_count()
     (gc.enable if collecting else gc.disable)()
     try:
         assert main(argv) == expected
         assert gc.isenabled() is collecting
+        assert gc.get_freeze_count() == frozen  # only the process entry freezes
     finally:
         (gc.enable if before else gc.disable)()
 
@@ -794,6 +800,88 @@ def test_records_are_built_and_rendered_with_the_collector_paused(capsys, monkey
     assert main(["entropy", "--dist", "0.5,0.5", "--format", "json"]) == EXIT_OK
     assert seen == [False, False]
     assert gc.isenabled()
+
+
+# --- the process entry: python -m neglab and the neglab script --------------
+
+def _child(*args, env_update=None, **kwargs):
+    """``python *args`` with the package on the path, its stderr as text."""
+    env = {**os.environ, "PYTHONPATH": str(Path(neglab.__file__).resolve().parent.parent), **(env_update or {})}
+    return subprocess.run([sys.executable, *args], env=env, stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+@pytest.fixture(params=["closed pipe", "/dev/full"])
+def unwritable_stdout(request):
+    """A file descriptor whose every write fails: EPIPE or ENOSPC."""
+    if request.param == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read, fd = os.pipe()
+        os.close(read)
+    yield fd
+    os.close(fd)
+
+
+def _batch_of_2000(tmp_path):
+    """A 2,000-row batch, whose negate document in JSON is some 300 kB."""
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([[k / 2048, 1 - k / 2048] for k in range(2000)]))
+    return ["--file", str(path), "--format", "json"]
+
+
+def _assert_one_stdout_error(proc):
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("neglab: error: cannot write stdout: [Errno ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("source", ["uniform", "file"])
+def test_stdout_that_cannot_be_written_exits_4(tmp_path, unwritable_stdout, source):
+    # a few bytes fail at the flush, a 2,000-row document already at the write
+    argv = ["--dist", "uniform:2"] if source == "uniform" else _batch_of_2000(tmp_path)
+    _assert_one_stdout_error(_child("-m", "neglab", "negate", *argv, stdout=unwritable_stdout))
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_reader_that_leaves_mid_document_exits_4(tmp_path, unbuffered):
+    # the reader takes one byte of a document larger than the pipe holds, so a
+    # write comes back short and the next one fails; under PYTHONUNBUFFERED the
+    # text layer alone would drop the rest of the short write and exit 0
+    read, write = os.pipe()
+    reader = subprocess.Popen([sys.executable, "-c", "import os; os.read(0, 1)"], stdin=read)
+    os.close(read)
+    try:
+        proc = _child("-m", "neglab", "negate", *_batch_of_2000(tmp_path), stdout=write,
+                      env_update={"PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+        reader.wait()
+    _assert_one_stdout_error(proc)
+
+
+def test_the_process_entry_freezes_the_collector_before_exit():
+    # what is still alive at exit is not rescanned by the shutdown collections
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+            "sys.argv = ['neglab', 'negate', '--dist', 'uniform:2']\n"
+            "runpy.run_module('neglab', run_name='__main__', alter_sys=True)\n")
+    proc = _child("-c", code, stdout=subprocess.DEVNULL)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert int(proc.stderr) > 0
+
+
+def test_the_neglab_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"neglab": "neglab.__main__:run"}
+
+
+def test_the_cli_module_is_not_a_script():
+    proc = _child("-m", "neglab.cli", "--help", stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 def test_help_exits_0(capsys):
