@@ -9,7 +9,13 @@ from .cli import main
 
 
 def run() -> None:
-    """Run ``main`` on ``sys.argv`` and exit the process with its code."""
+    """Run ``main`` on ``sys.argv`` and exit the process with its code.
+
+    A large batch's groups are computed in up to one process per CPU this
+    process may run on (``os.sched_getaffinity``; ``taskset -c 0`` gives
+    one), forked where ``os.fork`` exists, with the output of one process.
+    An in-process ``main()`` runs in one process unless told otherwise.
+    """
     out = sys.stdout  # None when the process starts with file descriptor 1 closed
     if out is not None and isinstance(out.buffer, io.RawIOBase):
         # under -u or PYTHONUNBUFFERED the text layer writes to the file itself
@@ -17,7 +23,8 @@ def run() -> None:
         # mid-document; a buffered file writes the rest, so that the write fails
         sys.stdout = open(out.fileno(), "w", encoding=out.encoding, errors=out.errors,
                           newline="\n", closefd=False)
-    code = main()
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    code = main(workers=len(os.sched_getaffinity(0)) if forks else 1)
     if sys.stdout is not None:
         try:
             sys.stdout.flush()

@@ -11,17 +11,30 @@ Exit codes are a stable contract: 0 success, 2 input validation failure,
 stdout that cannot be written among them).  The process entry, for
 ``python -m neglab`` and the ``neglab`` script, is ``run`` in
 ``neglab.__main__``.
+
+A batch's same-n groups are computed and rendered in up to ``workers``
+processes: ``main`` cuts them into contiguous slices of about equal
+values, runs the first itself and each other one in a forked child, and
+writes the records in input order, so the output is byte for byte that of
+one process.  ``run`` passes one worker per CPU of the process's affinity
+where ``os.fork`` exists; a batch of fewer than ``2 * _VALUES_PER_WORKER``
+values, and an in-process ``main()`` by default, run in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import gc
 import io
 import json
 import math
+import os
+import pickle
+import signal
 import sys
+import warnings
 from itertools import chain, compress
 from typing import Callable, NamedTuple
 
@@ -53,6 +66,10 @@ EXIT_USAGE = 4
 MAX_UNIFORM_N = 1 << 20
 #: largest n that ``verify`` takes: its n partial-mean chains cost O(n²) per input
 MAX_VERIFY_N = 1 << 15
+#: the fewest values (rows × n) a worker process is given, so a batch of
+#: fewer than twice this runs in one process: on 4,096 values of ``negate``'s
+#: JSON, a fork and the pickled records cost about what two processes save
+_VALUES_PER_WORKER = 4096
 
 
 class _UsageError(Exception):
@@ -198,7 +215,94 @@ def _validate(raw: list[list[float]], tolerance: float):
     return min(failures, key=lambda failure: failure[0]) if failures else groups
 
 
-def _by_group(groups, count: int, step, render) -> tuple[list, bool]:
+def _slices(groups, workers: int) -> list[list]:
+    """``groups`` cut into at most ``workers`` contiguous slices of about
+    equal Σ rows×n, each of at least about ``_VALUES_PER_WORKER`` values; a
+    group that straddles a cut is split into sub-groups, each with its own
+    positions.  The first slice holds the first group's first row."""
+    sizes = [len(idxs) * group[0].n for idxs, group in groups]
+    total = sum(sizes)
+    workers = max(1, min(workers, total // _VALUES_PER_WORKER))
+    slices = [[] for _ in range(workers)]
+    before = 0  # the values of the groups before this one
+    for (idxs, group), size in zip(groups, sizes):
+        # the row that starts at value v goes to slice v * workers // total, so
+        # slice j starts at the first row k with (before + k n) workers >= j total
+        scale = group[0].n * workers
+        cuts = [0, *(min(len(idxs), max(0, (j * total - before * workers + scale - 1) // scale))
+                     for j in range(1, workers)), len(idxs)]
+        for part, start, stop in zip(slices, cuts, cuts[1:]):
+            if start < stop:
+                part.append((idxs[start:stop], group[start:stop]))
+        before += size
+    return [part for part in slices if part]
+
+
+def _run(part, step, render) -> tuple[list, list, list]:
+    """For a slice of groups: the positions and records of each group that
+    ``step`` computed, whether each one's claims held, and each
+    :class:`DomainError` raised with the input position it is charged to."""
+    done, holds, failures = [], [], []
+    for idxs, group in part:
+        try:
+            result, group_holds = step(group)
+        except DomainError as exc:
+            failures.append((idxs[getattr(exc, "index", 0)], exc))
+            continue
+        holds.append(group_holds)
+        done.append((idxs, render(idxs, group, result)))
+    return done, holds, failures
+
+
+def _outcome(part, step, render):
+    """:func:`_run`'s result for ``part``, or the exception it raised."""
+    try:
+        return _run(part, step, render)
+    except Exception as exc:
+        return exc
+
+
+def _fork(part, step, render) -> tuple[int, object] | tuple[None, None]:
+    """A forked child that sends the :func:`_outcome` of ``part`` and the
+    warnings it caught, pickled, on a pipe and exits: its pid and the
+    pipe's read end, or two Nones where no process can be forked."""
+    read, write = os.pipe()
+    try:
+        # not spawn, which would import numpy again in each worker, at more
+        # than a slice's cost; neglab starts no thread, and numpy's OpenBLAS
+        # winds its pool down across a fork
+        pid = os.fork()
+    except OSError:  # a process limit, or no memory
+        os.close(read)
+        os.close(write)
+        return None, None
+    if pid:
+        os.close(write)  # so that a later child holds no copy of it
+        return pid, open(read, "rb")
+    try:  # the child writes to its pipe alone, and never returns
+        os.close(read)
+        with warnings.catch_warnings(record=True) as caught:
+            outcome = _outcome(part, step, render)
+        notes = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        payload = pickle.dumps((outcome, notes), pickle.HIGHEST_PROTOCOL)
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _received(pid: int, pipe):
+    """The outcome that the child ``pid`` sent on ``pipe``, with the warnings it caught issued here."""
+    payload = pipe.read()
+    if not payload:  # killed, or its outcome did not pickle
+        return RuntimeError(f"worker process {pid} sent no result")
+    outcome, notes = pickle.loads(payload)  # the bytes of a child of this process
+    for note in notes:
+        warnings.warn_explicit(*note)
+    return outcome
+
+
+def _by_group(groups, count: int, step, render, workers: int = 1) -> tuple[list, bool]:
     """The records of ``count`` inputs in input order, and whether every claim held.
 
     ``step(group)`` gives the ``(result, all_hold)`` of each of
@@ -206,18 +310,43 @@ def _by_group(groups, count: int, step, render) -> tuple[list, bool]:
     the records of its inputs, at ``positions`` in input order.  A group
     that raises :class:`DomainError` is charged to its input ``index``, the
     first if the error names none; the error raised is that of the first
-    input in input order, whichever group it sits in.
+    input in input order, whichever group it sits in.  Any other exception
+    is raised as the groups in order reach it.
+
+    The groups run in :func:`_slices` of up to ``workers`` slices: the
+    first in this process, each other one in a forked child, all at once
+    (in this process, after the first, where no child can be forked).
+    Every child is reaped before this returns or raises, and killed first
+    if this process's own slice raises.
     """
+    first, *rest = _slices(groups, workers)
+    children = []  # each other slice with the pid and pipe of its child, in slice order
+    try:
+        for part in rest:
+            children.append((part, *_fork(part, step, render)))
+        outcomes = [_run(first, step, render), *(
+            _outcome(part, step, render) if pid is None else _received(pid, pipe)
+            for part, pid, pipe in children)]
+    except BaseException:
+        for _, pid, _ in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, pid, pipe in children:
+            if pid is not None:
+                pipe.close()
+                os.waitpid(pid, 0)
     records, holds, failures = [None] * count, [], []
-    for idxs, group in groups:
-        try:
-            result, group_holds = step(group)
-        except DomainError as exc:
-            failures.append((idxs[getattr(exc, "index", 0)], exc))
-            continue
-        holds.append(group_holds)
-        for i, record in zip(idxs, render(idxs, group, result)):
-            records[i] = record
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        done, part_holds, part_failures = outcome
+        for idxs, part_records in done:
+            for i, record in zip(idxs, part_records):
+                records[i] = record
+        holds += part_holds
+        failures += part_failures
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     return records, all(holds)
@@ -658,10 +787,22 @@ def _emit(doc: dict, fmt: str, out_path: str | None) -> None:
             raise _UsageError(f"cannot write {out_path}: {exc}") from None
     else:
         try:
+            if sys.stdout is None:  # the process started with file descriptor 1 closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:  # a closed pipe, a full disk
             raise _UsageError(f"cannot write stdout: {exc}") from None
+
+
+def _error(line: str) -> None:
+    """``line`` on stderr, where it can be written.  A process started with
+    file descriptor 2 closed has no stderr, and print would write to stdout."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr)
+        except OSError:  # a closed pipe, a full disk, a descriptor not open for writing
+            pass
 
 
 class _Command(NamedTuple):
@@ -762,7 +903,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, *, workers: int = 1) -> int:
+    """Run the command line ``argv`` (``sys.argv[1:]`` when None) and return
+    its exit code.  A batch's groups are computed and rendered in up to
+    ``workers`` processes (see ``_by_group``); the output is that of one."""
     parser = _build_parser()
     # the inputs, records and documents built below form no reference
     # cycles, so the cyclic collector would only spend time scanning them
@@ -794,7 +938,7 @@ def main(argv: list[str] | None = None) -> int:
 
         step = cmd.step(args, doc_input)
         if cmd.dist_input:
-            results, all_hold = _by_group(groups, len(raw), step, render)
+            results, all_hold = _by_group(groups, len(raw), step, render, workers)
         else:  # each fixture is a record
             fixtures, all_hold = step(None)
             results = render(range(len(fixtures)), None, fixtures)
@@ -802,12 +946,12 @@ def main(argv: list[str] | None = None) -> int:
         _emit(doc, args.format, args.out)
         return EXIT_OK if all_hold else EXIT_FAILURE
     except _UsageError as exc:
-        print(f"neglab: error: {exc}", file=sys.stderr)
+        _error(f"neglab: error: {exc}")
         return EXIT_USAGE
     except SystemExit as exc:  # --help lands here; argparse uses 0 for it
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except (DomainError, DimensionError) as exc:
-        print(f"neglab: invalid input: {exc}", file=sys.stderr)
+        _error(f"neglab: invalid input: {exc}")
         return EXIT_VALIDATION
     finally:
         if collecting:

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import gc
 import io
 import json
@@ -10,7 +11,9 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
+from itertools import chain, groupby
 from pathlib import Path
 
 import pytest
@@ -862,6 +865,32 @@ def test_a_reader_that_leaves_mid_document_exits_4(tmp_path, unbuffered):
     _assert_one_stdout_error(proc)
 
 
+def test_a_closed_stdout_exits_4():
+    # the process starts with file descriptor 1 closed, so sys.stdout is None
+    _assert_one_stdout_error(_child("-m", "neglab", "negate", "--dist", "uniform:2",
+                                    preexec_fn=lambda: os.close(1)))
+
+
+def _read_only_stderr():
+    os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["negate", "--dist", "uniform:2"], EXIT_OK),
+    (["negate", "--dist", "0.6,0.6"], EXIT_VALIDATION),
+    (["dissim", "--dist", "0.5,0.5000000000000001", "--alpha", "1021"], EXIT_VALIDATION),
+    (["negate"], EXIT_USAGE),
+])
+@pytest.mark.parametrize("stderr", [lambda: os.close(2), _read_only_stderr], ids=["closed", "read_only"])
+def test_a_stderr_that_cannot_be_written_leaves_stdout_and_the_exit_code_as_they_are(argv, expected, stderr):
+    # an error line has nowhere to go, and never goes to stdout
+    usable = _child("-m", "neglab", *argv, stdout=subprocess.PIPE)
+    unusable = _child("-m", "neglab", *argv, stdout=subprocess.PIPE, preexec_fn=stderr)
+    assert usable.returncode == unusable.returncode == expected
+    assert unusable.stdout == usable.stdout and "neglab:" not in unusable.stdout
+    assert unusable.stderr == ""
+
+
 def test_the_process_entry_freezes_the_collector_before_exit():
     # what is still alive at exit is not rescanned by the shutdown collections
     code = ("import atexit, gc, runpy, sys\n"
@@ -1308,3 +1337,194 @@ def test_any_file_and_flags_keep_the_exit_code_contract(
         code = main(argv)
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_FAILURE, EXIT_USAGE), argv
     assert "Traceback" not in err.getvalue()
+
+
+# --- a batch's groups in forked worker processes ----------------------------
+
+def _wide_batch():
+    """Six Dirichlet(1) rows of n = 512, a third of the first one's entries zero."""
+    rows = np.random.default_rng(512).dirichlet(np.ones(512), size=6)
+    rows[0, ::3] = 0.0
+    return (rows / rows.sum(axis=1, keepdims=True)).tolist()
+
+
+def _in_workers(capsys, argv, workers):
+    """The exit code, stdout and stderr of ``main(argv, workers=workers)``,
+    asserting that it left no child process behind."""
+    code = main(argv, workers=workers)
+    captured = capsys.readouterr()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def a_worker_per_value(monkeypatch):
+    """Every value of a batch may have a worker of its own, so that small batches fork."""
+    monkeypatch.setattr(cli, "_VALUES_PER_WORKER", 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
+def test_slices_are_contiguous_runs_of_about_equal_values(a_worker_per_value, workers):
+    groups = cli._validate(_csv_batch(), 1e-9)
+    slices = cli._slices(groups, workers)
+    assert len(slices) == workers
+    pieces = [piece for part in slices for piece in part]
+    # the groups in order, a group cut at a slice's end going on in the next
+    assert [n for n, _ in groupby(group[0].n for _, group in pieces)] == [
+        group[0].n for _, group in groups]
+    joined = {}
+    for idxs, group in pieces:
+        positions, rows = joined.setdefault(group[0].n, ([], []))
+        positions += idxs
+        rows += group
+    assert list(joined.values()) == groups
+    total = sum(len(idxs) * group[0].n for idxs, group in groups)
+    for part in slices:  # within a row of the largest n of an equal share
+        assert abs(sum(len(idxs) * group[0].n for idxs, group in part) - total / workers) <= 16
+
+
+@pytest.mark.parametrize("rows, slices", [(1, 1), (4095, 1), (4096, 2), (6143, 2), (6144, 3), (16384, 8)])
+def test_each_worker_takes_at_least_values_per_worker_values(rows, slices):
+    # rows of n = 2 offered eight workers: 4,096 rows are 8,192 values, two workers' worth
+    groups = [(list(range(rows)), [distribution.uniform(2)] * rows)]
+    assert len(cli._slices(groups, 8)) == slices
+
+
+@_BATCH_ARGV
+@pytest.mark.parametrize("rows", [_csv_batch(), _wide_batch()], ids=["mixed_n", "n_512"])
+def test_workers_write_the_bytes_of_one_process(capsys, tmp_path, a_worker_per_value, argv, rows):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(rows))
+    for fmt in ("json", "csv", "text"):
+        full = [*argv, "--file", str(path), "--format", fmt]
+        alone = _in_workers(capsys, full, 1)
+        assert alone[0] == EXIT_OK
+        for workers in (2, 3):
+            assert _in_workers(capsys, full, workers) == alone
+
+
+def test_report_in_workers_is_report_in_one_process(capsys, a_worker_per_value):
+    for fmt in ("json", "csv", "text"):
+        alone = _in_workers(capsys, ["report", "--format", fmt], 1)
+        for workers in (2, 3):
+            assert _in_workers(capsys, ["report", "--format", fmt], workers) == alone
+
+
+_QUARTERS = [0.25] * 4
+#: rows whose dissimilarity at alpha = 1021 underflows, naming l1 = 2.2e-16 and 1.1e-16
+_UNDERFLOW_2 = [0.5, 0.5000000000000001]
+_UNDERFLOW_4 = [0.25, 0.25, 0.25000000000000006, 0.24999999999999994]
+
+
+def _two_groups(tmp_path):
+    """20 rows of n = 4, then one of n = 9, which the last slice holds."""
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([*[_QUARTERS] * 20, [1 / 9] * 9]))
+    return path
+
+
+@pytest.mark.parametrize("rows, argv, expected, named, at", [
+    # input 1, in the n = 2 group after the n = 4 group's 80 values, beats input 2 in the first slice
+    ([_QUARTERS, _UNDERFLOW_2, _UNDERFLOW_4, *[_QUARTERS] * 18], ["dissim", "--alpha", "1021"],
+     EXIT_VALIDATION, "l1 = 2.220446049250313e-16", 1),
+    # the n = 9 group, after the n = 4 group, is over verify's cap
+    ([*[_QUARTERS] * 20, [1 / 9] * 9], ["verify"], EXIT_USAGE, "got n = 9", 20),
+])
+def test_an_error_in_a_child_slice_is_that_of_one_process(
+    capsys, monkeypatch, tmp_path, a_worker_per_value, rows, argv, expected, named, at
+):
+    monkeypatch.setattr(cli, "MAX_VERIFY_N", 8)
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(rows))
+    groups = cli._validate(rows, 1e-9)
+    alone = _in_workers(capsys, [*argv, "--file", str(path)], 1)
+    assert alone[0] == expected and named in alone[2] and alone[1] == ""
+    for workers in (2, 3):
+        assert at not in chain.from_iterable(idxs for idxs, _ in cli._slices(groups, workers)[0])
+        assert _in_workers(capsys, [*argv, "--file", str(path)], workers) == alone
+
+
+@pytest.mark.parametrize("raising_n", [4, 9], ids=["own_slice", "child_slice"])
+def test_a_kernel_that_raises_raises_as_in_one_process(capsys, monkeypatch, tmp_path, a_worker_per_value,
+                                                       raising_n):
+    # the n = 4 group starts the first slice, which this process runs; the
+    # n = 9 group ends the last one, which a child runs
+    def entropies(rows):
+        if rows.shape[1] == raising_n:
+            raise ZeroDivisionError(f"n = {raising_n}")
+        return cli_entropies(rows)
+
+    cli_entropies = cli._entropies
+    monkeypatch.setattr(cli, "_entropies", entropies)
+    path = _two_groups(tmp_path)
+    for workers in (1, 2, 3):
+        with pytest.raises(ZeroDivisionError, match=f"^n = {raising_n}$"):
+            main(["entropy", "--file", str(path)], workers=workers)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    capsys.readouterr()
+
+
+def test_a_childs_warnings_are_issued_here_and_it_writes_no_stderr(capsys, monkeypatch, tmp_path,
+                                                                   a_worker_per_value):
+    def entropies(rows):
+        if rows.shape[1] == 9:  # the group of the last slice
+            warnings.warn("n = 9", UserWarning)
+        return cli_entropies(rows)
+
+    cli_entropies = cli._entropies
+    monkeypatch.setattr(cli, "_entropies", entropies)
+    path = _two_groups(tmp_path)
+    argv = ["entropy", "--file", str(path)]
+    with pytest.warns(UserWarning, match="^n = 9$"):
+        alone = _in_workers(capsys, argv, 1)
+    with pytest.warns(UserWarning, match="^n = 9$"):
+        assert _in_workers(capsys, argv, 3) == alone
+    assert alone[2] == ""
+
+
+def test_a_child_that_dies_raises_here(capsys, monkeypatch, tmp_path, a_worker_per_value):
+    def entropies(rows):
+        if os.getpid() != parent:
+            os._exit(1)  # as a child killed by a signal would, it sends nothing
+        return cli_entropies(rows)
+
+    cli_entropies, parent = cli._entropies, os.getpid()
+    monkeypatch.setattr(cli, "_entropies", entropies)
+    path = _two_groups(tmp_path)
+    with pytest.raises(RuntimeError, match="^worker process [0-9]+ sent no result$"):
+        _in_workers(capsys, ["entropy", "--file", str(path)], 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_slice_with_no_process_to_fork_runs_in_this_one(capsys, monkeypatch, tmp_path, a_worker_per_value):
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(_csv_batch()))
+    argv = ["verify", "--file", str(path), "--format", "json"]
+    alone = _in_workers(capsys, argv, 1)
+    monkeypatch.setattr(os, "fork", fork)
+    assert _in_workers(capsys, argv, 3) == alone
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="one CPU to run on")
+def test_one_cpu_and_all_cpus_write_the_same_bytes(tmp_path):
+    # a verify_small-shaped batch, 16,000 values: python -m neglab splits it
+    # over the CPUs it may run on, unless it may run on one
+    rng = np.random.default_rng(7)
+    rows = rng.dirichlet(np.ones(8), size=2000)
+    rows[rng.random(2000) < 0.1, :3] = 0.0
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps((rows / rows.sum(axis=1, keepdims=True)).tolist()))
+    cpu = min(os.sched_getaffinity(0))
+    for argv in (["verify", "--fn", "neg_log", "--format", "json"], ["converge", "--format", "text"],
+                 ["dissim", "--format", "csv"]):
+        spread, alone = (_child("-m", "neglab", *argv, "--file", str(path), stdout=subprocess.PIPE, **pin)
+                         for pin in ({}, {"preexec_fn": lambda: os.sched_setaffinity(0, {cpu})}))
+        assert spread.returncode == EXIT_OK
+        assert (spread.returncode, spread.stdout, spread.stderr) == (alone.returncode, alone.stdout, alone.stderr)
