@@ -11,13 +11,7 @@ iterates sit on opposite sides of the target.
 
 import argparse
 
-from neglab import (
-    converge_to_uniform,
-    dissimilarity_properties,
-    iterated_negation_dissimilarity,
-    make_dist,
-    negation_dissimilarity,
-)
+from neglab import converge_traces, make_dist, negation_dissimilarity, negation_profiles
 
 
 def main() -> None:
@@ -34,21 +28,24 @@ def main() -> None:
         print(f"  alpha={a:<2} value={res.value:.9f}  {bar}")
     print(f"  (the pair's l1 distance stays fixed at {negation_dissimilarity(p, 0).l1:.6f})")
 
-    props = dissimilarity_properties(p, list(range(args.levels)))
+    # one profile holds both audits: the properties over the levels, and the
+    # iterates compared at the lowest level, alpha = 0
+    profile = negation_profiles([p], list(range(args.levels)), depth=5).row(0)
+    props = profile.properties
     print(f"\nproperty certificate holds: {props.holds}")
     observed = {c.name: c.holds for c in props.detail}
     print(f"  non-increasing in alpha: {observed['value_non_increasing_in_alpha']}")
     print(f"  non-decreasing in alpha: {observed['value_non_decreasing_in_alpha']} (recorded, not asserted)")
 
     print("\nDissimilarity from p to its first few negation iterates:")
-    report = iterated_negation_dissimilarity(p, alpha=0, depth=5)
+    report = profile.iterated
     for k, res in enumerate(report.results, start=1):
         print(f"  k={k}: {res.value:.9f}")
     print(f"  monotone non-decreasing in k: {report.non_decreasing}")
     print("  (odd iterates overshoot past uniform, so the curve wiggles)")
 
-    trace = converge_to_uniform(p, tolerance=1e-9)
-    print(f"\nconverge_to_uniform: {trace.steps} steps to within 1e-9 of uniform")
+    trace = converge_traces([p], tolerance=1e-9).row(0)
+    print(f"\nconverge_traces: {trace.steps} steps to within 1e-9 of uniform")
     print("  max-distance per step:", " ".join(f"{d:.1e}" for d in trace.distances[:6]), "...")
 
 

@@ -43,7 +43,7 @@ import numpy as np
 from .certificates import Certificate, _flat, _gathered, compare
 from .distribution import (DEFAULT_TOLERANCE, DimensionError, DomainError, _check_int,
                            _check_tolerance, _report, _stacked, make_dist, make_dists)
-from .dissimilarity import MAX_DEPTH, _check_alphas, negation_profile, negation_profiles
+from .dissimilarity import MAX_DEPTH, _check_alphas, negation_profiles
 from .entropy import _entropies, entropy_chain_check, zero_padding_entropy_check
 from .jensen import (
     NEG_LOG,
@@ -79,6 +79,11 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for validation
         raise _UsageError(message)
+
+    def print_help(self):
+        """The help on stdout, under :func:`_write`'s rule: argparse would drop
+        a failed write, and write to stderr where stdout is closed."""
+        _write([self.format_help()], None)
 
 
 def _parse_scalar(token: str) -> float:
@@ -726,7 +731,7 @@ def _golden_fixtures(_) -> tuple[list[Certificate], bool]:
     # The literal min-pair form is checked against the closed form exactly,
     # at every level, in tests/test_exact_oracle.py, not here.
     expected0 = -math.log2(8.0 / 9.0)
-    profile = negation_profile(p4, [0, 1, 2, 3], 1)
+    profile = negation_profiles([p4], [0, 1, 2, 3], 1).row(0)
     value0, props = profile.profile[0].value, profile.properties
     direction = {c.name: c.holds for c in props.detail}
     fixtures.append(_claim(
@@ -743,56 +748,65 @@ def _golden_fixtures(_) -> tuple[list[Certificate], bool]:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _render_json(doc: dict) -> str:
-    """``doc`` as ``json.dumps`` writes it, its ``results`` being the JSON
-    texts of the records and ``results`` and ``all_hold`` its last keys."""
+def _render_json(doc: dict) -> list[str]:
+    """The parts of ``doc`` as ``json.dumps`` writes it, its ``results`` being
+    the JSON texts of the records and ``results`` and ``all_hold`` its last keys."""
     # one-shot dumps without indent runs CPython's C encoder; the documents
     # are acyclic, so the encoder need not track the containers it is in
     head = json.dumps({key: value for key, value in doc.items() if key not in ("results", "all_hold")},
                       check_circular=False)
-    results = ", ".join(doc["results"])
-    return f'{head[:-1]}, "results": [{results}], "all_hold": {_JSON_BOOL[doc["all_hold"]]}}}\n'
+    records = doc["results"]
+    parts = [", "] * (2 * len(records))  # each record after a separator, the first after the head
+    parts[1::2] = records
+    parts[:1] = [f'{head[:-1]}, "results": [']
+    parts.append(f'], "all_hold": {_JSON_BOOL[doc["all_hold"]]}}}\n')
+    return parts
 
 
 _ERROR_HEADER = ("dist", "error", "sum_error", "bad_indices")
 
 
-def _render_csv(doc: dict) -> str:
+def _render_csv(doc: dict) -> list[str]:
     if "error" not in doc:
-        return ",".join(_COMMANDS[doc["command"]].header) + "\r\n" + "".join(doc["results"])
+        return [",".join(_COMMANDS[doc["command"]].header) + "\r\n", *doc["results"]]
     err = doc["error"]
     buf = io.StringIO()  # the error's why may hold a comma, so csv quotes its row
     csv.writer(buf).writerows([_ERROR_HEADER, (err["index"], err["why"], "%.15g" % err["report"]["sum_error"],
                                                " ".join(map(str, err["report"]["bad_indices"])))])
-    return buf.getvalue()
+    return [buf.getvalue()]
 
 
-def _render_text(doc: dict) -> str:
+def _render_text(doc: dict) -> list[str]:
     head = f"command: {doc['command']}\n"
     if "error" in doc:
         err = doc["error"]
         rep = err["report"]
         head += (f"validation failed for distribution {err['index']}: {err['why']} "
                  f"(sum_error={rep['sum_error']:.15g}, bad_indices={rep['bad_indices']})\n")
-    return f"{head}{''.join(doc['results'])}all_hold: {_JSON_BOOL[doc['all_hold']]}\n"
+    return [head, *doc["results"], f"all_hold: {_JSON_BOOL[doc['all_hold']]}\n"]
 
 
-def _emit(doc: dict, fmt: str, out_path: str | None) -> None:
-    text = {"json": _render_json, "csv": _render_csv, "text": _render_text}[fmt](doc)
+def _write(parts: list[str], out_path: str | None) -> None:
+    """``parts`` in one ``writelines``, to ``out_path`` or else stdout; a
+    usage error where they cannot be written."""
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(parts)
         except OSError as exc:
             raise _UsageError(f"cannot write {out_path}: {exc}") from None
     else:
         try:
             if sys.stdout is None:  # the process started with file descriptor 1 closed
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            sys.stdout.write(text)
+            sys.stdout.writelines(parts)
             sys.stdout.flush()
         except OSError as exc:  # a closed pipe, a full disk
             raise _UsageError(f"cannot write stdout: {exc}") from None
+
+
+def _emit(doc: dict, fmt: str, out_path: str | None) -> None:
+    _write({"json": _render_json, "csv": _render_csv, "text": _render_text}[fmt](doc), out_path)
 
 
 def _error(line: str) -> None:

@@ -39,12 +39,9 @@ __all__ = [
     "DissimResult",
     "dissim",
     "negation_dissimilarity",
-    "dissimilarity_properties",
     "IteratedDissimReport",
-    "iterated_negation_dissimilarity",
     "NegationProfile",
     "NegationProfiles",
-    "negation_profile",
     "negation_profiles",
 ]
 
@@ -173,21 +170,6 @@ def _properties(alphas: list[int], values: np.ndarray, l1: np.ndarray) -> Certif
     return properties
 
 
-def dissimilarity_properties(p: ProbDist, alphas: Sequence[int]) -> Certificate:
-    """Audit the measure's defining properties on ``p`` vs its negation.
-
-    Per level: the value lies in [0, 1] and is 0 exactly when the L1
-    distance is.  Symmetry needs no claim: the value depends on ``p`` and
-    ``q`` only through the L1 distance, which is the same either way round.
-    Across levels the direction is recorded both ways, non-increasing and
-    non-decreasing in alpha, so a failing direction stays visible; these are
-    detail only, and the top-level certificate holds when the per-level
-    checks all hold.  ``alphas`` must be nonempty and sorted ascending.
-    This is a one-row call of :func:`negation_profile`, at depth 1.
-    """
-    return negation_profile(p, alphas, 1).properties
-
-
 class IteratedDissimReport(NamedTuple):
     """Dissimilarity between a distribution and each of its negation iterates
     (an immutable NamedTuple).
@@ -208,16 +190,6 @@ class IteratedDissimReport(NamedTuple):
 
     def as_dict(self) -> dict:
         return {**self._asdict(), "results": [r.as_dict() for r in self.results]}
-
-
-def iterated_negation_dissimilarity(
-    p: ProbDist, alpha: int = 0, depth: int = 3
-) -> IteratedDissimReport:
-    """Dissimilarity of ``p`` from its k-fold negation, k = 1..depth.
-
-    This is a one-row call of :func:`negation_profile`, at the one level ``alpha``.
-    """
-    return negation_profile(p, [alpha], depth).iterated
 
 
 class NegationProfile(NamedTuple):
@@ -267,32 +239,35 @@ class NegationProfiles(NamedTuple):
         )
 
 
-def negation_profile(p: ProbDist, alphas: Sequence[int], depth: int = 3) -> NegationProfile:
-    """``p`` against its negation at every level, from one kernel call.
-
-    Returns the negation q, the profile ``dissim(p, q, a)`` for
-    each ``a`` in ``alphas``, ``dissimilarity_properties(p, alphas)`` and
-    ``iterated_negation_dissimilarity(p, alphas[0], depth)``, equal to the
-    separate calls; the iterate rows are needed at the lowest level only.
-    This is the one-row call of :func:`negation_profiles`.
-    """
-    return negation_profiles([p], alphas, depth).row(0)
-
-
 def negation_profiles(
     dists: Sequence[ProbDist], alphas: Sequence[int], depth: int = 3
 ) -> NegationProfiles:
-    """:func:`negation_profile` of m distributions of one length n, as arrays.
+    """Each of m distributions p of one length n against its negation q at
+    every level, from one kernel; ``.row(r)`` is the :class:`NegationProfile`
+    of ``dists[r]``.
+
+    An input's profile is ``dissim(p, q, a)`` for each ``a`` in ``alphas``,
+    equal to those calls.  Its properties certificate audits the measure's
+    defining properties on p against q.  Per level: the value lies in
+    [0, 1] and is 0 exactly when the L1 distance is.  Symmetry needs no
+    claim: the value depends on p and q only through the L1 distance, which
+    is the same either way round.  Across levels the direction is recorded
+    both ways, non-increasing and non-decreasing in alpha, so a failing
+    direction stays visible; these are detail only, and the certificate
+    holds when the per-level checks all hold.  Its iterated report compares
+    p with its k-fold negation, k = 1..``depth``, at the one level
+    ``alphas[0]``.  ``alphas`` must be nonempty and sorted ascending.
 
     Each input stacks L + depth row pairs, one level each: (p, q) at each
-    of the L ``alphas``, then (p, Tᵏp) at ``alphas[0]`` for k = 1..depth.
-    The row pairs go through the kernel in blocks of at most
-    ``_BLOCK_ELEMENTS`` (row pairs × n) entries, or of one row pair
-    if n is more, so one input may span several blocks; the properties
-    certificates are built as one column.  ``.row(r)`` equals
-    ``negation_profile(dists[r], alphas, depth)`` bit for bit.  An
-    underflowed value raises the :class:`DomainError` of the first input
-    that has one, with that input's position in ``dists`` as ``index``.
+    of the L ``alphas``, then (p, Tᵏp) at ``alphas[0]`` for k = 1..depth;
+    the iterate rows are needed at the lowest level only.  The row pairs go
+    through the kernel in blocks of at most ``_BLOCK_ELEMENTS`` (row pairs ×
+    n) entries, or of one row pair if n is more, so one input may span
+    several blocks; the properties certificates are built as one column.
+    ``.row(r)`` equals ``negation_profiles([dists[r]], alphas, depth).row(0)``
+    bit for bit.  An underflowed value raises the :class:`DomainError` of
+    the first input that has one, with that input's position in ``dists``
+    as ``index``.
     """
     alphas = _check_alphas(alphas)
     depth = _check_int("depth", depth, 1, MAX_DEPTH)

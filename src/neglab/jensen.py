@@ -44,9 +44,6 @@ __all__ = [
     "self_information_bound",
     "PartialMeanChain",
     "partial_mean_chain",
-    "partial_mean_chains",
-    "pointwise_bounds",
-    "certificate_suite",
     "certificate_suites",
 ]
 
@@ -240,20 +237,14 @@ def pointwise_bound(f: FunctionSpec, p: ProbDist, i: int) -> Certificate:
     """Certify f(1/n) <= f(p_i)/n + (n - 1) f(negate(p)_i)/n for one index.
 
     Averaging these n pointwise bounds with weight 1/n each recovers
-    :func:`mixture_bound`.
+    :func:`mixture_bound`.  The bounds of every index are the
+    ``pointwise_bound[i=…]`` columns of :func:`certificate_suites`.
     """
     _require(f, "convex")
     n = p.n
     i = _check_index(i, n)
     f_p, f_q = f.values(_pair(p))[:, None, i:i + 1]
     return _pointwise(f(1.0 / n), f_p, f_q, n, first=i)[0].row(0)
-
-
-def pointwise_bounds(f: FunctionSpec, p: ProbDist) -> list[Certificate]:
-    """:func:`pointwise_bound` at every index, in order, as one array expression."""
-    _require(f, "convex")
-    f_p, f_q = f.values(_pair(p))[:, None]
-    return [c.row(0) for c in _pointwise(f(1.0 / p.n), f_p, f_q, p.n)]
 
 
 def _concave_mixtures(
@@ -417,19 +408,6 @@ def _chains(f: FunctionSpec, sums: tuple, excluded: np.ndarray):
     return lhs, bounds[:, 1], holds & (lhs <= lowest + tol)
 
 
-def _chain_columns(f: FunctionSpec, probs: np.ndarray, f_probs: np.ndarray) -> list[Certificate]:
-    """The partial-mean chain certificates of every row of ``probs``, one column per index."""
-    lhs, rhs, holds = _chains(f, _chain_sums(probs, f_probs), np.arange(probs.shape[1]))
-    names = [f"partial_mean_chain[i={i}]" for i in range(probs.shape[1])]
-    return _compare_columns(names, lhs, rhs, holds=holds)
-
-
-def _require_chain(f: FunctionSpec, p: ProbDist) -> None:
-    _require(f, "convex")
-    if p.n < 3:
-        raise ChainUndefinedError(f"chain needs n >= 3, got n = {p.n}")
-
-
 def partial_mean_chain(
     f: FunctionSpec, p: ProbDist, i: int
 ) -> tuple[PartialMeanChain, Certificate]:
@@ -438,9 +416,13 @@ def partial_mean_chain(
     Returns the chain data together with a certificate that
     f(mean of kept entries) <= every bound and that the bounds are
     non-decreasing.  Needs n >= 3: with only one entry kept there is
-    nothing to peel, so n = 2 raises :class:`ChainUndefinedError`.
+    nothing to peel, so n = 2 raises :class:`ChainUndefinedError`.  The
+    certificates of every index, without the chain data, are the
+    ``partial_mean_chain[i=…]`` columns of :func:`certificate_suites`.
     """
-    _require_chain(f, p)
+    _require(f, "convex")
+    if p.n < 3:
+        raise ChainUndefinedError(f"chain needs n >= 3, got n = {p.n}")
     i = _check_index(i, p.n)
     probs = p.probs[None]
     sums = _chain_sums(probs, f.values(probs))
@@ -452,49 +434,30 @@ def partial_mean_chain(
     return chain, compare(f"partial_mean_chain[i={i}]", lhs[0, 0], rhs[0, 0], holds=holds[0, 0])
 
 
-def partial_mean_chains(f: FunctionSpec, p: ProbDist) -> list[Certificate]:
-    """The certificates of :func:`partial_mean_chain` at every index, in order.
-
-    Same values as n separate calls, without building the chain data.
-    """
-    _require_chain(f, p)
-    probs = p.probs[None]
-    return [c.row(0) for c in _chain_columns(f, probs, f.values(probs))]
-
-
-def certificate_suite(f: FunctionSpec, p: ProbDist) -> list[Certificate]:
-    """Every certificate of the CLI's ``verify`` for ``f`` at ``p``, in one pass.
+def certificate_suites(f: FunctionSpec, dists: Sequence[ProbDist]) -> list[Certificate]:
+    """Every certificate of the CLI's ``verify`` for ``f`` at m distributions
+    of one length n, in one pass, as columns.
 
     A convex ``f`` drives the convex bounds and ``x_log_x`` the concave
     one; a concave ``f`` drives the concave bound and ``neg_log`` the
     convex ones.  In order: the mixture bound, the n pointwise bounds, the
     self-information bound, the double-negation mixture bound, the
     concave mixture bound, the n partial-mean chains (n >= 3 only), the
-    cross entropy against uniform and the entropy chain.  The same
-    certificates as the separate functions, from one evaluation of each
-    function on the rows p, negate(p), negate(negate(p)) and one entropy
-    each of p, negate(p) and negate_twice(p) (the closed form that
-    :func:`~neglab.entropy.entropy_chain_check` uses).  This is the
-    one-row call of :func:`certificate_suites`' kernel.
+    cross entropy against uniform and the entropy chain.  Each is a column
+    certificate whose entry r belongs to ``dists[r]``: ``c.row(r)`` is the
+    certificate of that input, and equals its certificate in
+    ``certificate_suites(f, [dists[r]])`` bit for bit.  The values are
+    those of the separate functions (:func:`mixture_bound`,
+    :func:`pointwise_bound`, :func:`partial_mean_chain`, ...), from one
+    evaluation of each function on the rows p, negate(p), negate(negate(p))
+    and one entropy each of p, negate(p) and negate_twice(p) (the closed
+    form that :func:`~neglab.entropy.entropy_chain_check` uses).
+
+    The distributions are used as they are, without a second check.  The
+    whole block is evaluated at once; only the sums of f (``math.fsum``)
+    and the entropies of rows with zeros are taken row by row.
     """
-    return [c.row(0) for c in _suite(f, p.probs[None])]
-
-
-def certificate_suites(f: FunctionSpec, dists: Sequence[ProbDist]) -> list[Certificate]:
-    """:func:`certificate_suite` of m distributions of one length n, as columns.
-
-    Returns the same certificates in the same order, each a column
-    certificate whose entry r belongs to ``dists[r]``: ``c.row(r)`` is
-    the certificate of that input.  The distributions are used as they
-    are, without a second check.  The whole block is evaluated at once;
-    only the sums of f (``math.fsum``) and the entropies of rows with
-    zeros are taken row by row.
-    """
-    return _suite(f, _stacked(dists))
-
-
-def _suite(f: FunctionSpec, probs: np.ndarray) -> list[Certificate]:
-    """The kernel of :func:`certificate_suites`, on an m×n block of distributions."""
+    probs = _stacked(dists)
     convex = f if f.curvature == "convex" else NEG_LOG
     concave = f if f.curvature == "concave" else X_LOG_X
     m, n = probs.shape
@@ -519,7 +482,9 @@ def _suite(f: FunctionSpec, probs: np.ndarray) -> list[Certificate]:
         ),
     ]
     if n >= 3:
-        suite += _chain_columns(convex, probs, f_p)
+        lhs, rhs, holds = _chains(convex, _chain_sums(probs, f_p), np.arange(n))
+        names = [f"partial_mean_chain[i={i}]" for i in range(n)]
+        suite += _compare_columns(names, lhs, rhs, holds=holds)
     suite.append(_cross_entropies(probs, np.full((m, n), 1.0 / n), entropies[0]))
     suite.append(_entropy_chains(n, *entropies))
     return suite

@@ -24,7 +24,6 @@ __all__ = [
     "negate_iterated",
     "ConvergenceTrace",
     "ConvergenceTraces",
-    "converge_to_uniform",
     "converge_traces",
 ]
 
@@ -134,11 +133,13 @@ class ConvergenceTraces(NamedTuple):
         )
 
 
-def converge_to_uniform(
-    p: ProbDist, tolerance: float = 1e-9, max_steps: int = 1000
-) -> ConvergenceTrace:
-    """Negate repeatedly until within ``tolerance`` of uniform (max norm),
-    0 < tolerance < 1, for at most an integer ``max_steps >= 1`` steps.
+def converge_traces(
+    dists: Sequence[ProbDist], tolerance: float = 1e-9, max_steps: int = 1000
+) -> ConvergenceTraces:
+    """Negate each of m distributions of one length n repeatedly until within
+    ``tolerance`` of uniform (max norm), 0 < tolerance < 1, for at most an
+    integer ``max_steps >= 1`` steps; ``.row(r)`` is the
+    :class:`ConvergenceTrace` of ``dists[r]``.
 
     Iterates are produced by literal negation, so consecutive trace
     entries are related by :func:`negate` exactly.  The recorded
@@ -150,21 +151,12 @@ def converge_to_uniform(
 
     For n = 2 the trace records one application and stops with the
     ``oscillating`` marker set: the map is a pure swap and never settles
-    unless the input is already uniform.  This is the one-row call of
-    :func:`converge_traces`.
-    """
-    return converge_traces([p], tolerance, max_steps).row(0)
-
-
-def converge_traces(
-    dists: Sequence[ProbDist], tolerance: float = 1e-9, max_steps: int = 1000
-) -> ConvergenceTraces:
-    """:func:`converge_to_uniform` of m distributions of one length n, as arrays.
+    unless the input is already uniform.
 
     Each step negates the block of rows still running at once; a row
     leaves the block at its own stop step.  The entropies are taken at
     the end, on all iterates as one block.  ``.row(r)`` equals
-    ``converge_to_uniform(dists[r], tolerance, max_steps)`` bit for bit.
+    ``converge_traces([dists[r]], tolerance, max_steps).row(0)`` bit for bit.
     """
     from .entropy import _entropies  # function-level to keep imports acyclic
 

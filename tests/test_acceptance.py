@@ -22,9 +22,8 @@ from neglab import (
     X_LOG_X,
     ProbDist,
     concave_mixture_bound,
-    converge_to_uniform,
+    converge_traces,
     dissim,
-    dissimilarity_properties,
     double_negation_mixture_bound,
     make_dist,
     mixture_bound,
@@ -32,6 +31,7 @@ from neglab import (
     negate_iterated,
     negate_twice,
     negation_dissimilarity,
+    negation_profiles,
     partial_mean_chain,
     pointwise_bound,
     self_information_bound,
@@ -245,7 +245,7 @@ def test_criterion_08_alpha_direction():
                 f"{values[a]} -> {values[a + 1]}"
             )
 
-    props = dissimilarity_properties(P4, list(range(17)))
+    props = negation_profiles([P4], list(range(17)), 1).row(0).properties
     detail = {c.name: c for c in props.detail}
     assert detail["value_non_increasing_in_alpha"].holds
     assert not detail["value_non_decreasing_in_alpha"].holds, (
@@ -260,7 +260,7 @@ def test_criterion_09_convergence():
     for _ in range(100):
         n = int(rng.integers(3, 33))
         p = random_dist(rng, n, min_gap=1e-6)
-        trace = converge_to_uniform(p, tolerance=1e-9)
+        trace = converge_traces([p], tolerance=1e-9).row(0)
         assert trace.converged, f"n={n} failed to converge in {trace.steps} steps"
         assert not trace.oscillating
         ratio = 1.0 / (n - 1)
@@ -271,7 +271,7 @@ def test_criterion_09_convergence():
                 f"n={n} step {k}: contraction {measured} vs {ratio}"
             )
 
-    swapped = converge_to_uniform(make_dist([0.9, 0.1]), tolerance=1e-9)
+    swapped = converge_traces([make_dist([0.9, 0.1])], tolerance=1e-9).row(0)
     assert not swapped.converged and swapped.oscillating
 
 

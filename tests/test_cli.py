@@ -26,13 +26,13 @@ import neglab
 from neglab import (
     MAX_DEPTH,
     SQUARE,
-    certificate_suite,
+    certificate_suites,
     cli,
-    converge_to_uniform,
+    converge_traces,
     distribution,
     entropy_report,
     make_dist,
-    negation_profile,
+    negation_profiles,
 )
 from neglab.cli import (
     EXIT_FAILURE,
@@ -579,7 +579,7 @@ def test_verify_mixed_lengths_keeps_input_order(capsys, tmp_path):
     assert code == EXIT_OK
     assert [rec["distribution"] for rec in doc["results"]] == rows
     for rec in doc["results"]:
-        certs = certificate_suite(SQUARE, make_dist(rec["distribution"]))
+        certs = [c.row(0) for c in certificate_suites(SQUARE, [make_dist(rec["distribution"])])]
         assert rec["certificates"] == json.loads(json.dumps([c.as_dict() for c in certs]))
         assert ("notes" in rec) == (len(rec["distribution"]) == 2)
 
@@ -706,9 +706,9 @@ def test_grouped_records_equal_the_one_row_calls(capsys, tmp_path):
     for row, e, c, d in zip(rows, entropy["results"], converge["results"], dissim["results"], strict=True):
         p = make_dist(row)
         assert e == json.loads(json.dumps({"distribution": p.tolist(), **entropy_report(p).as_dict()}))
-        trace = converge_to_uniform(p, tolerance=1e-9, max_steps=40).as_dict()
+        trace = converge_traces([p], tolerance=1e-9, max_steps=40).row(0).as_dict()
         assert c == json.loads(json.dumps({"distribution": p.tolist(), "tolerance": 1e-9, **trace}))
-        profile = negation_profile(p, [0, 2, 5], 4).as_dict()
+        profile = negation_profiles([p], [0, 2, 5], 4).row(0).as_dict()
         assert d == json.loads(json.dumps({"distribution": p.tolist(), **profile}))
 
 
@@ -868,6 +868,18 @@ def test_a_reader_that_leaves_mid_document_exits_4(tmp_path, unbuffered):
 def test_a_closed_stdout_exits_4():
     # the process starts with file descriptor 1 closed, so sys.stdout is None
     _assert_one_stdout_error(_child("-m", "neglab", "negate", "--dist", "uniform:2",
+                                    preexec_fn=lambda: os.close(1)))
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["neglab", "verify"])
+def test_help_on_a_stdout_that_cannot_be_written_exits_4(unwritable_stdout, argv):
+    # argparse drops a failed write of the help text, and the process exited 0
+    _assert_one_stdout_error(_child("-m", "neglab", *argv, stdout=unwritable_stdout))
+
+
+def test_help_on_a_closed_stdout_exits_4():
+    # argparse writes the help to stderr where sys.stdout is None, and exited 0
+    _assert_one_stdout_error(_child("-m", "neglab", "verify", "--help",
                                     preexec_fn=lambda: os.close(1)))
 
 

@@ -16,14 +16,11 @@ from neglab import (
     NegationProfile,
     ProbDist,
     dissim,
-    dissimilarity_properties,
-    iterated_negation_dissimilarity,
     l1_distance,
     make_dist,
     negate,
     negate_iterated,
     negation_dissimilarity,
-    negation_profile,
     negation_profiles,
     uniform,
 )
@@ -49,6 +46,16 @@ GOLDEN_P4 = {
     2: 0.04064198449734591,
     3: 0.02017788193763030,
 }
+
+
+def _properties_of(p, alphas):
+    """The properties certificate of ``p`` against its negation: that of its profile at depth 1."""
+    return negation_profiles([p], alphas, 1).row(0).properties
+
+
+def _iterated_of(p, alpha=0, depth=3):
+    """``p`` against its k-fold negations, k = 1..depth: its profile's iterated report at ``alpha``."""
+    return negation_profiles([p], [alpha], depth).row(0).iterated
 
 
 def test_golden_profile(p4):
@@ -113,14 +120,14 @@ def test_alpha_upper_limit(p4):
     res = negation_dissimilarity(p4, 1021)
     assert res.alpha == 1021
     assert 0.0 <= res.value <= 1.0
-    assert dissimilarity_properties(p4, [0, 1021]).holds
-    assert iterated_negation_dissimilarity(p4, 1021, 2).alpha == 1021
+    assert _properties_of(p4, [0, 1021]).holds
+    assert _iterated_of(p4, 1021, 2).alpha == 1021
     with pytest.raises(DomainError):
         negation_dissimilarity(p4, 1022)
     with pytest.raises(DomainError):
-        dissimilarity_properties(p4, [0, 1022])
+        _properties_of(p4, [0, 1022])
     with pytest.raises(DomainError):
-        iterated_negation_dissimilarity(p4, 1022)
+        _iterated_of(p4, 1022)
 
 
 def test_size_mismatch(p4, p3):
@@ -190,13 +197,13 @@ def test_zero_iff_identical(p):
 
 
 def test_properties_uniform_all_zero():
-    cert = dissimilarity_properties(uniform(4), [0, 1, 2])
+    cert = _properties_of(uniform(4), [0, 1, 2])
     assert cert.holds and cert.equality
     assert cert.lhs == 0.0 and cert.rhs == 0.0
 
 
 def test_properties_golden(p4):
-    cert = dissimilarity_properties(p4, [0, 1, 2, 3])
+    cert = _properties_of(p4, [0, 1, 2, 3])
     assert cert.holds and not cert.equality
     by_name = {c.name: c for c in cert.detail}
     assert by_name["value_non_increasing_in_alpha"].holds
@@ -208,31 +215,31 @@ def test_properties_golden(p4):
 
 
 def test_properties_two_outcome():
-    cert = dissimilarity_properties(make_dist([0.9, 0.1]), [0, 5])
+    cert = _properties_of(make_dist([0.9, 0.1]), [0, 5])
     assert cert.holds
     assert cert.lhs > cert.rhs  # value at alpha=5 below value at alpha=0
 
 
 def test_properties_validation(p4):
     with pytest.raises(DomainError):
-        dissimilarity_properties(p4, [])
+        _properties_of(p4, [])
     with pytest.raises(DomainError):
-        dissimilarity_properties(p4, [2, 0, 1])
+        _properties_of(p4, [2, 0, 1])
 
 
 @given(distributions())
 def test_properties_hold_on_random_inputs(p):
-    assert dissimilarity_properties(p, [0, 1, 4]).holds
+    assert _properties_of(p, [0, 1, 4]).holds
 
 
 def test_iterated_uniform_all_zero():
-    report = iterated_negation_dissimilarity(uniform(3), 0, 4)
+    report = _iterated_of(uniform(3), 0, 4)
     assert all(abs(r.value) <= 1e-15 for r in report.results)
     assert report.non_decreasing
 
 
 def test_iterated_golden_matches_literal(p4):
-    report = iterated_negation_dissimilarity(p4, 0, 3)
+    report = _iterated_of(p4, 0, 3)
     for k, res in enumerate(report.results, start=1):
         q = p4
         for _ in range(k):
@@ -243,7 +250,7 @@ def test_iterated_golden_matches_literal(p4):
 
 def test_iterated_two_outcome_swap_returns():
     # one application swaps, two restore the original
-    report = iterated_negation_dissimilarity(make_dist([0.9, 0.1]), 0, 2)
+    report = _iterated_of(make_dist([0.9, 0.1]), 0, 2)
     values = [r.value for r in report.results]
     assert abs(values[0] - 0.7369655941662062) <= 1e-12
     assert values[1] == 0.0
@@ -253,7 +260,7 @@ def test_iterated_two_outcome_swap_returns():
 def test_iterated_oscillates_around_limit(p4):
     # distance to the k-th iterate is (1 - r**k) * l1(p, uniform) with
     # r = -1/(n-1) < 0, so odd iterates sit farther away than even ones
-    report = iterated_negation_dissimilarity(p4, 0, 4)
+    report = _iterated_of(p4, 0, 4)
     v = [r.value for r in report.results]
     assert v[0] > v[1] and v[2] > v[1] and v[0] > v[2]
     assert not report.non_decreasing
@@ -261,7 +268,7 @@ def test_iterated_oscillates_around_limit(p4):
 
 def test_iterated_depth_validation(p4):
     with pytest.raises(DomainError):
-        iterated_negation_dissimilarity(p4, 0, 0)
+        _iterated_of(p4, 0, 0)
 
 
 # --- the array kernel against the scalar formulas it replaced ----------------
@@ -328,7 +335,7 @@ def test_kernel_matches_scalar_oracle(pair, alphas):
         _, closed, _, l1 = _oracle_dissim(p, q, alpha)
         assert abs(res.l1 - l1) <= 1e-12
         assert abs(res.value - closed) <= 1e-12
-    assert _flags(dissimilarity_properties(p, alphas)) == _flags(_oracle_properties(p, alphas))
+    assert _flags(_properties_of(p, alphas)) == _flags(_oracle_properties(p, alphas))
 
 
 @given(distribution_pairs(), st.integers(min_value=60, max_value=MAX_ALPHA))
@@ -353,9 +360,9 @@ def test_negation_value_stays_positive_at_every_level():
     assert all(v > 0.0 for v in values)
     assert values[0] > values[1] > values[2] > values[3]
     assert abs(values[1] - 4.0e-17) <= 1e-19 and abs(values[3] - 8.0e-309) <= 1e-310
-    profile = [r.value for r in negation_profile(p, range(MAX_ALPHA + 1), 1).profile]
+    profile = [r.value for r in negation_profiles([p], range(MAX_ALPHA + 1), 1).row(0).profile]
     assert all(b < a for a, b in zip(profile, profile[1:])) and profile[-1] > 0.0
-    assert dissimilarity_properties(p, [0, 40, 52, 60, 1021]).holds
+    assert _properties_of(p, [0, 40, 52, 60, 1021]).holds
 
 
 def test_underflowing_value_is_rejected_with_the_largest_level():
@@ -387,35 +394,34 @@ def test_underflowing_negation_exits_2(capsys):
 def test_zero_law_is_exact():
     p = make_dist([0.5, 0.3, 0.2])
     assert dissim(p, p, 1021).value == 0.0
-    props = dissimilarity_properties(uniform(4), [0, 1021])
+    props = _properties_of(uniform(4), [0, 1021])
     assert props.holds and props.equality
 
 
 @given(distributions(), _LEVEL_LISTS, st.integers(min_value=1, max_value=6))
 def test_negation_profile_equals_the_separate_calls(p, alphas, depth):
-    got = negation_profile(p, alphas, depth)
+    got = negation_profiles([p], alphas, depth).row(0)
     q = negate(p)
     assert got.negation.tolist() == q.tolist()
     assert got.profile == tuple(dissim(p, q, a) for a in alphas)
-    assert got.properties == dissimilarity_properties(p, alphas)
-    assert got.iterated == iterated_negation_dissimilarity(p, alphas[0], depth)
+    # the properties do not depend on the depth, nor the iterated report on the later levels
+    assert got.properties == _properties_of(p, alphas)
+    assert got.iterated == _iterated_of(p, alphas[0], depth)
     for k, res in enumerate(got.iterated.results, start=1):
         assert res.l1 == l1_distance(p, negate_iterated(p, k))
 
 
 def test_negation_profile_validation(p4):
     with pytest.raises(DomainError):
-        negation_profile(p4, [], 1)
+        negation_profiles([p4], [], 1)
     with pytest.raises(DomainError):
-        negation_profile(p4, [1, 0], 1)
+        negation_profiles([p4], [1, 0], 1)
     with pytest.raises(DomainError):
-        negation_profile(p4, [0, 1022], 1)
+        negation_profiles([p4], [0, 1022], 1)
     with pytest.raises(DomainError):
-        negation_profile(p4, [0], 0)
+        negation_profiles([p4], [0], 0)
     with pytest.raises(DomainError, match="depth must be an integer in"):  # before any array is built
-        negation_profile(p4, [0], 10**12)
-    with pytest.raises(TypeError):  # the profile is no longer passed in
-        dissimilarity_properties(p4, [0], q=negate(p4))
+        negation_profiles([p4], [0], 10**12)
 
 
 # --- the group kernel against the per-input profile it replaced ------------
@@ -445,7 +451,7 @@ def _oracle_profile_properties(alphas, forward, l1):
 
 
 def _oracle_profile(p, alphas, depth):
-    """negation_profile with each reported value from its own public dissimilarity call."""
+    """The profile of ``p`` with each reported value from its own public dissimilarity call."""
     q = negate(p)
     profile = tuple(dissim(p, q, a) for a in alphas)
     # the unclipped iterate rows, as the kernel compares them
@@ -471,7 +477,8 @@ def _assert_profiles_match(group, alphas, depth):
     for r, p in enumerate(group):
         want = _oracle_profile(p, alphas, depth).as_dict()
         assert_identical(profiles.row(r).as_dict(), want)
-        assert_identical(negation_profile(p, alphas, depth).as_dict(), want)
+        # batch invariance: the row of p alone is p's row in the group
+        assert_identical(negation_profiles([p], alphas, depth).row(0).as_dict(), want)
 
 
 @given(mixed_batches(), _LEVEL_LISTS, st.integers(min_value=1, max_value=4))
@@ -576,10 +583,10 @@ def test_depth_bound_is_where_every_iterate_becomes_uniform():
     # |r| <= 1/2 for n >= 3, and r**k rounds to 0 from k = MAX_DEPTH on, not before
     assert (-0.5) ** (MAX_DEPTH - 1) != 0.0 and (-0.5) ** MAX_DEPTH == 0.0
     p = make_dist([0.5, 0.3, 0.2])
-    last = negation_profile(p, [0], MAX_DEPTH).iterated.results[-1]
+    last = negation_profiles([p], [0], MAX_DEPTH).row(0).iterated.results[-1]
     assert last == dissim(p, uniform(3), 0)
     with pytest.raises(DomainError):
-        negation_profile(p, [0], MAX_DEPTH + 1)
+        negation_profiles([p], [0], MAX_DEPTH + 1)
 
 
 def test_every_library_module_is_a_package_attribute():

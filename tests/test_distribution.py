@@ -18,18 +18,15 @@ from neglab import (
     DomainError,
     ProbDist,
     ValidationReport,
-    converge_to_uniform,
     converge_traces,
     dissim,
     entropy_report,
     is_uniform,
-    iterated_negation_dissimilarity,
     l1_distance,
     make_dist,
     negate,
     negate_iterated,
     negate_twice,
-    negation_profile,
     negation_profiles,
     pad_with_zeros,
     partial_mean_chain,
@@ -268,9 +265,9 @@ _RECORDS = {
     "EntropyReport": entropy_report,
     "PartialMeanChain": lambda p: partial_mean_chain(NEG_LOG, p, 1)[0],
     "DissimResult": lambda p: dissim(p, negate(p), 2),
-    "IteratedDissimReport": lambda p: iterated_negation_dissimilarity(p, 1, 3),
-    "NegationProfile": lambda p: negation_profile(p, [0, 2], 3),
-    "ConvergenceTrace": lambda p: converge_to_uniform(p, max_steps=5),
+    "IteratedDissimReport": lambda p: negation_profiles([p], [1], 3).row(0).iterated,
+    "NegationProfile": lambda p: negation_profiles([p], [0, 2], 3).row(0),
+    "ConvergenceTrace": lambda p: converge_traces([p], max_steps=5).row(0),
 }
 
 

@@ -2,7 +2,7 @@
 ``neg_log``, and the dissimilarity at every level.
 
 For n = 2..12, ``mixture_bound``, ``double_negation_mixture_bound`` and every
-``pointwise_bounds`` certificate of ``SQUARE`` are evaluated again with
+``pointwise_bound`` certificate of ``SQUARE`` are evaluated again with
 ``fractions.Fraction``, on the very doubles the library reads: p, and for
 the double-negation bound the float ``negate(p)`` it mixes.  Each of these
 mixtures has its barycentre at exactly 1/n for any p in [0, 1]^n, so every
@@ -30,7 +30,7 @@ from neglab import (
     mixture_bound,
     negate,
     negation_profiles,
-    pointwise_bounds,
+    pointwise_bound,
     self_information_bound,
 )
 from neglab.negation import _iterates
@@ -72,7 +72,8 @@ def _claims(p) -> list[tuple[str, object, Fraction, Fraction]]:
     double, _ = _exact(list(map(Fraction, negate(p).tolist())))
     return [("mixture_bound", mixture_bound(SQUARE, p), centre, mixture),
             ("double_negation_mixture_bound", double_negation_mixture_bound(SQUARE, p), centre, double),
-            *((c.name, c, centre, rhs) for c, rhs in zip(pointwise_bounds(SQUARE, p), pointwise))]
+            *((f"pointwise_bound[i={i}]", pointwise_bound(SQUARE, p, i), centre, rhs)
+              for i, rhs in enumerate(pointwise))]
 
 
 #: per n, (row, certificate name, certificate, exact lhs, exact rhs) of every claim on every row

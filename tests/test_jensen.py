@@ -21,7 +21,6 @@ from neglab import (
     ProbDist,
     SQUARE,
     X_LOG_X,
-    certificate_suite,
     certificate_suites,
     concave_mixture_bound,
     double_negation_mixture_bound,
@@ -32,15 +31,14 @@ from neglab import (
     negate,
     negate_twice,
     partial_mean_chain,
-    partial_mean_chains,
     pointwise_bound,
-    pointwise_bounds,
     self_information_bound,
     shannon_entropy,
     uniform,
 )
 from neglab.certificates import HOLDS_TOLERANCE, compare
 from neglab.dissimilarity import _BLOCK_ELEMENTS
+from neglab.distribution import _unchecked
 from neglab.jensen import _chain_sums, _chains
 
 from conftest import assert_identical, distributions, oracle_as_dict, oracle_failures
@@ -389,6 +387,16 @@ def _oracle_chain(f, p, i):
     return zetas, bounds, cert
 
 
+def _one_row_suite(f, p):
+    """The certificates of ``certificate_suites`` for the one input ``p``."""
+    return [c.row(0) for c in certificate_suites(f, [p])]
+
+
+def _chain_certificates(f, p):
+    """The partial-mean chain certificates of ``p``, its suite's chain columns, in index order."""
+    return [c for c in _one_row_suite(f, p) if c.name.startswith("partial_mean_chain")]
+
+
 def _assert_matches_oracle(f, p, certs):
     assert [c.name for c in certs] == [f"partial_mean_chain[i={i}]" for i in range(p.n)]
     for i, cert in enumerate(certs):
@@ -419,7 +427,7 @@ def chain_inputs(draw, min_n=3, max_n=40):
 
 @given(chain_inputs(), st.sampled_from([NEG_LOG, SQUARE]))
 def test_chain_kernel_matches_scalar_loop(p, f):
-    _assert_matches_oracle(f, p, partial_mean_chains(f, p))
+    _assert_matches_oracle(f, p, _chain_certificates(f, p))
 
 
 def test_chain_kernel_across_block_seam():
@@ -429,7 +437,7 @@ def test_chain_kernel_across_block_seam():
     raw[::17] = 0.0
     p = make_dist(raw / raw.sum())
     for f in (NEG_LOG, SQUARE):
-        _assert_matches_oracle(f, p, partial_mean_chains(f, p))
+        _assert_matches_oracle(f, p, _chain_certificates(f, p))
 
 
 def _edge_rows(n=9):
@@ -448,10 +456,10 @@ def _edge_rows(n=9):
 @pytest.mark.parametrize("f", [NEG_LOG, SQUARE], ids=lambda f: f.name)
 def test_chain_kernel_on_edge_rows(f):
     rows = _edge_rows()
-    _assert_batch_matches_rows(f, rows)  # each row's columns equal its one-row call
+    _assert_batch_matches_rows(f, rows)  # each row's columns equal those of a batch of it alone
     for row in rows:
         p = make_dist(row)
-        _assert_matches_oracle(f, p, partial_mean_chains(f, p))
+        _assert_matches_oracle(f, p, _chain_certificates(f, p))
 
 
 def _dip(base, height, j):
@@ -482,7 +490,7 @@ def test_chain_decisions_where_f_is_not_convex(f):
         _assert_batch_matches_rows(f, rows)
         for row in rows:
             p = make_dist(row)
-            certs = partial_mean_chains(f, p)
+            certs = _chain_certificates(f, p)
             _assert_matches_oracle(f, p, certs)
             held += [c.holds for c in certs]
     assert any(held) and not all(held)
@@ -497,7 +505,7 @@ def test_chain_decided_at_a_shared_bound(f, row):
     # a later index shares it less f(p_i)/(n - 1); the second excludes the
     # zero at i = 7, whose f is infinite
     p = make_dist(row)
-    _assert_matches_oracle(f, p, partial_mean_chains(f, p))
+    _assert_matches_oracle(f, p, _chain_certificates(f, p))
 
 
 @pytest.mark.parametrize("make", [_peeled_ones, _point_mass_with_dust], ids=["peeled", "dust"])
@@ -508,13 +516,6 @@ def test_chain_kernel_decides_exact_equalities(make):
     probs = make(3001)[0][None]
     for f in (NEG_LOG, SQUARE):
         assert _chains(f, _chain_sums(probs, f.values(probs)), np.arange(3001))[2].all()
-
-
-def test_partial_mean_chains_needs_convex_and_three_outcomes(p4):
-    with pytest.raises(ChainUndefinedError):
-        partial_mean_chains(NEG_LOG, make_dist([0.5, 0.5]))
-    with pytest.raises(CurvatureError):
-        partial_mean_chains(X_LOG_X, p4)
 
 
 def test_scalar_only_specs_match_the_loop():
@@ -531,12 +532,11 @@ def test_scalar_only_specs_match_the_loop():
         return (math.fsum(f(v) for v in p) + (n - 1) * math.fsum(f(v) for v in negate(p))) / n**2
 
     assert not twin._maps_arrays and SQUARE._maps_arrays
-    assert partial_mean_chains(twin, p) == partial_mean_chains(SQUARE, p)
-    assert certificate_suite(twin, p) == certificate_suite(SQUARE, p)
+    assert _one_row_suite(twin, p) == _one_row_suite(SQUARE, p)
     for i in range(n):
         assert partial_mean_chain(twin, p, i) == partial_mean_chain(SQUARE, p, i)
     for f in (exp, cube):
-        _assert_matches_oracle(f, p, partial_mean_chains(f, p))
+        _assert_matches_oracle(f, p, _chain_certificates(f, p))
         assert mixture_bound(f, p).rhs == mixture(f)
     assert concave_mixture_bound(root, p).lhs == mixture(root)
 
@@ -604,15 +604,16 @@ def _assert_same_certificates(got, expected):
 @settings(max_examples=60)
 @given(chain_inputs(min_n=2, max_n=64), st.sampled_from([NEG_LOG, X_LOG_X, SQUARE]))
 def test_certificate_suite_matches_one_at_a_time(p, f):
-    _assert_same_certificates(certificate_suite(f, p), _oracle_suite(f, p))
+    suite = _one_row_suite(f, p)
+    _assert_same_certificates(suite, _oracle_suite(f, p))
     convex = f if f.curvature == "convex" else NEG_LOG
-    bounds = pointwise_bounds(convex, p)
+    bounds = [c for c in suite if c.name.startswith("pointwise_bound")]
     assert bounds == [pointwise_bound(convex, p, i) for i in range(p.n)]
 
 
 def test_certificate_suite_skips_chains_at_two_outcomes():
     p = make_dist([0.9, 0.1])
-    names = [c.name for c in certificate_suite(NEG_LOG, p)]
+    names = [c.name for c in certificate_suites(NEG_LOG, [p])]
     assert not any(name.startswith("partial_mean_chain") for name in names)
     # mixture, n pointwise, self-information, double negation, concave, two entropy
     assert len(names) == 1 + p.n + 3 + 2
@@ -624,10 +625,10 @@ def test_certificate_suite_with_scalar_only_specs():
     root = FunctionSpec("root", "concave", lambda x: math.sqrt(x))
     p = make_dist([0.5, 0.0, 0.2, 0.3, 0.0])
     for f in (cube, root):
-        _assert_same_certificates(certificate_suite(f, p), _oracle_suite(f, p))
+        _assert_same_certificates(_one_row_suite(f, p), _oracle_suite(f, p))
 
 
-# --- the batch kernel against one row at a time ----------------------------
+# --- batch invariance: an input's row is that of a batch of it alone -------
 
 CUBE = FunctionSpec("cube", "convex", lambda x: math.pow(x, 3))  # scalar-only
 
@@ -637,7 +638,7 @@ def _assert_batch_matches_rows(f, rows):
     suite = certificate_suites(f, dists)
     assert {len(c.holds) for c in suite} == {len(dists)}
     for r, p in enumerate(dists):
-        certs = certificate_suite(f, p)
+        certs = _one_row_suite(f, p)
         assert [c.row(r).failures() for c in suite] == list(map(oracle_failures, certs))
         assert_identical([c.row(r).as_dict() for c in suite], [oracle_as_dict(c) for c in certs])
 
@@ -676,7 +677,7 @@ def test_certificate_suites_chain_block_seam_inside_a_row():
     n = 512
     rows = _dirichlet_rows(2, n, 12)
     _assert_batch_matches_rows(NEG_LOG, rows)
-    _assert_same_certificates(certificate_suite(NEG_LOG, make_dist(rows[0])),
+    _assert_same_certificates(_one_row_suite(NEG_LOG, make_dist(rows[0])),
                               _oracle_suite(NEG_LOG, make_dist(rows[0])))
 
 
@@ -687,7 +688,7 @@ def test_chain_kernel_pass_and_chunk_seams(monkeypatch, n, f):
     # below each block are the shared ones; no value or flag may move (some
     # chains fail for the dip)
     rows = _dirichlet_rows(7, n, 13)
-    expected = [certificate_suite(f, make_dist(row)) for row in rows]
+    expected = [_one_row_suite(f, make_dist(row)) for row in rows]
     monkeypatch.setattr("neglab.jensen._PASS_CELLS", 3 * n)
     suite = certificate_suites(f, [ProbDist(row) for row in rows])
     for r, certs in enumerate(expected):
@@ -703,4 +704,53 @@ def test_certificate_suites_needs_one_length():
 
 def test_pointwise_bounds_rejects_concave(p4):
     with pytest.raises(CurvatureError):
-        pointwise_bounds(X_LOG_X, p4)
+        pointwise_bound(X_LOG_X, p4, 0)
+
+
+# --- symmetries: relabelling the outcomes -----------------------------------
+
+def _permuted_rows(count=300, seed=32):
+    """``count`` seeded Dirichlet rows p of n = 2..39, every fifth with exact
+    zeros, each with a permutation π of its indices and the row (p_π(j))_j."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(2, 40))
+        row = rng.dirichlet(np.ones(n))
+        if k % 5 == 0:
+            row[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 0.0
+        p = make_dist(row / row.sum())
+        perm = rng.permutation(n)
+        yield p, perm.tolist(), _unchecked(p.probs[perm])  # the permuted doubles, not renormalized
+
+
+def _decided(cert):
+    """A certificate's sides, slack and flags."""
+    return {key: value for key, value in cert.as_dict().items() if key not in ("name", "detail")}
+
+
+FSUM_CLAIMS = {
+    "mixture_bound[square]": lambda p: mixture_bound(SQUARE, p),
+    "mixture_bound[neg_log]": lambda p: mixture_bound(NEG_LOG, p),
+    "double_negation_mixture_bound[square]": lambda p: double_negation_mixture_bound(SQUARE, p),
+    "double_negation_mixture_bound[neg_log]": lambda p: double_negation_mixture_bound(NEG_LOG, p),
+    "concave_mixture_bound[x_log_x]": lambda p: concave_mixture_bound(X_LOG_X, p),
+    "self_information_bound": self_information_bound,
+}
+
+
+def test_fsum_claims_keep_their_sides_under_permutation():
+    # their sums of f go through math.fsum, which rounds once in any order;
+    # the entropy mixture in concave_mixture_bound's detail is a pairwise sum
+    # and may move in its last bits, so only the top level is compared
+    for p, _, q in _permuted_rows():
+        for name, claim in FSUM_CLAIMS.items():
+            assert_identical(_decided(claim(q)), _decided(claim(p)), f"{name} n={p.n}")
+
+
+def test_pointwise_bounds_follow_their_index_under_permutation():
+    # the bound at index j of the permuted row is the bound at π(j) of p, bit for bit
+    for p, perm, q in _permuted_rows():
+        for f in (SQUARE, NEG_LOG):
+            for j, i in enumerate(perm):
+                assert_identical(_decided(pointwise_bound(f, q, j)),
+                                 _decided(pointwise_bound(f, p, i)), f"{f.name} n={p.n} j={j}")

@@ -12,7 +12,6 @@ from neglab import (
     DimensionError,
     DomainError,
     ProbDist,
-    converge_to_uniform,
     converge_traces,
     is_uniform,
     l1_distance,
@@ -143,7 +142,7 @@ def test_negate_iterated_matches_literal(p, k):
 
 def test_converge_golden_step_count(p4):
     # deviation 1/12 shrinks by 1/3 per step; 11 steps reach 1e-6
-    trace = converge_to_uniform(p4, tolerance=1e-6)
+    trace = converge_traces([p4], tolerance=1e-6).row(0)
     assert trace.converged
     assert trace.steps == 11
     assert not trace.oscillating
@@ -151,33 +150,33 @@ def test_converge_golden_step_count(p4):
 
 
 def test_converge_uniform_is_instant():
-    trace = converge_to_uniform(uniform(5), tolerance=1e-6)
+    trace = converge_traces([uniform(5)], tolerance=1e-6).row(0)
     assert trace.converged and trace.steps == 0
     assert len(trace.iterates) == 1
 
 
 def test_converge_trace_iterates_are_literal_negations(p4):
-    trace = converge_to_uniform(p4, tolerance=1e-9)
+    trace = converge_traces([p4], tolerance=1e-9).row(0)
     for k in range(trace.steps):
         expected = negate(trace.iterates[k])
         assert np.array_equal(expected.probs, trace.iterates[k + 1].probs)
 
 
 def test_converge_distances_follow_closed_form(p4):
-    trace = converge_to_uniform(p4, tolerance=1e-9)
+    trace = converge_traces([p4], tolerance=1e-9).row(0)
     r = 1.0 / (p4.n - 1)
     for k, d in enumerate(trace.distances):
         assert abs(d - trace.distances[0] * r**k) <= 1e-12
 
 
 def test_converge_entropies_nondecreasing(p3):
-    trace = converge_to_uniform(p3, tolerance=1e-9)
+    trace = converge_traces([p3], tolerance=1e-9).row(0)
     diffs = np.diff(np.asarray(trace.entropies))
     assert np.all(diffs >= -1e-12)
 
 
 def test_converge_two_outcomes_oscillates():
-    trace = converge_to_uniform(make_dist([0.9, 0.1]), tolerance=1e-6)
+    trace = converge_traces([make_dist([0.9, 0.1])], tolerance=1e-6).row(0)
     assert trace.oscillating
     assert not trace.converged
     assert trace.steps == 1
@@ -185,12 +184,12 @@ def test_converge_two_outcomes_oscillates():
 
 
 def test_converge_two_outcomes_uniform_still_converges():
-    trace = converge_to_uniform(uniform(2), tolerance=1e-9)
+    trace = converge_traces([uniform(2)], tolerance=1e-9).row(0)
     assert trace.converged and not trace.oscillating
 
 
 def test_converge_max_steps_exhaustion(p4):
-    trace = converge_to_uniform(p4, tolerance=1e-30, max_steps=5)
+    trace = converge_traces([p4], tolerance=1e-30, max_steps=5).row(0)
     assert not trace.converged
     assert not trace.oscillating
     assert trace.steps == 5
@@ -199,18 +198,18 @@ def test_converge_max_steps_exhaustion(p4):
 
 def test_converge_parameter_validation(p4):
     with pytest.raises(DomainError):
-        converge_to_uniform(p4, tolerance=0.0)
+        converge_traces([p4], tolerance=0.0)
     with pytest.raises(DomainError):
-        converge_to_uniform(p4, max_steps=0)
+        converge_traces([p4], max_steps=0)
     # every comparison with NaN is False: `tolerance <= 0` let it through,
     # and the trace ran to max_steps without converging
     with pytest.raises(DomainError):
-        converge_to_uniform(p4, tolerance=float("nan"), max_steps=50)
+        converge_traces([p4], tolerance=float("nan"), max_steps=50)
 
 
 @given(distributions(min_n=3, max_n=16))
 def test_converge_reaches_declared_tolerance(p):
-    trace = converge_to_uniform(p, tolerance=1e-9)
+    trace = converge_traces([p], tolerance=1e-9).row(0)
     assert trace.converged
     assert trace.distances[-1] <= 1e-9
     assert is_uniform(trace.iterates[-1], tolerance=1e-8)
@@ -225,7 +224,7 @@ def _oracle_entropy(p):
 
 
 def _oracle_converge(p, tolerance=1e-9, max_steps=1000):
-    """converge_to_uniform as it was before converge_traces: one input, one step at a time."""
+    """The trace of one input as it was computed before converge_traces, one step at a time."""
     n = p.n
     center = 1.0 / n
     dev = p.probs - center
@@ -267,7 +266,8 @@ def test_converge_traces_match_the_per_input_loop(batch, tolerance, max_steps):
         for r, p in enumerate(group):
             want = _oracle_converge(p, tolerance, max_steps).as_dict()
             assert_identical(traces.row(r).as_dict(), want)
-            assert_identical(converge_to_uniform(p, tolerance, max_steps).as_dict(), want)
+            # batch invariance: the row of p alone is p's row in the group
+            assert_identical(converge_traces([p], tolerance, max_steps).row(0).as_dict(), want)
 
 
 def test_converge_traces_cut_each_row_at_its_own_step():
@@ -284,7 +284,7 @@ def test_converge_traces_cut_each_row_at_its_own_step():
 def test_converge_traces_stop_at_a_distance_equal_to_the_tolerance(p4):
     # "within tolerance" includes the tolerance itself, at every step
     for k in (0, 1, 3):
-        tolerance = converge_to_uniform(p4).distances[k]
+        tolerance = converge_traces([p4]).row(0).distances[k]
         traces = converge_traces([make_dist([0.1, 0.2, 0.3, 0.4]), p4], tolerance)
         assert traces.row(1).steps == k and traces.row(1).converged
         assert_identical(traces.row(1).as_dict(), _oracle_converge(p4, tolerance).as_dict())

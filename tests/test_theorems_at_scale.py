@@ -3,9 +3,10 @@
 Rounding in a kernel can grow with n, which the small-n tests cannot see:
 running sums rounded at every step make the partial-mean chain of the
 peeled-ones input fail from n = 16,000 on, while its first bounds equal
-``lhs`` in exact arithmetic.  Each input goes through the O(n) one-row calls;
-at n = 16,000 the two chain-sensitive inputs also go through the O(n^2)
-chain family, every excluded index at once.
+``lhs`` in exact arithmetic.  Each input goes through the O(n) claims, as a
+batch of one where a claim has no call of its own; at n = 16,000 the two
+chain-sensitive inputs also go through the O(n^2) chain columns of
+``certificate_suites``, every excluded index at once.
 """
 
 import numpy as np
@@ -17,15 +18,15 @@ from neglab import (
     X_LOG_X,
     ProbDist,
     concave_mixture_bound,
-    converge_to_uniform,
+    certificate_suites,
+    converge_traces,
     cross_entropy_check,
     double_negation_mixture_bound,
     entropy_chain_check,
     mixture_bound,
     negate,
-    negation_profile,
+    negation_profiles,
     partial_mean_chain,
-    partial_mean_chains,
     pointwise_bound,
     self_information_bound,
     uniform,
@@ -83,7 +84,7 @@ def test_no_theorem_fails_at_large_n(make, n):
         entropy_chain_check(p),
         cross_entropy_check(p, negate(p)),
         zero_padding_entropy_check(p, 1),
-        negation_profile(p, [0, 1, 2, 3]).properties,
+        negation_profiles([p], [0, 1, 2, 3]).row(0).properties,
     ]
     if n < SIZES[-1]:  # math.fsum rounds these once at any n; at 2**20 they only cost time
         certs += [
@@ -92,7 +93,7 @@ def test_no_theorem_fails_at_large_n(make, n):
             self_information_bound(p),
             concave_mixture_bound(X_LOG_X, p),
         ]
-    entropies = converge_to_uniform(p).entropies
+    entropies = converge_traces([p]).row(0).entropies
     assert np.all(np.diff(entropies) >= -HOLDS_TOLERANCE), "entropy fell along the trace"
     failing = [c.name for c in certs if not c.holds]
     assert failing == []
@@ -103,5 +104,7 @@ def test_no_theorem_fails_at_large_n(make, n):
                          ids=lambda make: make.__name__.lstrip("_"))
 def test_no_chain_fails_at_every_index(make, f):
     p = ProbDist(make(SIZES[0])[0])
-    failing = [c.name for c in partial_mean_chains(f, p) if not c.holds]
+    chains = [c for c in certificate_suites(f, [p]) if c.name.startswith("partial_mean_chain")]
+    assert len(chains) == p.n
+    failing = [c.name for c in chains if not c.holds[0]]
     assert failing == []
