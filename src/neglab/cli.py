@@ -27,6 +27,7 @@ import argparse
 import csv
 import errno
 import gc
+import inspect
 import io
 import json
 import math
@@ -44,7 +45,7 @@ from .certificates import Certificate, _flat, _gathered, compare
 from .distribution import (DEFAULT_TOLERANCE, DimensionError, DomainError, _check_int,
                            _check_tolerance, _report, _stacked, make_dist, make_dists)
 from .dissimilarity import MAX_DEPTH, _check_alphas, negation_profiles
-from .entropy import _entropies, entropy_chain_check, zero_padding_entropy_check
+from .entropy import _entropy_reports, entropy_chain_check, zero_padding_entropy_check
 from .jensen import (
     NEG_LOG,
     BUILTIN_FUNCTIONS,
@@ -184,6 +185,11 @@ def _gather_inputs(args) -> list[list[float]]:
             raise _UsageError(f"{args.file}: no distributions found")
         return rows
     raise _UsageError("provide a distribution with --dist or --file")
+
+
+def _default(fn: Callable, name: str):
+    """The default of ``fn``'s parameter ``name``, which a flag takes as its own."""
+    return inspect.signature(fn).parameters[name].default
 
 
 def _flag(check, *args):
@@ -500,13 +506,6 @@ def _json_negate(_, group, pairs):
 
 _ENTROPY_JSON = ('{"distribution": [%s], "n": %d, "entropy_bits": %s, "max_entropy_bits": %s, '
                  '"gap_bits": %s}')
-
-
-def _entropy_columns(group):
-    """The step of ``entropy``: H, log2 n and the gap of each input, as an m×3 block."""
-    h = _entropies(_stacked(group))
-    ceiling = math.log2(group[0].n)
-    return np.stack([h, np.full_like(h, ceiling), ceiling - h], axis=1), True
 
 
 def _step_converge(args, inp):
@@ -847,7 +846,8 @@ _COMMANDS = {
         "emit a distribution, its negation, and its double negation",
     ),
     "entropy": _Command(
-        lambda args, inp: _entropy_columns,
+        # H, log2 n and the gap of each input, as an m×3 block
+        lambda args, inp: lambda group: (_entropy_reports(_stacked(group)), True),
         lambda _, group, columns: [_ENTROPY_JSON % (p, group[0].n, *texts) for p, texts in zip(
             _json_rows(_stacked(group)), _json_inputs(columns))],
         lambda positions, group, columns: _csv(
@@ -861,7 +861,7 @@ _COMMANDS = {
         _step_converge, _json_converge, _csv_converge, _text_converge,
         ("dist", "step", "distance", "entropy_bits", "converged", "oscillating"),
         "iterate negation toward uniform and trace the path",
-        flags=(("--max-steps", {"type": int, "default": 1000}),),
+        flags=(("--max-steps", {"type": int, "default": _default(converge_traces, "max_steps")}),),
     ),
     "verify": _Command(
         _step_verify, _json_verify, lambda positions, _, result: _certificate_csv(positions, result[1]),
@@ -876,7 +876,7 @@ _COMMANDS = {
         "dissimilarity profile against the negation",
         flags=(
             ("--alpha", {"default": "0,1,2,3", "help": "comma-separated nonnegative integer levels"}),
-            ("--depth", {"type": int, "default": 3,
+            ("--depth", {"type": int, "default": _default(negation_profiles, "depth"),
                          "help": "negation iterates to compare against (>= 1)"}),
         ),
     ),

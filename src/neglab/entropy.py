@@ -68,10 +68,19 @@ class EntropyReport(NamedTuple):
 
 
 def entropy_report(p: ProbDist) -> EntropyReport:
-    """Entropy, the log2(n) ceiling, and the gap between them."""
-    h = shannon_entropy(p)
-    h_max = math.log2(p.n)
-    return EntropyReport(n=p.n, entropy_bits=h, max_entropy_bits=h_max, gap_bits=h_max - h)
+    """Entropy, the log2(n) ceiling, and the gap between them.
+
+    Row 0 of the block kernel :func:`_entropy_reports`.
+    """
+    return EntropyReport(p.n, *_entropy_reports(p.probs[None])[0].tolist())
+
+
+def _entropy_reports(rows: np.ndarray) -> np.ndarray:
+    """:func:`entropy_report`'s H, log2(n) and gap for each row of an m×n
+    block, as an m×3 block."""
+    h = _entropies(rows)
+    ceiling = math.log2(rows.shape[1])
+    return np.stack([h, np.full_like(h, ceiling), ceiling - h], axis=1)
 
 
 def cross_entropy_check(p: ProbDist, q: ProbDist) -> Certificate:

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .certificates import Certificate, HOLDS_TOLERANCE, _compare_columns, compare
+from .certificates import Certificate, HOLDS_TOLERANCE, _compare_columns
 from .distribution import DomainError, ProbDist, _check_int, _stacked
 from .entropy import _cross_entropies, _entropies, _entropy_chains
 from .negation import _double_negation, _negation, negate
@@ -77,13 +77,19 @@ class FunctionSpec:
         ``"convex"`` or ``"concave"``.
     fn : callable
         The function itself.  It may return ``inf`` at 0 (limit
-        semantics); set ``zero_ok=False`` so the spot-check stays off
-        that endpoint.  A ``fn`` that maps a whole array entry by entry
-        (a numpy expression) is called once per array by :meth:`values`;
-        one that takes only scalars (``math.sqrt``, say) is called once
-        per entry.  Construction tells the two apart by a probe.
+        semantics), or raise there as ``math.log2`` does.  A ``fn`` that
+        maps a whole array entry by entry (a numpy expression) is called
+        once per array by :meth:`values`; one that takes only scalars
+        (``math.sqrt``, say) is called once per entry.  Construction tells
+        the two apart by a probe.
+
+    Attributes
+    ----------
     zero_ok : bool
-        Whether evaluating at exactly 0 yields a finite value.
+        Whether evaluating at exactly 0 yields a finite value, found by
+        construction from one call ``fn(0.0)`` with numpy's warnings
+        silenced: False where it is not finite or raises
+        :class:`ArithmeticError` or :class:`ValueError`.
 
     Construction runs the curvature spot-check: on 32 evenly spaced points
     from 0 (1e-6 without ``zero_ok``) to 1, every triple x < y < z must
@@ -94,12 +100,13 @@ class FunctionSpec:
     name: str
     curvature: str
     fn: Callable[[float], float]
-    zero_ok: bool = True
+    zero_ok: bool = field(init=False, compare=False)
     _maps_arrays: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.curvature not in ("convex", "concave"):
             raise ValueError(f"curvature must be 'convex' or 'concave', got {self.curvature!r}")
+        object.__setattr__(self, "zero_ok", self._finite_at_zero())
         object.__setattr__(self, "_maps_arrays", self._probe_arrays())
         self._spot_check()
 
@@ -112,6 +119,14 @@ class FunctionSpec:
         if self._maps_arrays:
             return np.asarray(self.fn(x), dtype=float)
         return np.fromiter(map(self, x.flat), dtype=float, count=x.size).reshape(x.shape)
+
+    def _finite_at_zero(self) -> bool:
+        """Whether ``fn(0.0)`` is a finite value."""
+        try:
+            with np.errstate(all="ignore"):
+                return math.isfinite(self(0.0))
+        except (ArithmeticError, ValueError):  # math.log2(0.0), 1 / 0.0
+            return False
 
     def _probe_arrays(self) -> bool:
         """Whether ``fn`` takes an array and agrees with its scalar calls on it."""
@@ -155,7 +170,7 @@ def _square(x):
     return x * x
 
 
-NEG_LOG = FunctionSpec("neg_log", "convex", _neg_log, zero_ok=False)
+NEG_LOG = FunctionSpec("neg_log", "convex", _neg_log)
 X_LOG_X = FunctionSpec("x_log_x", "concave", _x_log_x)
 SQUARE = FunctionSpec("square", "convex", _square)
 
@@ -195,10 +210,18 @@ def _mixture_value(sum_p, sum_q, n: int):
     return (sum_p + (n - 1) * sum_q) / n**2
 
 
+def _mixtures(name: str, f_centre: float, sum_p, sum_q, n: int) -> Certificate:
+    """The mixture bound ``name`` of m inputs, as a column, from f(1/n) and
+    the sums of f over their rows p and negate(p)."""
+    (column,) = _compare_columns([name], f_centre, _mixture_value(sum_p, sum_q, n)[:, None])
+    return column
+
+
 def _mixture_bound(name: str, f: FunctionSpec, p: ProbDist) -> Certificate:
     """The mixture bound of ``f`` at ``p``, as the certificate ``name``."""
     _require(f, "convex")
-    return compare(name, f(1.0 / p.n), _mixture_value(*_fsums(f.values(_pair(p))), p.n))
+    sum_p, sum_q = _fsums(f.values(_pair(p)))[:, None]
+    return _mixtures(name, f(1.0 / p.n), sum_p, sum_q, p.n).row(0)
 
 
 def mixture_bound(f: FunctionSpec, p: ProbDist) -> Certificate:
@@ -251,10 +274,10 @@ def _concave_mixtures(
     f: FunctionSpec, sum_p: np.ndarray, sum_q: np.ndarray, n: int, entropies
 ) -> Certificate:
     """:func:`concave_mixture_bound` of m inputs, as a column, from the sums
-    of f over their rows p and negate(p) and, for ``x_log_x``, the entropies
-    of those rows."""
+    of f over their rows p and negate(p) and, for :data:`X_LOG_X` itself,
+    the entropies of those rows."""
     detail = []
-    if f.name == "x_log_x":
+    if f is X_LOG_X:
         h_p, h_q = entropies
         h_mix = (h_p + (n - 1) * h_q) / n
         detail = _compare_columns(["entropy_mixture_bound"], h_mix[:, None], math.log2(n))
@@ -408,6 +431,14 @@ def _chains(f: FunctionSpec, sums: tuple, excluded: np.ndarray):
     return lhs, bounds[:, 1], holds & (lhs <= lowest + tol)
 
 
+def _chain_columns(f: FunctionSpec, sums: tuple, excluded: np.ndarray) -> list[Certificate]:
+    """The ``partial_mean_chain[i=…]`` columns of each index i in ``excluded``,
+    decided from :func:`_chains`' sides and ``holds``."""
+    lhs, rhs, holds = _chains(f, sums, excluded)
+    names = [f"partial_mean_chain[i={i}]" for i in excluded.tolist()]
+    return _compare_columns(names, lhs, rhs, holds=holds)
+
+
 def partial_mean_chain(
     f: FunctionSpec, p: ProbDist, i: int
 ) -> tuple[PartialMeanChain, Certificate]:
@@ -427,11 +458,10 @@ def partial_mean_chain(
     probs = p.probs[None]
     sums = _chain_sums(probs, f.values(probs))
     zetas, _, bounds = _kept(f, sums, np.arange(p.n - 1, 0, -1), np.array([i]))
-    lhs, rhs, holds = _chains(f, sums, np.array([i]))
     chain = PartialMeanChain(
         excluded_index=i, zetas=tuple(zetas[0].tolist()), bounds=tuple(bounds[0, 1:].tolist())
     )
-    return chain, compare(f"partial_mean_chain[i={i}]", lhs[0, 0], rhs[0, 0], holds=holds[0, 0])
+    return chain, _chain_columns(f, sums, np.array([i]))[0].row(0)
 
 
 def certificate_suites(f: FunctionSpec, dists: Sequence[ProbDist]) -> list[Certificate]:
@@ -469,22 +499,16 @@ def certificate_suites(f: FunctionSpec, dists: Sequence[ProbDist]) -> list[Certi
     log_sums = _fsums(NEG_LOG.values(np.stack([probs, q])))
     entropies = [_entropies(rows) for rows in (probs, q, _double_negation(probs))]
     suite = [
-        *_compare_columns(["mixture_bound"], f_centre, _mixture_value(sum_p, sum_q, n)[:, None]),
+        _mixtures("mixture_bound", f_centre, sum_p, sum_q, n),
         *_pointwise(f_centre, f_p, f_q, n),
-        *_compare_columns(
-            ["self_information_bound"], NEG_LOG(1.0 / n), _mixture_value(*log_sums, n)[:, None]
-        ),
-        *_compare_columns(
-            ["double_negation_mixture_bound"], f_centre, _mixture_value(sum_q, sum_qq, n)[:, None]
-        ),
+        _mixtures("self_information_bound", NEG_LOG(1.0 / n), *log_sums, n),
+        _mixtures("double_negation_mixture_bound", f_centre, sum_q, sum_qq, n),
         _concave_mixtures(
             concave, *_fsums(concave.values(np.stack([probs, q]))), n, entropies[:2]
         ),
     ]
     if n >= 3:
-        lhs, rhs, holds = _chains(convex, _chain_sums(probs, f_p), np.arange(n))
-        names = [f"partial_mean_chain[i={i}]" for i in range(n)]
-        suite += _compare_columns(names, lhs, rhs, holds=holds)
+        suite += _chain_columns(convex, _chain_sums(probs, f_p), np.arange(n))
     suite.append(_cross_entropies(probs, np.full((m, n), 1.0 / n), entropies[0]))
     suite.append(_entropy_chains(n, *entropies))
     return suite

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distribution import ProbDist, _check_int, _check_tolerance, _stacked, _unchecked
+from .distribution import DEFAULT_TOLERANCE, ProbDist, _check_int, _check_tolerance, _stacked, _unchecked
 
 __all__ = [
     "negate",
@@ -134,7 +134,7 @@ class ConvergenceTraces(NamedTuple):
 
 
 def converge_traces(
-    dists: Sequence[ProbDist], tolerance: float = 1e-9, max_steps: int = 1000
+    dists: Sequence[ProbDist], tolerance: float = DEFAULT_TOLERANCE, max_steps: int = 1000
 ) -> ConvergenceTraces:
     """Negate each of m distributions of one length n repeatedly until within
     ``tolerance`` of uniform (max norm), 0 < tolerance < 1, for at most an

@@ -5,10 +5,12 @@ import csv
 import dataclasses
 import errno
 import gc
+import inspect
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -796,8 +798,8 @@ def test_records_are_built_and_rendered_with_the_collector_paused(capsys, monkey
         seen.append(gc.isenabled())
         return cli_render_json(doc)
 
-    cli_entropies, cli_render_json = cli._entropies, cli._render_json
-    monkeypatch.setattr(cli, "_entropies", entropies)
+    cli_entropies, cli_render_json = cli._entropy_reports, cli._render_json
+    monkeypatch.setattr(cli, "_entropy_reports", entropies)
     monkeypatch.setattr(cli, "_render_json", render_json)
     assert gc.isenabled()
     assert main(["entropy", "--dist", "0.5,0.5", "--format", "json"]) == EXIT_OK
@@ -1467,8 +1469,8 @@ def test_a_kernel_that_raises_raises_as_in_one_process(capsys, monkeypatch, tmp_
             raise ZeroDivisionError(f"n = {raising_n}")
         return cli_entropies(rows)
 
-    cli_entropies = cli._entropies
-    monkeypatch.setattr(cli, "_entropies", entropies)
+    cli_entropies = cli._entropy_reports
+    monkeypatch.setattr(cli, "_entropy_reports", entropies)
     path = _two_groups(tmp_path)
     for workers in (1, 2, 3):
         with pytest.raises(ZeroDivisionError, match=f"^n = {raising_n}$"):
@@ -1485,8 +1487,8 @@ def test_a_childs_warnings_are_issued_here_and_it_writes_no_stderr(capsys, monke
             warnings.warn("n = 9", UserWarning)
         return cli_entropies(rows)
 
-    cli_entropies = cli._entropies
-    monkeypatch.setattr(cli, "_entropies", entropies)
+    cli_entropies = cli._entropy_reports
+    monkeypatch.setattr(cli, "_entropy_reports", entropies)
     path = _two_groups(tmp_path)
     argv = ["entropy", "--file", str(path)]
     with pytest.warns(UserWarning, match="^n = 9$"):
@@ -1502,8 +1504,8 @@ def test_a_child_that_dies_raises_here(capsys, monkeypatch, tmp_path, a_worker_p
             os._exit(1)  # as a child killed by a signal would, it sends nothing
         return cli_entropies(rows)
 
-    cli_entropies, parent = cli._entropies, os.getpid()
-    monkeypatch.setattr(cli, "_entropies", entropies)
+    cli_entropies, parent = cli._entropy_reports, os.getpid()
+    monkeypatch.setattr(cli, "_entropy_reports", entropies)
     path = _two_groups(tmp_path)
     with pytest.raises(RuntimeError, match="^worker process [0-9]+ sent no result$"):
         _in_workers(capsys, ["entropy", "--file", str(path)], 2)
@@ -1540,3 +1542,74 @@ def test_one_cpu_and_all_cpus_write_the_same_bytes(tmp_path):
                          for pin in ({}, {"preexec_fn": lambda: os.sched_setaffinity(0, {cpu})}))
         assert spread.returncode == EXIT_OK
         assert (spread.returncode, spread.stdout, spread.stderr) == (alone.returncode, alone.stdout, alone.stderr)
+
+
+def _joined_batches():
+    """Two mixed-n batches A and B that share n = 3 and n = 5, each with rows
+    with exact zeros, a point mass or a uniform row."""
+    rng = np.random.default_rng(33)
+
+    def rows(ns):
+        out = [rng.dirichlet(np.ones(n)) for n in ns]
+        out[1][[0, 2]] = 0.0
+        return [(row / row.sum()).tolist() for row in out]
+
+    a = [*rows([3, 5, 2, 3, 8]), [1.0, 0.0, 0.0]]
+    b = [*rows([5, 4, 3, 2]), [0.2] * 5]
+    return a, b
+
+
+def _reindexed(text: str, by: int, pattern: str) -> str:
+    """``text`` with the input index that ``pattern``'s group matches at the
+    start of each line raised by ``by``."""
+    return re.sub(pattern, lambda m: m[0].replace(m[1], str(int(m[1]) + by), 1), text, flags=re.M)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("command", [
+    ["negate"], ["entropy"], ["converge"], ["dissim"],
+    ["verify", "--fn", "neg_log"], ["verify", "--fn", "square"], ["verify", "--fn", "x_log_x"],
+], ids=" ".join)
+def test_the_records_of_a_joined_batch_are_each_batchs_in_turn(capsys, tmp_path, a_worker_per_value,
+                                                               command, workers):
+    # A + B is A's records, then B's with their input index moved by len(A):
+    # the groups of one n in both batches are cut and joined anew, and with
+    # two workers each batch is split at its own place
+    a, b = _joined_batches()
+    paths = {}
+    for name, rows in (("a", a), ("b", b), ("ab", a + b)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(rows))
+    for fmt in ("json", "csv", "text"):
+        (code_a, out_a, err_a), (code_b, out_b, err_b), (code, out, err) = (
+            _in_workers(capsys, [*command, "--file", str(paths[name]), "--format", fmt], workers)
+            for name in ("a", "b", "ab"))
+        assert err_a == err_b == err == ""
+        assert code == (EXIT_OK if code_a == code_b == EXIT_OK else EXIT_FAILURE)
+        if fmt == "json":
+            doc_a, doc_b, doc = map(json.loads, (out_a, out_b, out))
+            assert [json.dumps(r) for r in doc["results"]] == [
+                json.dumps(r) for r in doc_a["results"] + doc_b["results"]]
+            assert doc["all_hold"] == (doc_a["all_hold"] and doc_b["all_hold"])
+        elif fmt == "csv":
+            header, _, rows_a = out_a.partition("\r\n")
+            assert out == header + "\r\n" + rows_a + _reindexed(
+                out_b.partition("\r\n")[2], len(a), r"^(\d+),")
+        else:
+            head, _, body_b = out_b.partition("\n")
+            body_a = out_a.partition("\n")[2].rpartition("all_hold: ")[0]
+            body_b = body_b.rpartition("all_hold: ")[0]
+            assert out == (head + "\n" + body_a + _reindexed(body_b, len(a), r"^distribution (\d+): ")
+                           + f"all_hold: {'true' if code == EXIT_OK else 'false'}\n")
+
+
+def test_every_default_is_the_librarys():
+    # the tolerance, --max-steps and --depth each have one source, the library
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    parse = cli._build_parser().parse_args
+    assert parse(["converge"]).tol is distribution.DEFAULT_TOLERANCE
+    assert default(converge_traces, "tolerance") is distribution.DEFAULT_TOLERANCE
+    assert parse(["converge"]).max_steps == default(converge_traces, "max_steps") == 1000
+    assert parse(["dissim"]).depth == default(negation_profiles, "depth") == 3

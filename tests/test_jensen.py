@@ -116,6 +116,29 @@ def test_functionspec_rejects_unknown_tag():
         FunctionSpec("bad", "wavy", lambda x: x)
 
 
+def test_zero_ok_is_read_off_the_function():
+    # the built-ins' derived values are the ones they used to declare
+    assert (NEG_LOG.zero_ok, X_LOG_X.zero_ok, SQUARE.zero_ok) == (False, True, True)
+    # math.log2 and 1 / x raise at 0, which leaves 0 off the spot-check grid
+    log = FunctionSpec("l", "convex", lambda x: -math.log2(x))
+    assert not log.zero_ok and not log._maps_arrays and log(0.25) == 2.0
+    assert not FunctionSpec("r", "convex", lambda x: 1 / x).zero_ok
+    assert FunctionSpec("root", "concave", np.sqrt).zero_ok
+    with pytest.raises(TypeError):
+        FunctionSpec("s", "convex", lambda x: x * x, zero_ok=True)
+
+
+def test_entropy_mixture_detail_goes_with_x_log_x_itself():
+    # a concave spec under the built-in's name is not the built-in: its bound
+    # says nothing about entropy, in the one-row claim and in the suite
+    sqrt = FunctionSpec("x_log_x", "concave", np.sqrt)
+    p = make_dist([0.5, 0.3, 0.2])
+    assert concave_mixture_bound(sqrt, p).detail == ()
+    (column,) = [c for c in certificate_suites(sqrt, [p]) if c.name == "concave_mixture_bound"]
+    assert column.detail == ()
+    assert [d.name for d in concave_mixture_bound(X_LOG_X, p).detail] == ["entropy_mixture_bound"]
+
+
 def test_jensen_scalar_only_specs():
     # a user fn that takes only scalars goes through FunctionSpec.values entry by entry
     cube = FunctionSpec("cube", "convex", lambda x: math.pow(x, 3))
@@ -471,7 +494,7 @@ def _dip(base, height, j):
         bump = np.where((x > x0) & (x < x1), np.sin(np.pi * (x - x0) / (x1 - x0)) ** 2, 0.0)
         return base.values(x) - height * bump
 
-    return FunctionSpec(f"{base.name}_dip", "convex", fn, zero_ok=base.zero_ok)
+    return FunctionSpec(f"{base.name}_dip", "convex", fn)
 
 
 @pytest.mark.parametrize(

@@ -169,6 +169,48 @@ def test_converge_distances_follow_closed_form(p4):
         assert abs(d - trace.distances[0] * r**k) <= 1e-12
 
 
+def _seeded_rows(count, ns, seed):
+    """``count`` seeded Dirichlet rows with n drawn from ``ns``, every fifth
+    with exact zeros (at least one entry left positive)."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.choice(ns))
+        row = rng.dirichlet(np.ones(n))
+        if k % 5 == 0:
+            row[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 0.0
+        yield make_dist(row / row.sum())
+
+
+def test_converge_distance_shrinks_by_one_over_n_minus_one_bit_for_bit():
+    # a step scales the deviation from uniform by -1/(n - 1); rounding is
+    # odd and monotone, so the largest |deviation| is the last one times
+    # 1/(n - 1), rounded once
+    steps = 0
+    for p in _seeded_rows(400, np.arange(3, 40), seed=13):
+        distances = converge_traces([p]).distances
+        ratio = 1.0 / (p.n - 1)
+        assert np.array_equal(distances[1:], distances[:-1] * ratio), p.n
+        steps += distances.size - 1
+    assert steps > 3000
+
+
+def test_negation_mass_is_n_minus_the_mass_over_n_minus_one():
+    # sum(negate(p)) = (n - sum(p))/(n - 1) exactly on the rationals that
+    # p's doubles are; each entry (1 - p_i)/(n - 1) is two roundings off its
+    # exact value, so the exact sum of the entries lies within (2u + u^2)
+    # of the right side, relatively, u = 2^-53
+    u = Fraction(1, 2**53)
+    ns = [2, 3, 5, 16, 100, 1000, 4096, 2**16]
+    rows = [*_seeded_rows(40, ns, seed=21), *(uniform(n) for n in ns),
+            *(make_dist([1.0] + [0.0] * (n - 1)) for n in ns)]
+    assert {p.n for p in rows} == set(ns)
+    for p in rows:
+        n = p.n
+        exact = (n - sum(map(Fraction, p.tolist()))) / (n - 1)
+        error = abs(sum(map(Fraction, negate(p).tolist())) - exact)
+        assert error <= (2 * u + u * u) * exact, (n, float(error / exact))
+
+
 def test_converge_entropies_nondecreasing(p3):
     trace = converge_traces([p3], tolerance=1e-9).row(0)
     diffs = np.diff(np.asarray(trace.entropies))
