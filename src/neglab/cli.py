@@ -36,7 +36,7 @@ import pickle
 import signal
 import sys
 import warnings
-from itertools import chain, compress
+from itertools import chain, compress, pairwise
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -252,7 +252,8 @@ def _slices(groups, workers: int) -> list[list]:
 def _run(part, step, render) -> tuple[list, list, list]:
     """For a slice of groups: the positions and records of each group that
     ``step`` computed, whether each one's claims held, and each
-    :class:`DomainError` raised with the input position it is charged to."""
+    :class:`DomainError` raised with the input position it is charged to.
+    A group's rows are stacked once, into the m×n block its renderer reads."""
     done, holds, failures = [], [], []
     for idxs, group in part:
         try:
@@ -261,7 +262,7 @@ def _run(part, step, render) -> tuple[list, list, list]:
             failures.append((idxs[getattr(exc, "index", 0)], exc))
             continue
         holds.append(group_holds)
-        done.append((idxs, render(idxs, group, result)))
+        done.append((idxs, render(idxs, _stacked(group), result)))
     return done, holds, failures
 
 
@@ -317,12 +318,13 @@ def _by_group(groups, count: int, step, render, workers: int = 1) -> tuple[list,
     """The records of ``count`` inputs in input order, and whether every claim held.
 
     ``step(group)`` gives the ``(result, all_hold)`` of each of
-    :func:`_validate`'s ``groups`` and ``render(positions, group, result)``
-    the records of its inputs, at ``positions`` in input order.  A group
-    that raises :class:`DomainError` is charged to its input ``index``, the
-    first if the error names none; the error raised is that of the first
-    input in input order, whichever group it sits in.  Any other exception
-    is raised as the groups in order reach it.
+    :func:`_validate`'s ``groups`` and ``render(positions, probs, result)``
+    the records of its inputs, at ``positions`` in input order, from their
+    m×n block ``probs``.  A group that raises :class:`DomainError` is
+    charged to its input ``index``, the first if the error names none; the
+    error raised is that of the first input in input order, whichever group
+    it sits in.  Any other exception is raised as the groups in order reach
+    it.
 
     The groups run in :func:`_slices` of up to ``workers`` slices: the
     first in this process, each other one in a forked child, all at once
@@ -367,11 +369,11 @@ def _by_group(groups, count: int, step, render, workers: int = 1) -> tuple[list,
 # subcommands.  A command's step(args, inp) checks its own flags, may record
 # them in the document's ``input`` block ``inp``, and returns the function
 # from a same-n group to its (result, all_hold).  Its json, csv and text
-# entries turn the group's input positions, the group and its result into
-# the text of each input's record.  Each format fills one %-template per
-# group, with names, paths, levels and indices written into it once; its
-# holes take each input's numbers, as JSON texts or through %.15g for CSV
-# and text, and its flags through lookup tables.
+# entries turn the group's input positions, its rows as one m×n block and
+# its result into the text of each input's record.  Each format fills one
+# %-template per group, with names, paths, levels and indices written into
+# it once; its holes take each input's numbers, as JSON texts or through
+# %.15g for CSV and text, and its flags through lookup tables.
 
 _CERT_HEADER = ("dist", "name", "lhs", "rhs", "slack", "holds", "equality", "infinite")
 _JSON_BOOL = {True: "true", False: "false"}
@@ -419,11 +421,12 @@ def _literal(obj) -> str:
     return json.dumps(obj).replace("%", "%%")
 
 
-def _csv_literal(cell: str) -> str:
-    """``cell`` as literal text of a %-template, quoted where csv.writer quotes it."""
+def _csv_cell(cell: str) -> str:
+    """``cell`` as a CSV field, quoted as the csv module's writer quotes one:
+    where it holds a comma, a double quote or a line break."""
     if any(c in cell for c in ',"\r\n'):
-        cell = '"' + cell.replace('"', '""') + '"'
-    return cell.replace("%", "%%")
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def _numbers(n: int) -> str:
@@ -440,10 +443,18 @@ def _csv(rows: list[str], positions, *columns) -> list[str]:
         len(rows) * (1 + len(columns)), np.repeat(positions, len(rows)).tolist(), *columns)]
 
 
-def _text(tail: str, positions, group, holes) -> list[str]:
-    """Per input, its line ``distribution i: p``, then the %-template ``tail`` filled with its ``holes``."""
-    template = "distribution %d: " + _numbers(group[0].n) + "\n" + tail
-    return [template % (i, *p, *h) for i, p, h in zip(positions, _stacked(group).tolist(), holes)]
+def _json(tail: str, probs: np.ndarray, holes) -> list[str]:
+    """Per row p of ``probs``, its record ``{"distribution": [p], `` and then
+    the %-template ``tail`` filled with its ``holes``."""
+    template = '{"distribution": [%s], ' + tail
+    return [template % (p, *h) for p, h in zip(_json_rows(probs), holes)]
+
+
+def _text(tail: str, positions, probs: np.ndarray, holes) -> list[str]:
+    """Per row p of ``probs``, its line ``distribution i: p``, then the
+    %-template ``tail`` filled with its ``holes``."""
+    template = "distribution %d: " + _numbers(probs.shape[1]) + "\n" + tail
+    return [template % (i, *p, *h) for i, p, h in zip(positions, probs.tolist(), holes)]
 
 
 _MARK = {True: "[ok]", False: "[FAIL]"}
@@ -485,7 +496,7 @@ def _certificate_json(columns: list[Certificate]) -> tuple[list, str, list[tuple
 def _certificate_csv(positions, columns: list[Certificate]) -> list[str]:
     """Per input, the CSV rows of ``columns`` and, at any depth, their detail, named by path."""
     flat, values = _certificate_holes(columns, _CSV_CERT)
-    return _csv([_csv_literal(path) + ",%.15g,%.15g,%.15g,%s,%s,%s" for _, path, _ in flat],
+    return _csv([_csv_cell(path).replace("%", "%%") + ",%.15g,%.15g,%.15g,%s,%s,%s" for _, path, _ in flat],
                 positions, *values)
 
 
@@ -499,13 +510,8 @@ def _certificate_text(columns: list[Certificate], indent: str) -> tuple[str, lis
     return template, _interleaved(6 * len(flat), *values)
 
 
-def _json_negate(_, group, pairs):
-    return ['{"distribution": [%s], "negation": [%s], "double_negation": [%s]}' % texts
-            for texts in zip(*map(_json_rows, (_stacked(group), *pairs)))]
-
-
-_ENTROPY_JSON = ('{"distribution": [%s], "n": %d, "entropy_bits": %s, "max_entropy_bits": %s, '
-                 '"gap_bits": %s}')
+def _json_negate(_, probs, pairs):
+    return _json('"negation": [%s], "double_negation": [%s]}', probs, zip(*map(_json_rows, pairs)))
 
 
 def _step_converge(args, inp):
@@ -513,45 +519,41 @@ def _step_converge(args, inp):
     return lambda group: ((args.tolerance, converge_traces(group, args.tolerance, args.max_steps)), True)
 
 
-def _json_converge(_, group, result):
-    """Input r's iterates, entropies and distances are its ``steps[r] + 1`` entries of each."""
+def _json_converge(_, probs, result):
+    """Input r's iterates, entropies and distances are its entries of each,
+    between its two offsets."""
     tolerance, traces = result
-    template = ('{"distribution": [%s], "tolerance": ' + _literal(tolerance) + ', "iterates": [[%s]], '
-                '"entropies": [%s], "distances": [%s], "converged": %s, "steps": %d, "oscillating": %s}')
     iterates = _json_rows(traces.iterates)
     entropies, distances = _json_numbers(traces.entropies), _json_numbers(traces.distances)
-    records = []
-    for p, end, steps, converged, oscillating in zip(
-        _json_rows(_stacked(group)), np.cumsum(traces.steps + 1).tolist(), traces.steps.tolist(),
-        traces.converged.tolist(), traces.oscillating.tolist(),
-    ):
-        at = slice(end - steps - 1, end)
-        records.append(template % (p, "], [".join(iterates[at]), ", ".join(entropies[at]),
-                                   ", ".join(distances[at]), _JSON_BOOL[converged], steps,
-                                   _JSON_BOOL[oscillating]))
-    return records
+    return _json('"tolerance": ' + _literal(tolerance) + ', "iterates": [[%s]], "entropies": [%s], '
+                 '"distances": [%s], "converged": %s, "steps": %d, "oscillating": %s}', probs, [
+        ("], [".join(iterates[start:end]), ", ".join(entropies[start:end]),
+         ", ".join(distances[start:end]), _JSON_BOOL[converged], steps, _JSON_BOOL[oscillating])
+        for (start, end), steps, converged, oscillating in zip(
+            pairwise(traces._offsets().tolist()), traces.steps.tolist(), traces.converged.tolist(),
+            traces.oscillating.tolist())])
 
 
-def _csv_converge(positions, group, result):
-    """Input r's rows are its ``steps[r] + 1`` steps, each filled as a record of its own."""
+def _csv_converge(positions, probs, result):
+    """Input r's rows are its steps, between its two offsets, each filled as a record of its own."""
     traces = result[1]
-    counts = traces.steps + 1
-    ends = np.cumsum(counts)
+    offsets = traces._offsets()
+    counts = np.diff(offsets)
     rows = _csv(["%d,%.15g,%.15g,%s,%s"], np.repeat(positions, counts),
-                _values(np.arange(ends[-1]) - np.repeat(ends - counts, counts)),
+                _values(np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts)),
                 _values(traces.distances), _values(traces.entropies),
                 *(_each(_JSON_BOOL)(np.repeat(flag, counts))
                   for flag in (traces.converged, traces.oscillating)))
-    return ["".join(rows[end - count:end]) for end, count in zip(ends.tolist(), counts.tolist())]
+    return ["".join(rows[start:end]) for start, end in pairwise(offsets.tolist())]
 
 
 _STOPPED = {True: "oscillating (period 2, never converges)", False: "stopped at max_steps"}
 
 
-def _text_converge(positions, group, result):
+def _text_converge(positions, probs, result):
     traces = result[1]
-    last = np.cumsum(traces.steps + 1) - 1
-    return _text("  %s after %d steps\n  final distance %.15g, entropy %.15g bits\n", positions, group, [
+    last = traces._offsets()[1:] - 1
+    return _text("  %s after %d steps\n  final distance %.15g, entropy %.15g bits\n", positions, probs, [
         ("converged" if converged else _STOPPED[oscillating], *numbers)
         for converged, oscillating, *numbers in zip(
             traces.converged.tolist(), traces.oscillating.tolist(), traces.steps.tolist(),
@@ -574,44 +576,41 @@ def _step_dissim(args, inp):
     return step
 
 
-def _json_dissim(_, group, profiles):
+def _json_dissim(_, probs, profiles):
     """Per input: its L + depth results, its properties and its iterated flag
     fill the template's holes in that order; each result's level is literal."""
     levels, at = profiles._columns()
     results = ['{"alpha": %d, "value": %%s, "l1": %%s}' % a for a in at]
     _, properties, holes = _certificate_json([profiles.properties])
-    template = ('{"distribution": [%s], "negation": [%s], "profile": [' + ", ".join(results[:levels])
-                + '], "properties": ' + properties + ', "iterated": {"alpha": ' + str(at[0])
-                + ', "results": [' + ", ".join(results[levels:]) + '], "non_decreasing": %s}}')
     split = 2 * levels  # the profile's texts of an input's results
-    return [
-        template % (p, q, *texts[:split], *fields, *texts[split:], _JSON_BOOL[flag])
-        for p, q, texts, fields, flag in zip(
-            _json_rows(_stacked(group)), _json_rows(profiles.negations),
-            _json_inputs(np.stack([profiles.value, profiles.l1], axis=-1)),
-            holes, profiles.non_decreasing.tolist())
-    ]
+    return _json('"negation": [%s], "profile": [' + ", ".join(results[:levels]) + '], "properties": '
+                 + properties + ', "iterated": {"alpha": ' + str(at[0]) + ', "results": ['
+                 + ", ".join(results[levels:]) + '], "non_decreasing": %s}}', probs, [
+        (q, *texts[:split], *fields, *texts[split:], _JSON_BOOL[flag])
+        for q, texts, fields, flag in zip(
+            _json_rows(profiles.negations), _json_inputs(np.stack([profiles.value, profiles.l1], axis=-1)),
+            holes, profiles.non_decreasing.tolist())])
 
 
-def _csv_dissim(positions, group, profiles):
+def _csv_dissim(positions, probs, profiles):
     """A row's ``value`` is also its ``closed_form_value``."""
-    depth = profiles.l1.shape[1] - len(profiles.alphas)
-    levels = [f"alpha,{a}" for a in profiles.alphas] + [f"iterate,{k}" for k in range(1, depth + 1)]
+    levels, at = profiles._columns()
+    kinds = [f"alpha,{a}" for a in at[:levels]] + [f"iterate,{k}" for k in range(1, len(at) - levels + 1)]
     values = _values(profiles.value)
-    return _csv([level + ",%.15g,%.15g,%.15g,%s" for level in levels], positions, values, values,
-                _values(profiles.l1), _each(_JSON_BOOL)(np.repeat(profiles.properties.holds, len(levels))))
+    return _csv([kind + ",%.15g,%.15g,%.15g,%s" for kind in kinds], positions, values, values,
+                _values(profiles.l1), _each(_JSON_BOOL)(np.repeat(profiles.properties.holds, len(at))))
 
 
-def _text_dissim(positions, group, profiles):
-    levels = len(profiles.alphas)
-    depth = profiles.l1.shape[1] - levels
+def _text_dissim(positions, probs, profiles):
+    levels, at = profiles._columns()
+    depth = len(at) - levels
     properties, holes = _certificate_text([profiles.properties], "  ")
-    tail = ("".join(f"  alpha={a}: value=%.15g (l1=%.15g)\n" for a in profiles.alphas) + properties
+    tail = ("".join(f"  alpha={a}: value=%.15g (l1=%.15g)\n" for a in at[:levels]) + properties
             + f"  vs iterates 1..{depth}: {_numbers(depth)} (non-decreasing: %s)\n")
     pairs = np.stack([profiles.value[:, :levels], profiles.l1[:, :levels]], axis=-1)
-    return _text(tail, positions, group, [
+    return _text(tail, positions, probs, [
         (*pair, *fields, *iterated, _JSON_BOOL[flag]) for pair, fields, iterated, flag in zip(
-            pairs.reshape(len(group), -1).tolist(), holes, profiles.value[:, levels:].tolist(),
+            pairs.reshape(len(probs), -1).tolist(), holes, profiles.value[:, levels:].tolist(),
             profiles.non_decreasing.tolist())])
 
 
@@ -635,24 +634,22 @@ def _step_verify(args, inp):
     return step
 
 
-def _json_verify(_, group, result):
+def _json_verify(_, probs, result):
     fn, suite, failing = result
     flat, certificates, holes = _certificate_json(suite)
-    notes = ', "notes": ' + _literal([_SKIPPED_CHAIN]) if group[0].n < 3 else ""
-    template = ('{"distribution": [%s], "function": ' + _literal(fn) + ', "certificates": ['
-                + certificates + '], "all_hold": %s, "failing": [%s]' + notes + "}")
+    notes = ', "notes": ' + _literal([_SKIPPED_CHAIN]) if probs.shape[1] < 3 else ""
     # each path is encoded once; a group in which every claim holds needs none
     paths = [json.dumps(path) for _, path, _ in flat] if failing.any() else []
-    return [
-        template % (p, *fields, _JSON_BOOL[not any(fails)], ", ".join(compress(paths, fails)))
-        for p, fields, fails in zip(_json_rows(_stacked(group)), holes, failing.tolist())
-    ]
+    return _json('"function": ' + _literal(fn) + ', "certificates": [' + certificates
+                 + '], "all_hold": %s, "failing": [%s]' + notes + "}", probs, [
+        (*fields, _JSON_BOOL[not any(fails)], ", ".join(compress(paths, fails)))
+        for fields, fails in zip(holes, failing.tolist())])
 
 
-def _text_verify(positions, group, result):
+def _text_verify(positions, probs, result):
     certificates, holes = _certificate_text(result[1], "  ")
-    notes = f"  note: {_SKIPPED_CHAIN}\n" if group[0].n < 3 else ""
-    return _text(certificates + notes, positions, group, holes)
+    notes = f"  note: {_SKIPPED_CHAIN}\n" if probs.shape[1] < 3 else ""
+    return _text(certificates + notes, positions, probs, holes)
 
 
 # ---------------------------------------------------------------------------
@@ -768,11 +765,10 @@ _ERROR_HEADER = ("dist", "error", "sum_error", "bad_indices")
 def _render_csv(doc: dict) -> list[str]:
     if "error" not in doc:
         return [",".join(_COMMANDS[doc["command"]].header) + "\r\n", *doc["results"]]
-    err = doc["error"]
-    buf = io.StringIO()  # the error's why may hold a comma, so csv quotes its row
-    csv.writer(buf).writerows([_ERROR_HEADER, (err["index"], err["why"], "%.15g" % err["report"]["sum_error"],
-                                               " ".join(map(str, err["report"]["bad_indices"])))])
-    return [buf.getvalue()]
+    err, report = doc["error"], doc["error"]["report"]
+    cells = (str(err["index"]), err["why"], "%.15g" % report["sum_error"],  # the why may hold a comma
+             " ".join(map(str, report["bad_indices"])))
+    return [",".join(_ERROR_HEADER) + "\r\n" + ",".join(map(_csv_cell, cells)) + "\r\n"]
 
 
 def _render_text(doc: dict) -> list[str]:
@@ -822,7 +818,7 @@ class _Command(NamedTuple):
     """One subcommand: its step, its record of each format, and what it adds to the parser."""
 
     step: Callable  # (args, inp) -> (group -> (result, all_hold))
-    json: Callable  # (positions, group, result) -> per input, the text of its record in each format
+    json: Callable  # (positions, probs, result) -> per input, the text of its record in each format
     csv: Callable
     text: Callable
     header: tuple  # the CSV header row
@@ -836,24 +832,25 @@ _COMMANDS = {
         # the group's negations and double negations, as two m×n blocks
         lambda args, inp: lambda group: (negation_pairs(group), True),
         _json_negate,
-        lambda positions, group, pairs: _csv(
-            [f"{i},%.15g,%.15g,%.15g" for i in range(group[0].n)], positions,
-            *map(_values, (_stacked(group), *pairs))),
-        lambda positions, group, pairs: _text(
-            "  negation:        {0}\n  double negation: {0}\n".format(_numbers(group[0].n)),
-            positions, group, np.hstack(pairs).tolist()),
+        lambda positions, probs, pairs: _csv(
+            [f"{i},%.15g,%.15g,%.15g" for i in range(probs.shape[1])], positions,
+            *map(_values, (probs, *pairs))),
+        lambda positions, probs, pairs: _text(
+            "  negation:        {0}\n  double negation: {0}\n".format(_numbers(probs.shape[1])),
+            positions, probs, np.hstack(pairs).tolist()),
         ("dist", "index", "p", "negation", "double_negation"),
         "emit a distribution, its negation, and its double negation",
     ),
     "entropy": _Command(
         # H, log2 n and the gap of each input, as an m×3 block
         lambda args, inp: lambda group: (_entropy_reports(_stacked(group)), True),
-        lambda _, group, columns: [_ENTROPY_JSON % (p, group[0].n, *texts) for p, texts in zip(
-            _json_rows(_stacked(group)), _json_inputs(columns))],
-        lambda positions, group, columns: _csv(
-            [f"{group[0].n},%.15g,%.15g,%.15g"], positions, *map(_values, columns.T)),
-        lambda positions, group, columns: _text(
-            "  entropy %.15g bits of %.15g max, gap %.15g\n", positions, group, columns.tolist()),
+        lambda _, probs, columns: _json(
+            f'"n": {probs.shape[1]}, "entropy_bits": %s, "max_entropy_bits": %s, "gap_bits": %s}}',
+            probs, _json_inputs(columns)),
+        lambda positions, probs, columns: _csv(
+            [f"{probs.shape[1]},%.15g,%.15g,%.15g"], positions, *map(_values, columns.T)),
+        lambda positions, probs, columns: _text(
+            "  entropy %.15g bits of %.15g max, gap %.15g\n", positions, probs, columns.tolist()),
         ("dist", "n", "entropy_bits", "max_entropy_bits", "gap_bits"),
         "entropy in bits against the log2(n) ceiling",
     ),

@@ -31,7 +31,7 @@ import numpy as np
 
 from .certificates import Certificate, HOLDS_TOLERANCE, _compare_columns
 from .distribution import DimensionError, DomainError, ProbDist, _check_int, _stacked, _unchecked
-from .negation import _iterates, _negation, negate
+from .negation import _VANISHING_POWER, _iterates, _negation, negate
 
 __all__ = [
     "MAX_ALPHA",
@@ -55,7 +55,7 @@ MAX_ALPHA = 1021
 
 #: deepest iterate compared: r**k with |r| <= 1/2 is 0 from k = 1075 on, so every
 #: deeper iterate of n >= 3 is exactly uniform, and at n = 2 they only alternate
-MAX_DEPTH = 1075
+MAX_DEPTH = _VANISHING_POWER
 
 
 class DissimResult(NamedTuple):
@@ -133,6 +133,12 @@ def negation_dissimilarity(p: ProbDist, alpha: int = 0) -> DissimResult:
     return dissim(p, negate(p), alpha)
 
 
+def _non_decreasing(values: np.ndarray) -> np.ndarray:
+    """Per row of an m×k block, whether no value falls below the one before
+    it by more than ``HOLDS_TOLERANCE``."""
+    return np.all(values[:, 1:] >= values[:, :-1] - HOLDS_TOLERANCE, axis=1)
+
+
 def _properties(alphas: list[int], values: np.ndarray, l1: np.ndarray) -> Certificate:
     """The properties certificate of m inputs, as a column, from the m×L
     values of p against its negation q and the m distances l1."""
@@ -153,12 +159,12 @@ def _properties(alphas: list[int], values: np.ndarray, l1: np.ndarray) -> Certif
         ),
         equality=False,
     )
-    earlier, later = values[:, :-1], values[:, 1:]
+    # non-increasing is non-decreasing of -values: negation is exact, and
+    # rounding is symmetric, so -a >= -b - tol exactly when a <= b + tol
     direction = _compare_columns(
         ["value_non_increasing_in_alpha", "value_non_decreasing_in_alpha"],
         values[:, [-1, 0]], values[:, [0, -1]],
-        holds=np.stack([np.all(later <= earlier + HOLDS_TOLERANCE, axis=1),
-                        np.all(later >= earlier - HOLDS_TOLERANCE, axis=1)], axis=1),
+        holds=np.stack([_non_decreasing(-values), _non_decreasing(values)], axis=1),
         equality=False,
     ) if levels > 1 else []
 
@@ -289,9 +295,7 @@ def negation_profiles(
             exc.index = int(inputs[exc.index])  # the row pair's input
             raise
     value, l1 = (np.concatenate(part).reshape(m, per) for part in zip(*parts))
-    iterated = value[:, levels:]
     return NegationProfiles(
         tuple(alphas), negations, value, l1,
-        _properties(alphas, value[:, :levels], l1[:, 0]),
-        np.all(iterated[:, 1:] >= iterated[:, :-1] - HOLDS_TOLERANCE, axis=1),
+        _properties(alphas, value[:, :levels], l1[:, 0]), _non_decreasing(value[:, levels:]),
     )

@@ -9,6 +9,7 @@ hold to machine precision instead of inheriting entry noise.
 from __future__ import annotations
 
 import math
+from collections.abc import Sized
 from dataclasses import InitVar, dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -30,6 +31,8 @@ __all__ = [
 
 #: default tolerance for simplex membership (entry range and total mass)
 DEFAULT_TOLERANCE = 1e-9
+
+_NOT_FLAT = "probabilities must form a one-dimensional sequence"
 
 
 class DimensionError(ValueError):
@@ -55,7 +58,7 @@ class ProbDist:
     _screened: InitVar[bool] = False
 
     def __post_init__(self, _screened: bool) -> None:
-        arr = np.array(self.probs, dtype=float)
+        arr = _floats(self.probs, _NOT_FLAT, copy=True)
         if not _screened:
             result = _normalized(_block(arr[None]), DEFAULT_TOLERANCE)
             if isinstance(result, tuple):
@@ -102,15 +105,31 @@ class ValidationReport(NamedTuple):
         return {**self._asdict(), "bad_indices": list(self.bad_indices)}
 
 
+def _floats(values, ragged: str, copy: bool = False) -> np.ndarray:
+    """``values`` as a float array, copied if ``copy``.  Nested sequences of
+    different lengths form none and raise :class:`DimensionError` with the
+    message ``ragged``; an entry that is not a number keeps its ``ValueError``."""
+    try:
+        return (np.array if copy else np.asarray)(values, dtype=float)
+    except ValueError:
+        if any(isinstance(c, Sized) and not isinstance(c, (str, bytes))
+               for c in np.array(values, dtype=object).flat):
+            raise DimensionError(ragged) from None
+        raise
+
+
 def _block(rows) -> np.ndarray:
     """``rows`` as an m×n float array of candidate distributions.
 
     A wrong shape is a structural mistake and raises
-    :class:`DimensionError`: each row must be one-dimensional, n >= 2.
+    :class:`DimensionError`: there must be a row, each one-dimensional and
+    all of one length n >= 2.
     """
-    block = np.asarray(rows, dtype=float)
+    block = _floats(rows, "rows of different lengths do not form an m×n block")
+    if block.ndim and not len(block):
+        raise DimensionError("need at least one distribution")
     if block.ndim != 2:
-        raise DimensionError("probabilities must form a one-dimensional sequence")
+        raise DimensionError(_NOT_FLAT)
     if block.shape[1] < 2:
         raise DimensionError(f"a distribution needs at least 2 outcomes, got {block.shape[1]}")
     return block
@@ -207,9 +226,9 @@ def make_dists(
 
     Returns every row's distribution, or the position of the first row
     that fails and its :class:`ValidationReport`.  Each row is
-    renormalized on its own, exactly as :func:`make_dist` would.  Rows
-    that do not form an m×n block with n >= 2 raise
-    :class:`DimensionError`.
+    renormalized on its own, exactly as :func:`make_dist` would.  No rows
+    at all, rows of different lengths, or rows that otherwise do not form
+    an m×n block with n >= 2 raise :class:`DimensionError`.
     """
     result = _normalized(_block(rows), _check_tolerance("tolerance", tolerance))
     return result if isinstance(result, tuple) else [_unchecked(row) for row in result]
@@ -225,7 +244,7 @@ def make_dist(
     can surface per-input diagnostics.  Too few entries raises
     :class:`DimensionError`, and a tolerance outside (0, 1) :class:`DomainError`.
     """
-    result = make_dists(np.asarray(list(values), dtype=float)[None], tolerance)
+    result = make_dists(_floats(list(values), _NOT_FLAT)[None], tolerance)
     return result[1] if isinstance(result, tuple) else result[0]
 
 

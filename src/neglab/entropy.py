@@ -146,7 +146,9 @@ def zero_padding_entropy_check(p: ProbDist, k: int) -> Certificate:
     """Compare entropy before and after appending ``k`` zero outcomes, an integer ``k >= 1``.
 
     Padding leaves the entropy itself untouched (sub-certificate one, an
-    equality claim at 1e-12), but feeds the negation extra room: the
+    equality claim decided exactly: the padded zeros are dropped before the
+    sum, so both entropies add the same terms in the same order and come out
+    the same double), but feeds the negation extra room: the
     negation of the padded distribution has strictly larger entropy
     whenever p is not uniform (sub-certificate two).  For uniform p the
     second comparison is recorded without being asserted.
@@ -155,7 +157,7 @@ def zero_padding_entropy_check(p: ProbDist, k: int) -> Certificate:
     padded = pad_with_zeros(p, k)
     h = shannon_entropy(p)
     h_padded = shannon_entropy(padded)
-    same = abs(h_padded - h) <= 1e-12
+    same = h_padded == h
     preserved = compare("padding_preserves_entropy", h, h_padded, holds=same, equality=same)
     g = shannon_entropy(negate(p))
     g_padded = shannon_entropy(negate(padded))

@@ -205,6 +205,12 @@ def _fsums(values: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in flat]).reshape(values.shape[:-1])
 
 
+def _weighted(a, b, n: int):
+    """(a + (n - 1) b)/n: the Jensen weights 1/n of a value at p and
+    (n - 1)/n of its value at negate(p)."""
+    return (a + (n - 1) * b) / n
+
+
 def _mixture_value(sum_p, sum_q, n: int):
     """(1/n^2) sum f(p_i) + ((n - 1)/n^2) sum f(negate(p)_i), from the two sums."""
     return (sum_p + (n - 1) * sum_q) / n**2
@@ -253,7 +259,7 @@ def _pointwise(f_centre: float, f_p: np.ndarray, f_q: np.ndarray, n: int, first:
     """Pointwise certificates for the columns of f at p and at its negation
     (m×k each), numbered from ``first``."""
     names = [f"pointwise_bound[i={i}]" for i in range(first, first + f_p.shape[1])]
-    return _compare_columns(names, f_centre, (f_p + (n - 1) * f_q) / n)
+    return _compare_columns(names, f_centre, _weighted(f_p, f_q, n))
 
 
 def pointwise_bound(f: FunctionSpec, p: ProbDist, i: int) -> Certificate:
@@ -278,8 +284,7 @@ def _concave_mixtures(
     the entropies of those rows."""
     detail = []
     if f is X_LOG_X:
-        h_p, h_q = entropies
-        h_mix = (h_p + (n - 1) * h_q) / n
+        h_mix = _weighted(*entropies, n)
         detail = _compare_columns(["entropy_mixture_bound"], h_mix[:, None], math.log2(n))
     lhs = _mixture_value(sum_p, sum_q, n)[:, None]
     (column,) = _compare_columns(["concave_mixture_bound"], lhs, f(1.0 / n), detail=detail)

@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+#: the least k at which r**k, r = -1/(n - 1), is ±0 in doubles for every
+#: n >= 3: |r| <= 1/2, and 2**-1075 rounds to 0; at n = 2, r**k is ±1
+_VANISHING_POWER = 1075
+
+
 def negate(p: ProbDist) -> ProbDist:
     """One application: entry i becomes (1 - p_i) / (n - 1)."""
     return _unchecked(_negation(p.probs))
@@ -61,8 +66,8 @@ def negate_iterated(p: ProbDist, k: int) -> ProbDist:
 
     Entry i maps to 1/n + (p_i - 1/n) * r**k with r = -1/(n - 1).
     ``k = 0`` returns ``p`` itself; for n = 2 an even ``k`` returns p's
-    entries exactly.  Any other ``k``, a float or a bool included, raises
-    :class:`DomainError`.
+    entries exactly and an odd one their swap, however large ``k`` is.  Any
+    other ``k``, a float or a bool included, raises :class:`DomainError`.
     """
     k = _check_int("k", k, 0)
     if k == 0:
@@ -79,7 +84,12 @@ def _iterates(probs: np.ndarray, ks) -> np.ndarray:
     """
     n = probs.shape[-1]
     center, ratio = 1.0 / n, -1.0 / (n - 1)
-    powers = np.array([ratio**k for k in ks])[:, None]  # Python's pow, not numpy's: same bits
+    # Python's pow, not numpy's: same bits.  It takes k as a double, which
+    # drops the parity of a k above 2**53 and overflows from 2**1024; r**k is
+    # ±0 from _VANISHING_POWER on (±1 at n = 2), so a larger k is replaced by
+    # that power or the next, whichever has k's parity
+    top = _VANISHING_POWER
+    powers = np.array([ratio**(k if k < top else top + (k - top) % 2) for k in ks])[:, None]
     # r**k is 1 only at n = 2, even k: the swaps restore p exactly, which
     # rounding p - 1/n and adding it back need not do
     return np.where(powers == 1.0, probs, center + (probs - center) * powers)
@@ -122,10 +132,15 @@ class ConvergenceTraces(NamedTuple):
     steps: np.ndarray
     oscillating: np.ndarray
 
+    def _offsets(self) -> np.ndarray:
+        """The m + 1 offsets of the inputs' entries: input r owns entries
+        ``offsets[r]`` up to ``offsets[r + 1]``."""
+        return np.concatenate([[0], np.cumsum(self.steps + 1)])
+
     def row(self, r: int) -> ConvergenceTrace:
         """Input ``r``'s trace."""
-        end = int(np.sum(self.steps[:r + 1] + 1))
-        at = slice(end - int(self.steps[r]) - 1, end)
+        offsets = self._offsets()
+        at = slice(offsets[r], offsets[r + 1])
         return ConvergenceTrace(
             tuple(_unchecked(q) for q in self.iterates[at]), tuple(self.entropies[at].tolist()),
             tuple(self.distances[at].tolist()), self.converged[r].item(), self.steps[r].item(),

@@ -24,6 +24,7 @@ from neglab import (
     is_uniform,
     l1_distance,
     make_dist,
+    make_dists,
     negate,
     negate_iterated,
     negate_twice,
@@ -121,6 +122,31 @@ def test_probdist_is_immutable():
 def test_probdist_rejects_matrix_input():
     with pytest.raises(DimensionError):
         ProbDist(np.ones((2, 2)) / 4)
+
+
+def test_rows_of_different_lengths_raise_dimension_error():
+    # numpy's own error for them is a bare ValueError about a sequence
+    with pytest.raises(DimensionError, match="rows of different lengths"):
+        make_dists([[0.5, 0.5], [0.2, 0.3, 0.5]])
+    with pytest.raises(DimensionError, match="one-dimensional sequence"):
+        ProbDist([[0.5], [0.5, 0.1]])
+    with pytest.raises(DimensionError, match="one-dimensional sequence"):
+        make_dist([[0.5], [0.5, 0.1]])
+
+
+def test_an_empty_batch_raises_dimension_error():
+    with pytest.raises(DimensionError, match="need at least one distribution"):
+        make_dists([])
+    with pytest.raises(DimensionError, match="need at least one distribution"):
+        make_dists(np.empty((0, 3)))
+
+
+def test_an_entry_that_is_not_a_number_keeps_its_value_error():
+    for call in (lambda: make_dists([["a", 0.5]]), lambda: ProbDist(["x", 0.5]),
+                 lambda: make_dist([0.5, "b"])):
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert not isinstance(caught.value, DimensionError)
 
 
 def test_probdist_screen_messages():

@@ -169,6 +169,24 @@ def test_entropy_padding_invariant(p, k):
     assert abs(shannon_entropy(p) - shannon_entropy(pad_with_zeros(p, k))) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 130, 299, 4097, 2**16])
+def test_padding_leaves_the_entropy_the_same_double(n):
+    # the padded zeros are dropped before the pairwise sum, which then adds
+    # p's own terms in p's own order; so padding_preserves_entropy is decided
+    # by ==, and reads equality, on rows with and without zeros of their own
+    rng = np.random.default_rng(n)
+    for r in range(6):
+        row = rng.dirichlet(np.ones(n))
+        if r % 2:
+            row[rng.random(n) < 0.3] = 0.0
+            row[rng.integers(n)] = 1.0  # at least one entry stays
+        p = make_dist(row / row.sum())
+        for k in (1, 2, 7, 64):
+            assert shannon_entropy(pad_with_zeros(p, k)) == shannon_entropy(p), (r, k)
+            preserved = zero_padding_entropy_check(p, k).detail[0]
+            assert preserved.holds and preserved.equality and preserved.slack == 0.0, (r, k)
+
+
 @given(distributions(min_n=3))
 def test_negation_never_loses_entropy(p):
     assert shannon_entropy(negate(p)) >= shannon_entropy(p) - 1e-12

@@ -12,7 +12,8 @@ The exact slack is the ground truth of ``holds`` and ``equality``.
 The log claims take -log2 in ``decimal.Decimal`` at 60 digits, which is
 correctly rounded, of exact arguments: ``self_information_bound`` on every
 row without a zero, and the dissimilarity of small rows against the float
-rows its kernel compares them with, at every level 0..1021.
+rows its kernel compares them with, at every level 0..1021, and of a row
+near uniform whose value turns subnormal at the top levels.
 """
 
 import sys
@@ -194,17 +195,46 @@ def _dissim_pairs(values):
     return list(zip(levels, [_units(p.probs)] * len(rows), rows, profiles.value[0].tolist()))
 
 
+def _assert_pair(level: int, a: list[int], b: list[int], value: float) -> None:
+    """The literal min-pair form of one of ``_dissim_pairs`` equals the closed
+    form exactly, and ``value`` lies within 16 eps of the closed form."""
+    scale = 1 << level
+    l1 = sum(abs(x - y) for x, y in zip(a, b))
+    # the literal form, each side blended toward the other and then the
+    # minimum pairs summed, in units of ULP / scale: exact in integers
+    s = sum(min(scale * x, (scale - 1) * x + y) + min(x + (scale - 1) * y, scale * y)
+            for x, y in zip(a, b))
+    assert s == scale * (sum(a) + sum(b)) - l1, level
+    # the closed form it collapses to on the simplex, against the reported value
+    exact = _neg_log2(1 - Fraction(l1, 4 * scale << 1074))
+    assert abs(Fraction(value) - exact) <= 16 * EPS * exact, level
+
+
 @pytest.mark.parametrize("values", [values for _, values in DISSIM_ROWS],
                          ids=[row for row, _ in DISSIM_ROWS])
 def test_dissimilarity_at_every_level(values):
-    for level, a, b, value in _dissim_pairs(values):
-        scale = 1 << level
-        l1 = sum(abs(x - y) for x, y in zip(a, b))
-        # the literal form, each side blended toward the other and then the
-        # minimum pairs summed, in units of ULP / scale: exact in integers
-        s = sum(min(scale * x, (scale - 1) * x + y) + min(x + (scale - 1) * y, scale * y)
-                for x, y in zip(a, b))
-        assert s == scale * (sum(a) + sum(b)) - l1, level
-        # the closed form it collapses to on the simplex, against the reported value
-        exact = _neg_log2(1 - Fraction(l1, 4 * scale << 1074))
-        assert abs(Fraction(value) - exact) <= 16 * EPS * exact, level
+    for pair in _dissim_pairs(values):
+        _assert_pair(*pair)
+
+
+#: uniform on 4 outcomes with two entries moved by 2**-30: its l1 against
+#: its negation is 2**-27/3, about 2.5e-9, so the value is a subnormal double
+#: above level 991 and, with ever fewer digits, misses the 16 eps bound from
+#: level 997 on (relative error 3.7e-15 there, 5.1e-8 at 1021); rows of l1
+#: near 1 lose only about one bit even at level 1021
+NEAR_UNIFORM_PAIRS = _dissim_pairs(_moved_pair(4, 2**-30))
+FIRST_INEXACT_LEVEL = 997
+
+
+def test_dissimilarity_near_uniform_at_every_level_it_carries():
+    for pair in NEAR_UNIFORM_PAIRS:
+        if pair[0] < FIRST_INEXACT_LEVEL:
+            _assert_pair(*pair)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: a value that underflows into the subnormal "
+                   "range comes back without an error and without its digits; only 0 raises")
+@pytest.mark.parametrize("pair", [pair for pair in NEAR_UNIFORM_PAIRS if pair[0] >= FIRST_INEXACT_LEVEL],
+                         ids=lambda pair: f"alpha={pair[0]}")
+def test_a_subnormal_dissimilarity_is_within_16_eps(pair):
+    _assert_pair(*pair)

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neglab
@@ -23,13 +23,16 @@ from neglab import (
     X_LOG_X,
     certificate_suites,
     concave_mixture_bound,
+    cross_entropy_check,
     double_negation_mixture_bound,
+    entropy_chain_check,
     get_function,
     is_uniform,
     make_dist,
     mixture_bound,
     negate,
     negate_twice,
+    negation_profiles,
     partial_mean_chain,
     pointwise_bound,
     self_information_bound,
@@ -39,7 +42,7 @@ from neglab import (
 from neglab.certificates import HOLDS_TOLERANCE, compare
 from neglab.dissimilarity import _BLOCK_ELEMENTS
 from neglab.distribution import _unchecked
-from neglab.jensen import _chain_sums, _chains
+from neglab.jensen import _chain_sums, _chains, _pointwise
 
 from conftest import assert_identical, distributions, oracle_as_dict, oracle_failures
 from test_theorems_at_scale import _peeled_ones, _point_mass_with_dust
@@ -777,3 +780,120 @@ def test_pointwise_bounds_follow_their_index_under_permutation():
             for j, i in enumerate(perm):
                 assert_identical(_decided(pointwise_bound(f, q, j)),
                                  _decided(pointwise_bound(f, p, i)), f"{f.name} n={p.n} j={j}")
+
+
+# --- relations within a stated rounding bound, for n up to 2**16 ------------
+#
+# A pairwise sum's computed value lies within γ_d·Σ|terms| of the exact sum
+# of its terms, where d is the most additions any one term goes through
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., §4.2).
+# numpy's pairwise sum adds a block of at most 128 terms with eight running
+# sums of up to 16 terms, their three-level tree and a tail of up to 7: 25
+# additions; above 128 terms it halves, one more addition per level, and
+# the reduction adds the first item and, where its iterator cuts the row
+# into buffers of 8,192 items, one more per buffer.  A permuted row sums the
+# same terms in another order, so the two sums are within 2·γ_d·Σ|terms| of
+# each other.  Where a term goes through a log2, each evaluation of it is
+# allowed γ_4 of its own (the log2 within 3 units in the last place, and the
+# product).
+
+U = 2.0**-53
+
+
+def _gamma(k: int) -> float:
+    """γ_k = k u / (1 - k u)."""
+    return k * U / (1 - k * U)
+
+
+def _pairwise_depth(n: int) -> int:
+    """The most additions a term goes through in numpy's sum of ``n`` terms, as above."""
+    return 25 + max(0, math.ceil(math.log2(n)) - 6) + 1 + -(-n // 8192)
+
+
+def _spread(n: int, scale: float) -> float:
+    """How far two orders of a sum of ``n`` terms, each through a log2, may
+    lie apart, for terms whose magnitudes sum to ``scale``."""
+    return 2 * (_gamma(_pairwise_depth(n)) + _gamma(4)) * scale
+
+
+def _entropy_scale(row: np.ndarray) -> float:
+    """Σ|p_i log2 p_i| over the support of ``row``."""
+    support = row[row > 0]
+    return math.fsum(np.abs(support * np.log2(support)))
+
+
+def _sized_rows(n: int, seed: int, zeros: bool):
+    """A seeded Dirichlet row p of length ``n``, about 30% of it zeros if
+    ``zeros``, and a permutation of it."""
+    rng = np.random.default_rng(seed)
+    row = rng.dirichlet(np.ones(n))
+    if zeros:
+        row[rng.random(n) < 0.3] = 0.0
+        row[rng.integers(n)] = 1.0 / n  # at least one entry stays
+    p = make_dist(row / row.sum())
+    return p, _unchecked(p.probs[rng.permutation(n)])
+
+
+def _claims_scale(p) -> float:
+    """The largest Σ|terms| of the sums behind the sides of ``cross_entropy``
+    against uniform and of ``entropy_chain`` and its links: H of p,
+    negate(p) and negate_twice(p), and p's cross entropy with uniform."""
+    rows = (p.probs, negate(p).probs, negate_twice(p).probs)
+    return max(*map(_entropy_scale, rows), math.fsum(np.abs(p.probs * np.log2(1.0 / p.n))))
+
+
+SIZED = (st.integers(min_value=2, max_value=2**16), st.integers(min_value=0, max_value=2**32 - 1),
+         st.booleans())
+
+
+@settings(derandomize=True, max_examples=40)
+@given(*SIZED)
+@example(2**16, 0, False)
+@example(2**16, 1, True)
+def test_pairwise_sums_move_within_their_bound_under_permutation(n, seed, zeros):
+    p, q = _sized_rows(n, seed, zeros)
+    assert abs(shannon_entropy(q) - shannon_entropy(p)) <= _spread(n, _entropy_scale(p.probs))
+    spread = _spread(n, _claims_scale(p))
+    for moved, kept in ((cross_entropy_check(q, uniform(n)), cross_entropy_check(p, uniform(n))),
+                        *zip(entropy_chain_check(q).detail, entropy_chain_check(p).detail)):
+        assert abs(moved.lhs - kept.lhs) <= spread and abs(moved.rhs - kept.rhs) <= spread, moved.name
+    # the l1 of p against its negation: each term |p_i - q_i| is exact per entry
+    l1 = [negation_profiles([r], [0], 1).l1[0, 0] for r in (q, p)]
+    terms = math.fsum(np.abs(p.probs - negate(p).probs))
+    assert abs(l1[0] - l1[1]) <= 2 * _gamma(_pairwise_depth(n)) * terms
+
+
+@settings(derandomize=True, max_examples=20)
+@given(st.integers(min_value=2, max_value=2**9), st.integers(min_value=0, max_value=2**32 - 1),
+       st.booleans())
+@example(2**9, 2, True)
+def test_suite_entropy_sides_move_within_their_bound_under_permutation(n, seed, zeros):
+    # certificate_suites' cross_entropy and entropy_chain columns, at the n
+    # its O(n²) chains allow, under the bound of the one-row claims above
+    p, q = _sized_rows(n, seed, zeros)
+    spread = _spread(n, _claims_scale(p))
+    for column in certificate_suites(NEG_LOG, [q, p]):
+        if column.name in ("cross_entropy", "entropy_chain"):
+            moved, kept = column.row(0), column.row(1)
+            for a, b in ((moved, kept), *zip(moved.detail, kept.detail)):
+                assert abs(a.lhs - b.lhs) <= spread and abs(a.rhs - b.rhs) <= spread, a.name
+
+
+@settings(derandomize=True, max_examples=40)
+@given(*SIZED)
+@example(2**16, 3, False)
+@example(2**16, 4, True)
+def test_the_mean_of_the_pointwise_bounds_is_the_mixture_bound(n, seed, zeros):
+    # f >= 0 on [0, 1] for both convex built-ins.  Each pointwise right side
+    # (a + (n - 1) b)/n is within γ_3 of exact, and their mean through fsum
+    # and /n within γ_5; the mixture's (A + (n - 1) B)/n² from fsums within
+    # γ_4; so the two lie within γ_5 + γ_4 < 2 γ_5 of each other, relative
+    p, _ = _sized_rows(n, seed, zeros)
+    for f in (SQUARE, NEG_LOG):
+        columns = _pointwise(f(1.0 / n), f.values(p.probs)[None], f.values(negate(p).probs)[None], n)
+        mean = math.fsum(c.rhs[0] for c in columns) / n
+        mixture = mixture_bound(f, p).rhs
+        if math.isinf(mixture):  # neg_log at a zero of p
+            assert mean == mixture
+        else:
+            assert abs(mean - mixture) <= 2 * _gamma(5) * mixture, f.name

@@ -76,6 +76,25 @@ def test_two_outcome_even_iterates_restore_p_exactly():
     assert negate_iterated(p, 3).tolist() == negate_iterated(p, 1).tolist()
 
 
+def test_negate_iterated_keeps_the_parity_of_a_large_k():
+    # a float exponent would read 2**53 + 1 as 2**53 and overflow at 10**400
+    p = make_dist([0.3, 0.7])
+    swap = negate_iterated(p, 1).tolist()
+    assert swap == [0.7, 0.30000000000000004]
+    for k in (2**53 + 1, 10**400 + 1):
+        assert negate_iterated(p, k).tolist() == swap, k
+    for k in (2**53, 10**400):
+        assert negate_iterated(p, k).tolist() == p.tolist(), k
+
+
+def test_negate_iterated_is_uniform_for_good_from_1075_steps():
+    # r**k with |r| <= 1/2 is 0 from k = 1075 on, so every deeper iterate is
+    # the bits of k = 1075 or 1076, by parity; the huge k must not overflow
+    p = make_dist([0.2, 0.3, 0.5])
+    assert negate_iterated(p, 10**400 + 1).probs.tobytes() == negate_iterated(p, 1077).probs.tobytes()
+    assert negate_iterated(p, 10**400).probs.tobytes() == negate_iterated(p, 1076).probs.tobytes()
+
+
 @given(distributions())
 def test_negate_lands_on_simplex(p):
     q = negate(p)
