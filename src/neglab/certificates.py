@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distribution import _row_index
+
 __all__ = [
     "HOLDS_TOLERANCE",
     "EQUALITY_TOLERANCE",
@@ -87,7 +89,8 @@ class Certificate:
         return [path for _, path, c in _flat([self]) if not c.holds]
 
     def row(self, r: int) -> "Certificate":
-        """Of a column certificate: input ``r``'s certificate, read off the decided columns."""
+        """Of a column certificate: input ``r``'s certificate, ``r`` in [-m, m), read off the columns."""
+        r = _row_index(r, len(self.holds))
         return Certificate(
             self.name, self.lhs[r].item(), self.rhs[r].item(), self.slack[r].item(),
             self.holds[r].item(), self.equality[r].item(), self.infinite[r].item(),

@@ -17,9 +17,7 @@ naming the largest usable level.  Only the closed form is evaluated.  The
 literal min-pair sum is exactly s = Σp + Σq - l1/2**alpha, which gives the
 closed form when both rows sum to 1; ``tests/test_exact_oracle.py`` checks
 that identity in exact arithmetic at every level, where in floats the blend
-(scale - 1)·a + b stops carrying b from about alpha = 53.  Each public
-function stacks its row pairs, one level each, and calls one array kernel
-once.
+(scale - 1)·a + b stops carrying b from about alpha = 53.
 """
 
 from __future__ import annotations
@@ -30,7 +28,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .certificates import Certificate, HOLDS_TOLERANCE, _compare_columns
-from .distribution import DimensionError, DomainError, ProbDist, _check_int, _stacked, _unchecked
+from .distribution import (DimensionError, DomainError, ProbDist, _check_int, _row_index, _stacked,
+                           _unchecked)
 from .negation import _VANISHING_POWER, _iterates, _negation, negate
 
 __all__ = [
@@ -46,9 +45,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-
-#: doubles per temporary array of the profile kernel; bounds its peak memory
-_BLOCK_ELEMENTS = 1 << 15
 
 #: largest level whose closed-form scale 2**(alpha + 2) is a finite double
 MAX_ALPHA = 1021
@@ -86,29 +82,29 @@ def _check_alphas(alphas: Sequence[int], name: str = "alpha") -> list[int]:
     return alphas
 
 
-def _evaluate(A: np.ndarray, B: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Row ``A[i]`` against row ``B[i]`` at level ``levels[i]``, in one pass.
+def _l1(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The L1 distance of each row of ``A`` to the same row of ``B``."""
+    return np.abs(A - B).sum(axis=-1)
 
-    ``A`` and ``B`` are (k, n) and ``levels`` the k checked levels.  Returns
-    ``value``, from the closed form alone, and ``l1``, each (k,).  An
-    underflowed value raises :class:`DomainError` for the first row pair
-    that has one, its position in ``index``.
-    """
-    l1 = np.abs(A - B).sum(axis=-1)
+
+def _evaluate(l1: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The closed form of each distance in ``l1`` at its level in ``levels``,
+    the two broadcast together.  An underflowed value raises :class:`DomainError`
+    for the first cell that has one in row-major order, its row in ``index``."""
     value = -np.log1p(-np.ldexp(l1, -(levels + 2))) / _LN2
 
     lost = (value == 0.0) & (l1 > 0.0)
     if lost.any():
-        i = np.argmax(lost)
+        cell = np.unravel_index(np.argmax(lost), lost.shape)
         # l1 = m * 2**e rounds to 0 below 2**-1075 after scaling by 2**-(alpha + 2)
-        m, e = math.frexp(float(l1[i]))
+        m, e = math.frexp(float(l1[cell]))
         top = min(MAX_ALPHA, e + 1071 + (m > 0.5))
         usable = f"the largest usable level is {top}" if top >= 0 else "no level is usable"
-        error = DomainError(f"l1 = {float(l1[i])!r} is too small for a double to carry "
-                            f"the value at alpha={levels[i]}: {usable}")
-        error.index = int(i)  # the first failing row pair
+        error = DomainError(f"l1 = {float(l1[cell])!r} is too small for a double to carry "
+                            f"the value at alpha={np.broadcast_to(levels, lost.shape)[cell]}: {usable}")
+        error.index = int(cell[0])  # the first failing row
         raise error
-    return value, l1
+    return value
 
 
 def _results(alphas, values: np.ndarray, l1s: np.ndarray) -> tuple[DissimResult, ...]:
@@ -125,7 +121,8 @@ def dissim(p: ProbDist, q: ProbDist, alpha: int = 0) -> DissimResult:
     alpha = _check_alpha(alpha)
     if p.n != q.n:
         raise DimensionError(f"size mismatch: {p.n} vs {q.n}")
-    return _results([alpha], *_evaluate(p.probs[None], q.probs[None], np.array([alpha])))[0]
+    l1 = _l1(p.probs[None], q.probs[None])
+    return _results([alpha], _evaluate(l1, np.array([alpha])), l1)[0]
 
 
 def negation_dissimilarity(p: ProbDist, alpha: int = 0) -> DissimResult:
@@ -235,7 +232,8 @@ class NegationProfiles(NamedTuple):
         return levels, self.alphas + self.alphas[:1] * (self.l1.shape[1] - levels)
 
     def row(self, r: int) -> NegationProfile:
-        """Input ``r``'s profile."""
+        """Input ``r``'s profile, ``r`` in [-m, m)."""
+        r = _row_index(r, len(self.non_decreasing))
         levels, at = self._columns()
         results = _results(at, self.value[r], self.l1[r])
         return NegationProfile(
@@ -264,37 +262,23 @@ def negation_profiles(
     p with its k-fold negation, k = 1..``depth``, at the one level
     ``alphas[0]``.  ``alphas`` must be nonempty and sorted ascending.
 
-    Each input stacks L + depth row pairs, one level each: (p, q) at each
-    of the L ``alphas``, then (p, Tᵏp) at ``alphas[0]`` for k = 1..depth;
-    the iterate rows are needed at the lowest level only.  The row pairs go
-    through the kernel in blocks of at most ``_BLOCK_ELEMENTS`` (row pairs ×
-    n) entries, or of one row pair if n is more, so one input may span
-    several blocks; the properties certificates are built as one column.
-    ``.row(r)`` equals ``negation_profiles([dists[r]], alphas, depth).row(0)``
-    bit for bit.  An underflowed value raises the :class:`DomainError` of
-    the first input that has one, with that input's position in ``dists``
-    as ``index``.
+    Each input's distances are computed once: l1(p, q), which all L levels
+    share, then l1(p, Tᵏp) for k = 1..depth, one pass over the m×n block
+    per k.  The closed form then evaluates the m×(L + depth) distances at
+    their levels at once.  ``.row(r)`` equals
+    ``negation_profiles([dists[r]], alphas, depth).row(0)`` bit for bit.
+    An underflowed value raises the :class:`DomainError` of the first input
+    that has one, with that input's position in ``dists`` as ``index``.
     """
     alphas = _check_alphas(alphas)
     depth = _check_int("depth", depth, 1, MAX_DEPTH)
     probs = _stacked(dists)
     negations = _negation(probs)
-    (m, n), levels = probs.shape, len(alphas)
-    at = np.array(alphas + alphas[:1] * depth)  # the level of each row pair of an input
-    per = at.size
-    step = max(1, _BLOCK_ELEMENTS // n)  # row pairs per kernel call
-    parts = []
-    for start in range(0, m * per, step):
-        inputs, pair = np.divmod(np.arange(start, min(start + step, m * per)), per)
-        p = probs[inputs]
-        ks = np.maximum(pair - levels + 1, 0)  # pair L + k - 1 is (p, Tᵏp), pair j < L (p, q)
-        B = np.where((ks == 0)[:, None], negations[inputs], _iterates(p, ks.tolist()))
-        try:
-            parts.append(_evaluate(p, B, at[pair]))
-        except DomainError as exc:
-            exc.index = int(inputs[exc.index])  # the row pair's input
-            raise
-    value, l1 = (np.concatenate(part).reshape(m, per) for part in zip(*parts))
+    levels = len(alphas)
+    # column j < L is (p, q) at alphas[j], column L + k - 1 (p, Tᵏp) at alphas[0]
+    l1 = np.stack([_l1(probs, negations)] * levels
+                  + [_l1(probs, _iterates(probs, k)) for k in range(1, depth + 1)], axis=1)
+    value = _evaluate(l1, np.array(alphas + alphas[:1] * depth))
     return NegationProfiles(
         tuple(alphas), negations, value, l1,
         _properties(alphas, value[:, :levels], l1[:, 0]), _non_decreasing(value[:, levels:]),

@@ -170,6 +170,14 @@ def _check_int(name: str, value, lo: int, hi: float = math.inf) -> int:
     return int(value)
 
 
+def _row_index(r, m: int) -> int:
+    """``r`` in [0, m), if an integer (no bool) in [-m, m), counted from the end
+    when negative as a sequence counts; anything else raises :class:`IndexError`."""
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not -m <= r < m:
+        raise IndexError(f"row must be an integer in [{-m}, {m}), got {r!r}")
+    return int(r) % m
+
+
 def _check_tolerance(name: str, value) -> float:
     """``value`` as a float, if 0 < value < 1.  A tolerance of 1 would admit
     ``[0, 0]``, and every distribution lies within it of uniform."""

@@ -15,7 +15,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distribution import DEFAULT_TOLERANCE, ProbDist, _check_int, _check_tolerance, _stacked, _unchecked
+from .distribution import (DEFAULT_TOLERANCE, ProbDist, _check_int, _check_tolerance, _row_index,
+                           _stacked, _unchecked)
 
 __all__ = [
     "negate",
@@ -73,15 +74,12 @@ def negate_iterated(p: ProbDist, k: int) -> ProbDist:
     if k == 0:
         return p
     # at a point mass, 1/n - (1 - 1/n)/(n - 1) can round to -1 ulp below 0
-    return _unchecked(np.clip(_iterates(p.probs, [k])[0], 0.0, 1.0))
+    return _unchecked(np.clip(_iterates(p.probs, k), 0.0, 1.0))
 
 
-def _iterates(probs: np.ndarray, ks) -> np.ndarray:
-    """1/n + (p_i - 1/n) * r**k per k in ``ks``, as :func:`negate_iterated`, unclipped.
-
-    ``probs`` is one distribution (n,), giving one row per k, or a block
-    (K, n) with one k per row; the result is (K, n).
-    """
+def _iterates(probs: np.ndarray, k: int) -> np.ndarray:
+    """1/n + (p_i - 1/n) * r**k of each distribution along the last axis, as
+    :func:`negate_iterated`, unclipped."""
     n = probs.shape[-1]
     center, ratio = 1.0 / n, -1.0 / (n - 1)
     # Python's pow, not numpy's: same bits.  It takes k as a double, which
@@ -89,10 +87,10 @@ def _iterates(probs: np.ndarray, ks) -> np.ndarray:
     # ±0 from _VANISHING_POWER on (±1 at n = 2), so a larger k is replaced by
     # that power or the next, whichever has k's parity
     top = _VANISHING_POWER
-    powers = np.array([ratio**(k if k < top else top + (k - top) % 2) for k in ks])[:, None]
+    power = ratio**(k if k < top else top + (k - top) % 2)
     # r**k is 1 only at n = 2, even k: the swaps restore p exactly, which
     # rounding p - 1/n and adding it back need not do
-    return np.where(powers == 1.0, probs, center + (probs - center) * powers)
+    return probs if power == 1.0 else center + (probs - center) * power
 
 
 class ConvergenceTrace(NamedTuple):
@@ -138,7 +136,8 @@ class ConvergenceTraces(NamedTuple):
         return np.concatenate([[0], np.cumsum(self.steps + 1)])
 
     def row(self, r: int) -> ConvergenceTrace:
-        """Input ``r``'s trace."""
+        """Input ``r``'s trace, ``r`` in [-m, m)."""
+        r = _row_index(r, len(self.steps))
         offsets = self._offsets()
         at = slice(offsets[r], offsets[r + 1])
         return ConvergenceTrace(

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,13 +28,7 @@ from neglab import (
 
 from neglab.certificates import HOLDS_TOLERANCE, compare
 from neglab.cli import EXIT_VALIDATION, main
-from neglab.dissimilarity import (
-    _BLOCK_ELEMENTS,
-    MAX_ALPHA,
-    MAX_DEPTH,
-    IteratedDissimReport,
-    _evaluate,
-)
+from neglab.dissimilarity import MAX_ALPHA, MAX_DEPTH, IteratedDissimReport
 from neglab.distribution import _unchecked
 from neglab.negation import _iterates
 
@@ -455,8 +450,8 @@ def _oracle_profile(p, alphas, depth):
     q = negate(p)
     profile = tuple(dissim(p, q, a) for a in alphas)
     # the unclipped iterate rows, as the kernel compares them
-    iterated = tuple(dissim(p, _unchecked(x), alphas[0])
-                     for x in _iterates(p.probs, range(1, depth + 1)))
+    iterated = tuple(dissim(p, _unchecked(_iterates(p.probs, k)), alphas[0])
+                     for k in range(1, depth + 1))
     forward, values = (np.array([r.value for r in rs]) for rs in (profile, iterated))
     return NegationProfile(
         negation=q,
@@ -487,52 +482,46 @@ def test_negation_profiles_match_the_per_input_profile(batch, alphas, depth):
         _assert_profiles_match(group, alphas, depth)
 
 
-def test_negation_profiles_chunk_seams(monkeypatch):
-    # 300 inputs of n = 16 at 8 levels and depth 8: 16 row pairs of 16
-    # entries each, so 128 inputs per chunk
-    shapes = []
-
-    def recording(A, B, levels):
-        shapes.append((A.shape, np.shape(levels)))
-        return _evaluate(A, B, levels)
-
-    monkeypatch.setattr(neglab.dissimilarity, "_evaluate", recording)
+def test_negation_profiles_chunk_seams():
+    # 300 inputs of n = 16 at 8 levels and depth 8, one of them uniform
     rng = np.random.default_rng(5)
     group = [ProbDist(rng.dirichlet(np.ones(16))) for _ in range(300)]
     group[150] = uniform(16)
     profiles = negation_profiles(group, list(range(8)), 8)
-    assert [a[0] for a, _ in shapes] == [2048, 2048, 704]
-    assert all(lv == (a[0],) and a[0] * a[1] <= _BLOCK_ELEMENTS for a, lv in shapes)
-    monkeypatch.undo()
     for r in (0, 127, 128, 150, 255, 256, 299):
         assert_identical(profiles.row(r).as_dict(),
                          _oracle_profile(group[r], list(range(8)), 8).as_dict())
 
 
-@pytest.mark.parametrize("n, m, alphas, depth, calls", [
-    # 16 row pairs of 4,096 entries: 8 per call, so each input spans two calls
-    (4096, 2, [0, 1, 2, 3], 12, [8, 8, 8, 8]),
-    # 13 row pairs of 16 entries: the seam after 2,048 falls inside input 157
-    (16, 200, [0, 1, 2, 3, 4], 8, [2048, 552]),
-    # wider than a block: one row pair per call
-    (40_000, 1, [0], 2, [1, 1, 1]),
+@pytest.mark.parametrize("n, m, alphas, depth", [
+    (4096, 2, [0, 1, 2, 3], 12),  # wide rows, few inputs
+    (16, 200, [0, 1, 2, 3, 4], 8),  # narrow rows, many inputs
+    (40_000, 1, [0], 2),  # one input, very wide
 ])
-def test_negation_profiles_split_inputs_by_row_pair(monkeypatch, n, m, alphas, depth, calls):
-    shapes = []
-
-    def recording(A, B, levels):
-        shapes.append(A.shape)
-        return _evaluate(A, B, levels)
-
-    monkeypatch.setattr(neglab.dissimilarity, "_evaluate", recording)
+def test_negation_profiles_split_inputs_by_row_pair(n, m, alphas, depth):
     rng = np.random.default_rng(n)
     group = [ProbDist(rng.dirichlet(np.ones(n))) for _ in range(m)]
     profiles = negation_profiles(group, alphas, depth)
-    assert [a[0] for a in shapes] == calls
-    assert all(a[0] * a[1] <= max(_BLOCK_ELEMENTS, n) for a in shapes)
-    monkeypatch.undo()
     for r in sorted({0, 2048 // (len(alphas) + depth), m - 1} & set(range(m))):
         assert_identical(profiles.row(r).as_dict(), _oracle_profile(group[r], alphas, depth).as_dict())
+
+
+def test_negation_profiles_peak_memory_does_not_grow_with_depth():
+    # the distances are taken one iterate at a time: a few copies of the
+    # m×n block (5 seen), the same at depth 8 and at depth 64
+    rng = np.random.default_rng(8)
+    group = [ProbDist(rng.dirichlet(np.ones(1 << 17))) for _ in range(2)]
+    block = 2 * (1 << 17) * 8
+    peaks = []
+    for depth in (8, 64):
+        tracemalloc.start()
+        try:
+            negation_profiles(group, list(range(8)), depth)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + block // 100
+    assert max(peaks) <= 6 * block
 
 
 def test_negation_profiles_one_level_has_no_direction_claims(p4, p3):

@@ -18,6 +18,7 @@ from neglab import (
     DomainError,
     ProbDist,
     ValidationReport,
+    certificate_suites,
     converge_traces,
     dissim,
     entropy_report,
@@ -304,6 +305,28 @@ def test_every_record_plain_data_is_json_native(record):
     assert type(r).__name__ == record
     d = r.as_dict()
     assert_identical(d, json.loads(json.dumps(d)))
+
+
+#: each batch result read one input at a time through ``.row(r)``, from its producer
+_BATCHES = {
+    "Certificate": lambda dists: certificate_suites(NEG_LOG, dists)[-1],  # the entropy chain
+    "ConvergenceTraces": converge_traces,
+    "NegationProfiles": lambda dists: negation_profiles(dists, [0, 2], 3),
+}
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("batch", list(_BATCHES), ids=list(_BATCHES))
+def test_every_batch_row_takes_an_index_as_a_sequence_does(batch, m):
+    # one rule for every .row(r): an integer in [-m, m), negative from the end
+    dists = [make_dist([0.2, 0.3, 0.5]), make_dist([0.1, 0.1, 0.8]), make_dist(_P3)][:m]
+    result = _BATCHES[batch](dists)
+    for r in range(1, m + 1):
+        assert_identical(result.row(-r).as_dict(), result.row(m - r).as_dict())
+    assert_identical(result.row(np.int64(-1)).as_dict(), result.row(m - 1).as_dict())
+    for bad in (m, -m - 1, True, False, 1.0, np.float64(0.0), "0", None):
+        with pytest.raises(IndexError, match=rf"row must be an integer in \[{-m}, {m}\)"):
+            result.row(bad)
 
 
 def test_pad_with_zeros():

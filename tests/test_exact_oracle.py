@@ -190,7 +190,7 @@ def _dissim_pairs(values):
     p = make_dist(values)
     profiles = negation_profiles([p], LEVELS, DEPTH)
     q = _units(profiles.negations[0])
-    rows = [q] * len(LEVELS) + list(map(_units, _iterates(p.probs, range(1, DEPTH + 1))))
+    rows = [q] * len(LEVELS) + [_units(_iterates(p.probs, k)) for k in range(1, DEPTH + 1)]
     levels = list(LEVELS) + [0] * DEPTH
     return list(zip(levels, [_units(p.probs)] * len(rows), rows, profiles.value[0].tolist()))
 

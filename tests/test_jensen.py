@@ -40,9 +40,8 @@ from neglab import (
     uniform,
 )
 from neglab.certificates import HOLDS_TOLERANCE, compare
-from neglab.dissimilarity import _BLOCK_ELEMENTS
 from neglab.distribution import _unchecked
-from neglab.jensen import _chain_sums, _chains, _pointwise
+from neglab.jensen import _PASS_CELLS, _chain_sums, _chains, _pointwise
 
 from conftest import assert_identical, distributions, oracle_as_dict, oracle_failures
 from test_theorems_at_scale import _peeled_ones, _point_mass_with_dust
@@ -456,14 +455,24 @@ def test_chain_kernel_matches_scalar_loop(p, f):
     _assert_matches_oracle(f, p, _chain_certificates(f, p))
 
 
+def _crosses_a_pass(m, n):
+    """Whether the chains of m inputs of length n take more than one pass:
+    the first pass, from index 0, holds fewer than n indices."""
+    return _PASS_CELLS // (m * (n - 2)) < n
+
+
 def test_chain_kernel_across_block_seam():
-    # n = 182 with zeros: a size whose pairs an earlier kernel split into blocks
-    n = next(n for n in range(3, 4096) if _BLOCK_ELEMENTS // (n - 1) == n - 1)
-    raw = np.random.default_rng(2024).dirichlet(np.ones(n))
-    raw[::17] = 0.0
-    p = make_dist(raw / raw.sum())
+    # three inputs of n = 182 with zeros: the chains of all n indices take
+    # two passes
+    m, n = 3, 182
+    assert _crosses_a_pass(m, n)
+    raw = np.random.default_rng(2024).dirichlet(np.ones(n), size=m)
+    raw[:, ::17] = 0.0
+    dists = [make_dist(row / row.sum()) for row in raw]
     for f in (NEG_LOG, SQUARE):
-        _assert_matches_oracle(f, p, _chain_certificates(f, p))
+        suite = [c for c in certificate_suites(f, dists) if c.name.startswith("partial_mean_chain")]
+        for r, p in enumerate(dists):
+            _assert_matches_oracle(f, p, [c.row(r) for c in suite])
 
 
 def _edge_rows(n=9):
@@ -695,7 +704,8 @@ def _dirichlet_rows(m, n, seed):
 
 def test_certificate_suites_chain_block_seam_across_rows():
     n = 8
-    m = _BLOCK_ELEMENTS // (n - 1) // n + 2
+    m = _PASS_CELLS // (n - 2) // n + 1  # the fewest inputs whose chains take two passes
+    assert _crosses_a_pass(m, n) and not _crosses_a_pass(m - 1, n)
     _assert_batch_matches_rows(NEG_LOG, _dirichlet_rows(m, n, 11))
 
 
