@@ -6,15 +6,13 @@ the numeric slack, and whether the bound was met with equality.  Nested
 claims (chains, grouped property checks) attach their parts as ``detail``
 sub-certificates.  A batch kernel certifies one claim for m inputs at
 once as a column: a certificate whose sides, slack and flags are length-m
-arrays.  One rule, :func:`_decide`, decides every certificate, reached
-through :func:`compare` for one claim or :func:`_compare_columns` for
-columns.
+arrays.  One rule on arrays, :func:`_compare_columns`, decides every
+certificate; :func:`compare` is that rule for one claim of one input.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,24 +96,6 @@ class Certificate:
         )
 
 
-def _decide(lhs, rhs, holds, equality):
-    """The rule of every certificate: ``(slack, holds, equality, infinite)`` of ``lhs <= rhs``.
-
-    Evaluated alike on floats and on arrays of them: the flags come back
-    as bools or as bool arrays.  ``holds`` and ``equality`` are ``None`` to
-    read them off the slack, or bool overrides.  Both sides at the same
-    infinity hold although their slack is nan.
-    """
-    infinite = (abs(lhs) == math.inf) | (abs(rhs) == math.inf)
-    slack = rhs - lhs  # inf - inf is nan, finite - inf is -inf
-    if holds is None:
-        holds = (slack >= -HOLDS_TOLERANCE) | (lhs == rhs)
-    if equality is None:
-        equality = abs(slack) <= EQUALITY_TOLERANCE
-    equality = equality & (infinite ^ True)  # not ~infinite: ~True is -2
-    return slack, holds | equality, equality, infinite
-
-
 def compare(
     name: str,
     lhs: float,
@@ -133,12 +113,13 @@ def compare(
     for checks whose condition is structural (all support points
     identical, a chain of sub-claims, say) rather than a single slack.
     Two rules hold whatever the overrides say: equality implies holds, and
-    an infinite side never reports equality.  The rule is :func:`_decide`,
-    which :func:`_compare_columns` applies to whole columns.
+    an infinite side never reports equality.  This is the rule of
+    :func:`_compare_columns` at m = 1, read off as Python floats and bools,
+    with the one-input ``detail`` attached as given.
     """
-    lhs, rhs = float(lhs), float(rhs)
-    holds, equality = (None if x is None else bool(x) for x in (holds, equality))
-    return Certificate(name, lhs, rhs, *_decide(lhs, rhs, holds, equality), tuple(detail))
+    holds, equality = (None if x is None else [[x]] for x in (holds, equality))
+    (column,) = _compare_columns([name], [[float(lhs)]], [[float(rhs)]], holds=holds, equality=equality)
+    return replace(column.row(0), detail=tuple(detail))
 
 
 def _compare_columns(
@@ -150,20 +131,28 @@ def _compare_columns(
     equality=None,
     detail: tuple[Certificate, ...] = (),
 ) -> list[Certificate]:
-    """:func:`compare` on whole columns, by the same rule.
+    """The rule of every certificate, :func:`compare` on whole columns.
 
     ``lhs`` and ``rhs`` broadcast to m×K, column k holding the sides of
-    claim ``names[k]`` for the m inputs; ``holds`` and ``equality``, when
-    given, are m×K overrides as in :func:`compare`.  Returns one column
-    certificate per name, each with the sub-columns ``detail``.
+    claim ``names[k]`` for the m inputs; ``holds`` and ``equality`` are
+    ``None`` to read them off the slack, or m×K bool overrides, as in
+    :func:`compare`.  Both sides at the same infinity hold although their
+    slack is nan.  Returns one column certificate per name, each with the
+    sub-columns ``detail``.
     """
     names = tuple(names)
     lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
     if lhs.ndim != 2 or lhs.shape[1] != len(names):
         raise ValueError(f"{len(names)} names for sides of shape {lhs.shape}")
-    holds, equality = (None if x is None else np.asarray(x, dtype=bool) for x in (holds, equality))
-    with np.errstate(invalid="ignore"):  # inf - inf is nan, as in compare
-        decided = _decide(lhs, rhs, holds, equality)
+    infinite = np.isinf(lhs) | np.isinf(rhs)
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, finite - inf is -inf
+        slack = rhs - lhs
+        if holds is None:
+            holds = (slack >= -HOLDS_TOLERANCE) | (lhs == rhs)
+        if equality is None:
+            equality = np.abs(slack) <= EQUALITY_TOLERANCE
+    equality = np.asarray(equality, dtype=bool) & ~infinite
+    decided = (slack, np.asarray(holds, dtype=bool) | equality, equality, infinite)
     detail = tuple(detail)
     return [
         Certificate(name, *fields, detail)

@@ -28,8 +28,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .certificates import Certificate, HOLDS_TOLERANCE, _compare_columns
-from .distribution import (DimensionError, DomainError, ProbDist, _check_int, _row_index, _stacked,
-                           _unchecked)
+from .distribution import (DimensionError, DomainError, ProbDist, _check_int, _l1, _row_index,
+                           _stacked, _unchecked)
 from .negation import _VANISHING_POWER, _iterates, _negation, negate
 
 __all__ = [
@@ -80,11 +80,6 @@ def _check_alphas(alphas: Sequence[int], name: str = "alpha") -> list[int]:
     if alphas != sorted(alphas):
         raise DomainError(f"{name} levels must be sorted ascending")
     return alphas
-
-
-def _l1(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The L1 distance of each row of ``A`` to the same row of ``B``."""
-    return np.abs(A - B).sum(axis=-1)
 
 
 def _evaluate(l1: np.ndarray, levels: np.ndarray) -> np.ndarray:

@@ -277,8 +277,13 @@ def is_uniform(p: ProbDist, tolerance: float = DEFAULT_TOLERANCE) -> bool:
     return bool(np.max(np.abs(p.probs - 1.0 / p.n)) <= _check_tolerance("tolerance", tolerance))
 
 
+def _l1(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The L1 distance of each row of ``A`` to the same row of ``B``."""
+    return np.abs(A - B).sum(axis=-1)
+
+
 def l1_distance(p: ProbDist, q: ProbDist) -> float:
     """Sum of absolute entry differences.  Ranges over [0, 2]."""
     if p.n != q.n:
         raise DimensionError(f"size mismatch: {p.n} vs {q.n}")
-    return float(np.sum(np.abs(p.probs - q.probs)))
+    return float(_l1(p.probs, q.probs))

@@ -53,6 +53,53 @@ def test_equality_without_holds_is_rejected():
         Certificate("c", 1.0, 0.0, -1.0, holds=False, equality=True)
 
 
+# --- compare()'s contract at the edges of its inputs ------------------------
+
+def _types(cert):
+    return [type(getattr(cert, f)) for f in ("lhs", "rhs", "slack", "holds", "equality", "infinite")]
+
+
+@pytest.mark.parametrize("lhs,rhs", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+def test_nan_side_decides_nothing(lhs, rhs):
+    cert = compare("c", lhs, rhs)
+    assert math.isnan(cert.slack)
+    assert (cert.holds, cert.equality, cert.infinite) == (False, False, False)
+
+
+@pytest.mark.parametrize("lhs,rhs", [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+def test_signed_zeros_are_equal_and_keep_their_sign(lhs, rhs):
+    cert = compare("c", lhs, rhs)
+    assert (_bits(cert.lhs), _bits(cert.rhs)) == (_bits(lhs), _bits(rhs))
+    assert _bits(cert.slack) == _bits(rhs - lhs)
+    assert (cert.holds, cert.equality, cert.infinite) == (True, True, False)
+
+
+@pytest.mark.parametrize("kind", [float, np.float32, np.float64])
+@pytest.mark.parametrize("override", [None, False, True, np.bool_(False), np.bool_(True)])
+def test_numpy_inputs_give_python_fields(kind, override):
+    lhs, rhs = kind(0.1), kind(0.3)
+    cert = compare("c", lhs, rhs, holds=override, equality=override)
+    assert _types(cert) == [float] * 3 + [bool] * 3
+    assert (cert.lhs, cert.rhs, cert.slack) == (float(lhs), float(rhs), float(rhs) - float(lhs))
+    # both flags overridden alike, or read off a slack of 0.2
+    assert cert.holds == (True if override is None else bool(override))
+    assert cert.equality == (False if override is None else bool(override))
+    assert_identical(cert.as_dict(), oracle_as_dict(cert))
+
+
+@pytest.mark.parametrize("lhs,rhs", [(1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (INF, 1.0), (math.nan, 0.0)])
+def test_every_field_is_a_python_float_or_bool(lhs, rhs):
+    assert _types(compare("c", lhs, rhs)) == [float] * 3 + [bool] * 3
+
+
+def test_detail_comes_back_as_the_same_objects():
+    inner, failing = compare("d", 0.0, 1.0), compare("e", 1.0, 0.0)
+    given = [inner, failing, inner]
+    cert = compare("c", 0.0, 1.0, detail=given)
+    assert type(cert.detail) is tuple
+    assert len(cert.detail) == 3 and all(a is b for a, b in zip(cert.detail, given))
+
+
 finite = st.floats(min_value=-1e6, max_value=1e6)
 
 

@@ -130,6 +130,20 @@ def test_size_mismatch(p4, p3):
         dissim(p4, p3, 0)
 
 
+#: sizes on both sides of numpy's pairwise-sum blocks (8 unrolled, 128 per leaf) and its
+#: 8,192-element reduction buffer
+L1_SIZES = [2, 7, 8, 9, 127, 128, 129, 255, 256, 257, 1000, 8191, 8192, 8193, 16385, 131075]
+
+
+@pytest.mark.parametrize("n", L1_SIZES)
+def test_l1_distance_is_the_dissimilarity_distance_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        p, q = (make_dist(rng.dirichlet(np.ones(n))) for _ in range(2))
+        assert l1_distance(p, q).hex() == dissim(p, q).l1.hex()
+        assert l1_distance(p, negate(p)).hex() == negation_dissimilarity(p).l1.hex()
+
+
 @given(distribution_pairs(), st.integers(min_value=0, max_value=16))
 def test_literal_matches_closed_form(pair, alpha):
     p, q = pair
